@@ -7,15 +7,20 @@
 // master brokers (rendezvous hashing on the top-level directory); every
 // producer writes a unique value under its own top-level directory and joins
 // one whole-job fence, which completes via the root's ShardCoordinator
-// fusing the per-shard version vector into a single event. With k=1 the wire
-// format and latencies are byte-for-byte the classic single-master path, so
-// the k=1 row is the true baseline.
+// fusing the per-shard version vector into a single event. Every k runs the
+// same fence path (k=1 is the paper's single master: shard 0 of a one-shard
+// map), with each shard master's apply/announce window at its auto setting,
+// so the k=1 row is the true baseline.
 //
 // The interesting output is the crossover: at small producer counts the
 // cross-shard fence's extra coordination (every participant counts in at
 // every shard, k setroot events, one fuse) costs more than the single
 // master's apply; as producers grow, splitting the master's inbound link and
 // apply serialization k ways wins.
+//
+// Writes BENCH_abl_distributed_master.json rows (via scripts/bench.sh) that
+// scripts/bench_gate.py gates: fence_ms is virtual time, net_messages the
+// deterministic traffic volume.
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -31,9 +36,14 @@ using namespace flux::bench;
 
 namespace {
 
-/// Latency of one whole-job fence with `producers` writers spread over a
-/// single `nnodes` session running `shards` KVS masters.
-Duration sharded_fence(std::uint32_t nnodes, std::uint32_t producers,
+struct FenceRun {
+  Duration latency{};
+  std::uint64_t net_messages = 0;
+};
+
+/// One whole-job fence with `producers` writers spread over a single
+/// `nnodes` session running `shards` KVS masters.
+FenceRun sharded_fence(std::uint32_t nnodes, std::uint32_t producers,
                        std::uint32_t shards, std::size_t vsize) {
   SimExecutor ex;
   SessionConfig cfg;
@@ -67,8 +77,9 @@ Duration sharded_fence(std::uint32_t nnodes, std::uint32_t producers,
         "producer");
   }
   const TimePoint t0 = ex.now();
+  const std::uint64_t msgs0 = session->simnet()->stats().messages;
   ex.run();
-  return done_at - t0;
+  return {done_at - t0, session->simnet()->stats().messages - msgs0};
 }
 
 }  // namespace
@@ -80,7 +91,7 @@ int main() {
       "one fused fence over k shard masters beats the single master once "
       "producers saturate its apply serialization; tiny jobs pay a small "
       "coordination tax");
-  metrics_open("bench_abl_distributed_master");
+  metrics_open("abl_distributed_master");
 
   const std::uint32_t nnodes = quick_mode() ? 32 : 128;
   const std::size_t vsize = 4096;
@@ -101,8 +112,8 @@ int main() {
     std::uint32_t best_k = 1;
     std::printf("%10u", producers);
     for (std::uint32_t k : shard_grid) {
-      const Duration d = sharded_fence(nnodes, producers, k, vsize);
-      const double m = ms(d);
+      const FenceRun run = sharded_fence(nnodes, producers, k, vsize);
+      const double m = ms(run.latency);
       if (k == 1) base = m;
       if (k == 1 || m < best) {
         best = m;
@@ -115,12 +126,13 @@ int main() {
            {"shards", static_cast<std::int64_t>(k)},
            {"value_size", static_cast<std::int64_t>(vsize)},
            {"fence_ms", m},
+           {"net_messages", run.net_messages},
            {"speedup_vs_single", base / m}}));
     }
     std::printf("  k=%u (%.2fx)\n", best_k, base / best);
   }
   std::printf(
       "\n(real subsystem: one session, kvs module config {\"shards\": k}; "
-      "k=1 is the byte-identical classic path)\n");
+      "k=1 is the paper's single master)\n");
   return 0;
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Record the perf trajectory: run the paper-figure benches (Fig. 2 put,
-# Fig. 3 fence, Fig. 4a/4b get) plus the codec micro-benchmarks and emit
+# Fig. 3 fence, Fig. 4a/4b get), the jobs/saturation/restart benches, the
+# §VII distributed-master ablation, plus the codec micro-benchmarks and emit
 # machine-readable BENCH_*.json sidecars.
 #
 #   scripts/bench.sh                          # full grids into bench/results/
@@ -23,10 +24,10 @@ cmake --preset bench
 cmake --build --preset bench -j "$jobs" --target \
   bench_fig2_put bench_fig3_fence bench_fig4a_get_singledir \
   bench_fig4b_get_multidir bench_jobs_throughput bench_saturation \
-  bench_restart bench_micro
+  bench_restart bench_abl_distributed_master bench_micro
 
 for b in fig2_put fig3_fence fig4a_get_singledir fig4b_get_multidir \
-         jobs_throughput saturation restart; do
+         jobs_throughput saturation restart abl_distributed_master; do
   echo "=== bench_$b ==="
   FLUX_BENCH_METRICS_DIR="$out" "build-bench/bench/bench_$b"
   mv "$out/$b.metrics.json" "$out/BENCH_$b.json"

@@ -36,6 +36,7 @@ METRICS = {
     "alloc_mean_us": ("lower", 1.25),
     "jobs_per_sec": ("higher", 1.25),
     "ops_per_sec_virtual": ("higher", 1.25),
+    "fence_ms": ("lower", 1.25),
     # Deterministic traffic volume: batching may only shrink it (band
     # absorbs incidental retries).
     "net_messages": ("lower", 1.3),
@@ -60,7 +61,7 @@ IDENTITY = frozenset({
     "mode", "nnodes", "brokers", "procs_per_node", "value_size",
     "gets_per_consumer", "redundant_values", "single_directory",
     "access_stride", "window", "jobs", "clients", "rounds", "shards",
-    "arity", "commits",
+    "arity", "commits", "producers",
 })
 
 

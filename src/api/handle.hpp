@@ -117,13 +117,6 @@ class Handle {
   Subscription subscribe(std::string topic_prefix,
                          std::function<void(const Message&)> fn);
 
-  /// Deprecated: raw-id unsubscribe. Prefer holding the Subscription guard
-  /// from subscribe() and letting it reset()/destruct.
-  [[deprecated("hold the Subscription guard instead")]]
-  void unsubscribe(std::uint64_t subscription_id) {
-    unsubscribe_impl(subscription_id);
-  }
-
   /// Collective barrier across `nprocs` participants session-wide
   /// (paper Table I: the `barrier` comms module).
   Task<void> barrier(std::string name, std::int64_t nprocs);

@@ -53,14 +53,4 @@ Task<Json> JobHandle::events() {
   co_return log;
 }
 
-Task<Message> wexec_run(Handle& h, std::string jobid, std::string cmd,
-                        Json args, Json ranks) {
-  const Json payload = Json::object({{"jobid", std::move(jobid)},
-                                     {"cmd", std::move(cmd)},
-                                     {"args", std::move(args)},
-                                     {"ranks", std::move(ranks)}});
-  Message resp = co_await h.request("wexec.run").payload(payload).call();
-  co_return resp;
-}
-
 }  // namespace flux

@@ -109,12 +109,4 @@ class JobBuilder {
   JobSpec spec_;
 };
 
-/// Deprecated direct-to-wexec submission path (pre-job-pipeline API): runs
-/// `cmd` under `jobid` on `ranks` (all ranks when null) and resolves with
-/// the raw wexec.run response. Bypasses ingest validation, queueing,
-/// scheduling, and the job.<id>.* KVS fold-back.
-[[deprecated("use h.job().command(...).submit() instead")]]
-Task<Message> wexec_run(Handle& h, std::string jobid, std::string cmd,
-                        Json args = Json::object(), Json ranks = Json());
-
 }  // namespace flux

@@ -23,8 +23,6 @@ namespace flux {
 
 /// POSIX-flavoured error codes used in CMB response messages (the paper's
 /// prototype reuses errno values; so do we, with stable numeric values).
-/// The PascalCase enumerators are deprecated aliases kept for source
-/// compatibility; new code uses the snake_case spellings.
 enum class errc : int {
   ok = 0,
   nosys = 38,       ///< ENOSYS: no module matched the request topic
@@ -49,27 +47,7 @@ enum class errc : int {
   job_canceled = 4,         ///< EINTR: operation lost to a cancellation
   job_rejected = 13,        ///< EACCES: submission refused (validation/admission)
   alloc_unsatisfiable = 34, ///< ERANGE: request can never fit the session pool
-
-  // Deprecated spellings (pre-error_category API).
-  Ok = ok,
-  NoSys = nosys,
-  NoEnt = noent,
-  Exist = exist,
-  Inval = inval,
-  Proto = proto,
-  HostDown = host_down,
-  TimedOut = timeout,
-  NotDir = not_dir,
-  IsDir = is_dir,
-  Perm = perm,
-  Again = again,
-  NoSpc = no_spc,
-  Canceled = canceled,
-  Overflow = overflow,
 };
-
-/// Deprecated alias; new code spells it flux::errc.
-using Errc = errc;
 
 /// Human-readable name for an error code ("ENOSYS", ...).
 std::string_view errc_name(errc e) noexcept;

@@ -31,7 +31,7 @@ Json ModuleBase::stats_json() const {
   return out;
 }
 
-void ModuleBase::respond_error(const Message& req, Errc code,
+void ModuleBase::respond_error(const Message& req, errc code,
                                std::string_view what) {
   broker().respond(req.respond_error(code, what));
 }

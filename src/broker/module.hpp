@@ -82,7 +82,7 @@ class ModuleBase : public Module {
   }
 
   /// Respond with {errmsg} + code.
-  void respond_error(const Message& req, Errc code, std::string_view what = {});
+  void respond_error(const Message& req, errc code, std::string_view what = {});
   /// Respond with payload.
   void respond_ok(const Message& req, Json payload = Json::object());
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <utility>
 
 #include "base/error.hpp"
@@ -158,18 +159,21 @@ ContentBackend::Recovered FileLogBackend::recover(ContentStore& into) {
       case RecordType::root: {
         auto j = Json::parse(payload);
         if (!j.has_value()) break;
-        const auto shard =
-            static_cast<std::uint32_t>(j->get_int("shard", 0));
+        const std::int64_t shard = j->get_int("shard", 0);
         const auto version =
             static_cast<std::uint64_t>(j->get_int("version", 0));
         auto ref = Sha1::parse(j->get_string("rootref"));
-        if (!ref || version == 0) break;
-        if (shard >= rec.roots.size()) {
-          rec.roots.resize(shard + 1);
-          rec.versions.resize(shard + 1, 0);
+        // The shard index sizes the recovered vectors, so it must be in
+        // range on its own — never trusted to bound an allocation.
+        if (!ref || version == 0 || shard < 0 ||
+            shard >= static_cast<std::int64_t>(contentlog::kMaxShards))
+          break;
+        if (static_cast<std::size_t>(shard) >= rec.roots.size()) {
+          rec.roots.resize(static_cast<std::size_t>(shard) + 1);
+          rec.versions.resize(static_cast<std::size_t>(shard) + 1, 0);
         }
-        rec.roots[shard] = *ref;
-        rec.versions[shard] = version;
+        rec.roots[static_cast<std::size_t>(shard)] = *ref;
+        rec.versions[static_cast<std::size_t>(shard)] = version;
         if (version > birth) into.set_birth_version(birth = version);
         ok = true;
         break;
@@ -186,7 +190,9 @@ ContentBackend::Recovered FileLogBackend::recover(ContentStore& into) {
         std::vector<std::uint64_t> versions;
         bool bad = false;
         for (std::size_t s = 0; s < refs.size(); ++s) {
-          auto ref = Sha1::parse(refs[s].as_string());
+          std::optional<Sha1> ref;
+          if (refs[s].is_string() && vv[s].is_int())
+            ref = Sha1::parse(refs[s].as_string());
           if (!ref) {
             bad = true;
             break;

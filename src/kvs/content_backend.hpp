@@ -55,6 +55,9 @@ inline constexpr std::size_t kHeaderSize = 16;
 inline constexpr std::size_t kFrameOverhead = 9;
 /// Upper bound accepted for a payload during recovery (corruption guard).
 inline constexpr std::uint32_t kMaxPayload = 64u << 20;
+/// Upper bound accepted for a root record's shard index (corruption guard:
+/// the index sizes the recovered root/version vectors).
+inline constexpr std::uint32_t kMaxShards = 1u << 16;
 
 enum class RecordType : std::uint8_t { object = 1, root = 2, checkpoint = 3 };
 

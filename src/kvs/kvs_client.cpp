@@ -85,8 +85,7 @@ void KvsClient::set_recorder(check::HistoryRecorder* rec, int client) {
 std::vector<std::uint64_t> KvsClient::sample_vv() const {
   auto* mod = dynamic_cast<KvsModule*>(h_.broker().find_module("kvs"));
   if (!mod) return {};
-  if (mod->sharded()) return mod->shard_versions();
-  return {mod->root_version()};
+  return mod->shard_versions();
 }
 
 void KvsClient::record_setroot(const Message& ev) {

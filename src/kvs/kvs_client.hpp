@@ -165,12 +165,6 @@ class KvsClient {
   using WatchFn = std::function<void(const std::optional<Json>&)>;
   WatchHandle watch(std::string key, WatchFn cb);
 
-  /// Deprecated: raw-id cancel. Prefer holding the WatchHandle guard.
-  [[deprecated("hold the WatchHandle guard instead")]]
-  void unwatch(std::uint64_t id) {
-    unwatch_impl(id);
-  }
-
   /// DST tap (check/history.hpp): append every client-visible op this client
   /// performs — put/get/commit/fence/watch callback, plus every observed
   /// "kvs.setroot*" event — to `rec` under logical client id `client`.

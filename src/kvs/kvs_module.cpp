@@ -1,7 +1,6 @@
 #include "kvs/kvs_module.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <set>
 
@@ -31,6 +30,20 @@ std::uint64_t wall_ns_since(
           std::chrono::steady_clock::now() - t0)
           .count());
 }
+
+Json string_array(std::vector<std::string> items) {
+  Json out = Json::array();
+  for (std::string& s : items) out.push_back(std::move(s));
+  return out;
+}
+
+std::vector<std::string> strings_of(const Json& array) {
+  std::vector<std::string> out;
+  if (array.is_array())
+    for (const Json& s : array.as_array())
+      if (s.is_string()) out.push_back(s.as_string());
+  return out;
+}
 }  // namespace
 
 KvsModule::KvsModule(Broker& b) : ModuleBase(b) {
@@ -54,6 +67,8 @@ KvsModule::KvsModule(Broker& b) : ModuleBase(b) {
   on("drop_cache", [this](Message& m) { op_drop_cache(m); });
 
   broker().module_subscribe(*this, "kvs.setroot");
+  broker().module_subscribe(*this, "kvs.fence.done");
+  broker().module_subscribe(*this, "live.down");
   broker().module_subscribe(*this, "hb");
   broker().module_subscribe(*this, "cmb.rejoin");
 }
@@ -88,6 +103,28 @@ void KvsModule::start() {
   shard_map_ =
       ShardMap(broker().size(), shards_cfg, broker().topology().arity());
   shards_ = shard_map_.shards();
+  shard_roots_.assign(shards_, Sha1{});
+  shard_versions_.assign(shards_, 0);
+  shard_dead_.assign(shards_, false);
+  shard_masters_.resize(shards_);
+  for (std::uint32_t s = 0; s < shards_; ++s)
+    shard_masters_[s] = shard_map_.master_rank(s);
+  masters_.assign(shards_, Master{});
+  recovered_versions_.assign(shards_, 0);
+  failover_ = cfg.get_bool("failover", false);
+
+  // Apply/announce rate limit, per shard master. Deferral trades commit
+  // latency for throughput: it only pays when the O(tree) broadcast and
+  // per-apply freeze dwarf the added wait, so the auto default stays OFF
+  // below 48 brokers — at small and mid sizes the window shows up directly
+  // in latency-sensitive clients (measured: scheduler alloc RPCs +2-22 µs)
+  // for little host-side gain — and opens to 40 µs above, where each
+  // skipped broadcast saves a tree's worth of deliveries. 40 µs is the
+  // measured knee: wider keeps shrinking host work but costs more virtual
+  // throughput than the congestion relief returns.
+  std::int64_t win_us = cfg.get_int("announce_window_us", -1);
+  if (win_us < 0) win_us = broker().size() < 48 ? 0 : 40;
+  announce_window_ = std::chrono::microseconds(win_us);
 
   // Durable content store (ROADMAP: checkpoint/restart + GC). Config shape:
   //   {"persist": {"path": "...", "checkpoint_every": N,
@@ -110,80 +147,43 @@ void KvsModule::start() {
     }
   }
 
-  if (!sharded()) {
-    if (is_master()) {
-      apply_batches_stat_ = &reg.counter("kvs.apply.batches");
-      apply_batch_size_ = &reg.histogram("kvs.apply.batch_size");
-      announces_stat_ = &reg.counter("kvs.announce.batches");
-      announce_size_ = &reg.histogram("kvs.announce.batch_size");
-      // Apply/announce rate limit. Deferral trades commit latency for
-      // throughput: it only pays when the O(tree) broadcast and per-apply
-      // freeze dwarf the added wait, so the auto default stays OFF below 48
-      // brokers — at small and mid sizes the window shows up directly in
-      // latency-sensitive clients (measured: scheduler alloc RPCs +2-22 µs)
-      // for little host-side gain — and opens to 40 µs above, where each
-      // skipped broadcast saves a tree's worth of deliveries. 40 µs is the
-      // measured knee: wider keeps shrinking host work but costs more
-      // virtual throughput than the congestion relief returns.
-      std::int64_t win_us = cfg.get_int("announce_window_us", -1);
-      if (win_us < 0) win_us = broker().size() < 48 ? 0 : 40;
-      announce_window_ = std::chrono::microseconds(win_us);
-      // Recover from the durable log when one exists; else bootstrap fresh
-      // (version 1 is the empty root directory). A recovered root is
-      // re-announced one version above the recovered one — the recovery
-      // epoch — so the setroot version stream stays strictly monotonic
-      // across a master restart.
-      if (!persist_open(0)) {
-        ObjPtr empty = empty_dir_object();
-        root_ref_ = empty->id;
-        store_.set_birth_version(1);
-        store_.put(std::move(empty));
-        root_version_ = 1;
-      }
-      persist_root(0, root_version_, root_ref_);
-      broker().publish("kvs.setroot",
-                       Json::object({{"version", root_version_},
-                                     {"rootref", root_ref_.hex()},
-                                     {"fences", Json::array()}}));
-    }
-    return;
-  }
-
-  shard_roots_.assign(shards_, Sha1{});
-  shard_versions_.assign(shards_, 0);
-  shard_dead_.assign(shards_, false);
-  shard_masters_.resize(shards_);
-  for (std::uint32_t s = 0; s < shards_; ++s)
-    shard_masters_[s] = shard_map_.master_rank(s);
-  failover_ = cfg.get_bool("failover", false);
-  my_shard_ = shard_map_.shard_of_master(broker().rank());
-  broker().module_subscribe(*this, "kvs.fence.done");
-  broker().module_subscribe(*this, "live.down");
-  if (broker().is_root())
+  // Completion with k > 1: the coordinator fuses the shards' reports.
+  if (broker().is_root() && sharded())
     coord_ = std::make_unique<ShardCoordinator>(broker(), shards_);
+  if (const auto s = shard_map_.shard_of_master(broker().rank()))
+    start_master(*s);
+}
 
-  if (my_shard_) {
-    const std::string prefix = "kvs.shard." + std::to_string(*my_shard_);
-    shard_commits_ = &reg.counter(prefix + ".commits");
-    shard_faults_served_ = &reg.counter(prefix + ".faults_served");
-    shard_apply_ns_ = &reg.histogram(prefix + ".apply_ns");
-    // Bootstrap this shard: recover from its durable log when one exists,
-    // else version 1 is its empty root directory.
-    const std::uint32_t s = *my_shard_;
-    if (!persist_open(s)) {
-      ObjPtr empty = empty_dir_object();
-      shard_roots_[s] = empty->id;
-      store_.set_birth_version(1);
-      store_.put(std::move(empty));
-      shard_versions_[s] = 1;
-    }
-    persist_root(s, shard_versions_[s], shard_roots_[s]);
-    refresh_scalar_root();
-    Json ev = Json::object({{"shard", static_cast<std::int64_t>(s)},
-                            {"version", shard_versions_[s]},
-                            {"rootref", shard_roots_[s].hex()}});
-    broker().publish("kvs.setroot." + std::to_string(s), std::move(ev));
+void KvsModule::start_master(std::uint32_t shard) {
+  bind_master(shard);
+  // Recover from the durable log when one exists; else bootstrap fresh
+  // (version 1 is the shard's empty root directory). A recovered root is
+  // re-announced one version above the recovered one — the recovery epoch —
+  // so the shard's setroot version stream stays strictly monotonic across a
+  // master restart.
+  if (!persist_open(shard)) {
+    ObjPtr empty = empty_dir_object();
+    shard_roots_[shard] = empty->id;
+    store_.set_birth_version(1);
+    store_.put(std::move(empty));
+    shard_versions_[shard] = 1;
   }
+  persist_root(shard);
+  refresh_scalar_root();
+  announce_root(shard, {});
+}
+
+void KvsModule::bind_master(std::uint32_t shard) {
+  shard_masters_[shard] = broker().rank();
+  shard_dead_[shard] = false;
+  if (my_shard_) return;
+  my_shard_ = shard;
+  obs::StatsRegistry& reg = broker().stats_registry();
+  apply_batches_stat_ = &reg.counter("kvs.apply.batches");
+  apply_batch_size_ = &reg.histogram("kvs.apply.batch_size");
+  apply_ns_ = &reg.histogram("kvs.apply.ns");
+  announces_stat_ = &reg.counter("kvs.announce.batches");
+  announce_size_ = &reg.histogram("kvs.announce.batch_size");
 }
 
 void KvsModule::shutdown() {
@@ -203,7 +203,7 @@ void KvsModule::shutdown() {
   if (backend_) {
     // Clean shutdown: one final checkpoint so a restart recovers the exact
     // served state, then sync and close.
-    backend_->append_checkpoint(checkpoint_roots(), checkpoint_vv());
+    backend_->append_checkpoint(shard_roots_, shard_versions_);
     ++persist_stats_.checkpoints;
     backend_->close();
   }
@@ -224,7 +224,6 @@ void KvsModule::on_fail() {
 // ---------------------------------------------------------------------------
 
 bool KvsModule::persist_open(std::uint32_t shard) {
-  recovered_versions_.assign(std::max<std::uint32_t>(shards_, 1), 0);
   if (!persist_) return false;
   std::string path = persist_->path;
   if (sharded()) path += ".s" + std::to_string(shard);
@@ -238,13 +237,8 @@ bool KvsModule::persist_open(std::uint32_t shard) {
   bool recovered = false;
   if (rec.has_root(shard) && store_.contains(rec.roots[shard])) {
     const std::uint64_t v = rec.versions[shard] + 1;  // recovery epoch
-    if (sharded()) {
-      shard_roots_[shard] = rec.roots[shard];
-      shard_versions_[shard] = v;
-    } else {
-      root_ref_ = rec.roots[shard];
-      root_version_ = v;
-    }
+    shard_roots_[shard] = rec.roots[shard];
+    shard_versions_[shard] = v;
     recovered_versions_[shard] = v;
     persist_stats_.recovered_version = v;
     store_.set_birth_version(v);
@@ -259,8 +253,7 @@ bool KvsModule::persist_open(std::uint32_t shard) {
   return recovered;
 }
 
-void KvsModule::persist_root(std::uint32_t shard, std::uint64_t version,
-                             const Sha1& ref) {
+void KvsModule::persist_root(std::uint32_t shard) {
   if (!backend_) return;
   // Ack-after-sync: the root record (and every object it references, which
   // precedes it in the log) is durable before any announce or response goes
@@ -268,33 +261,23 @@ void KvsModule::persist_root(std::uint32_t shard, std::uint64_t version,
   // breaks exactly this — acks go out with the tail still buffered — so a
   // crash loses acked commits and the durability audit must flag it
   // (tests/test_persist.cpp teeth test).
-  backend_->append_root(shard, version, ref);
+  backend_->append_root(shard, shard_versions_[shard], shard_roots_[shard]);
   if (!check::mutation("kvs.skip_sync")) backend_->sync();
+  Master& m = masters_[shard];
   if (persist_->checkpoint_every != 0 &&
-      ++applies_since_checkpoint_ >= persist_->checkpoint_every) {
-    applies_since_checkpoint_ = 0;
-    backend_->append_checkpoint(checkpoint_roots(), checkpoint_vv());
+      ++m.applies_since_checkpoint >= persist_->checkpoint_every) {
+    m.applies_since_checkpoint = 0;
+    backend_->append_checkpoint(shard_roots_, shard_versions_);
     backend_->sync();
     ++persist_stats_.checkpoints;
   }
-  if (persist_->gc_every != 0 && ++applies_since_gc_ >= persist_->gc_every) {
-    applies_since_gc_ = 0;
+  if (persist_->gc_every != 0 && ++m.applies_since_gc >= persist_->gc_every) {
+    m.applies_since_gc = 0;
     run_gc();
   }
 }
 
-std::vector<Sha1> KvsModule::checkpoint_roots() const {
-  if (sharded()) return shard_roots_;
-  return {root_ref_};
-}
-
-std::vector<std::uint64_t> KvsModule::checkpoint_vv() const {
-  if (sharded()) return shard_versions_;
-  return {root_version_};
-}
-
 std::vector<Sha1> KvsModule::gc_roots() const {
-  if (!sharded()) return {root_ref_};
   std::vector<Sha1> roots;
   for (const Sha1& r : shard_roots_)
     if (r != Sha1{}) roots.push_back(r);
@@ -302,29 +285,22 @@ std::vector<Sha1> KvsModule::gc_roots() const {
 }
 
 std::vector<Sha1> KvsModule::gc_pins() const {
+  // In-flight fences: their tuple objects are in the store but not yet
+  // reachable from any root.
   std::vector<Sha1> pins;
   auto add_tuples = [&pins](const std::vector<Tuple>& tuples) {
     for (const Tuple& t : tuples)
       if (!t.is_unlink()) pins.push_back(t.ref);
   };
-  // In-flight fences: their tuple objects are in the store but not yet
-  // reachable from any root.
   for (const auto& [name, fence] : fences_) {
     pins.insert(pins.end(), fence.pins.begin(), fence.pins.end());
-    add_tuples(fence.pending_tuples);
-    add_tuples(fence.total_tuples);
-  }
-  for (const auto& [name, tuples] : apply_batch_) add_tuples(tuples);
-  for (const auto& [name, fence] : sharded_fences_) {
-    pins.insert(pins.end(), fence.pins.begin(), fence.pins.end());
-    for (const ShardPart& part : fence.parts) {
+    for (const Part& part : fence.parts) {
       add_tuples(part.pending_tuples);
       add_tuples(part.total_tuples);
     }
   }
-  // Staged (uncommitted) client transactions: op_put placed their objects in
-  // the store ahead of the commit.
-  for (const auto& [key, txn] : txns_) add_tuples(txn.tuples);
+  for (const Master& m : masters_)
+    for (const auto& [name, tuples] : m.batch) add_tuples(tuples);
   return pins;
 }
 
@@ -341,7 +317,7 @@ void KvsModule::run_gc() {
   // Reclaim the log space too: rewrite it to the swept store plus one
   // checkpoint (atomic temp-file + rename).
   if (gs.swept > 0) {
-    backend_->compact(store_, checkpoint_roots(), checkpoint_vv());
+    backend_->compact(store_, shard_roots_, shard_versions_);
     ++persist_stats_.checkpoints;
   }
   if (gc_pause_ns_) gc_pause_ns_->record(wall_ns_since(t0));
@@ -350,11 +326,9 @@ void KvsModule::run_gc() {
 void KvsModule::handle_event(const Message& msg) {
   if (msg.topic == "hb") {
     epoch_ = static_cast<std::uint64_t>(msg.payload().get_int("epoch", 0));
-    // Sharded: every rank keeps a cache (a shard master caches the other
-    // shards' objects); pinned (dirty) entries survive expiry regardless.
-    if (expiry_epochs_ > 0 && (sharded() || !is_master()))
-      cache_.expire(epoch_, expiry_epochs_);
-    if (sharded() && failover_ && !pending_failover_.empty()) check_failovers();
+    // Pinned (dirty) entries survive expiry regardless.
+    if (expiry_epochs_ > 0) cache_.expire(epoch_, expiry_epochs_);
+    if (failover_ && !pending_failover_.empty()) check_failovers();
     return;
   }
   if (msg.topic == "cmb.rejoin") {
@@ -367,35 +341,12 @@ void KvsModule::handle_event(const Message& msg) {
       co_spawn(broker().executor(), resync_after_rejoin(), "kvs.resync");
     return;
   }
-  if (sharded()) {
-    if (msg.topic == "kvs.fence.done") {
-      on_fence_done(msg);
-      return;
-    }
-    if (msg.topic.starts_with("kvs.setroot.")) {
-      on_shard_setroot(msg);
-      return;
-    }
-    if (msg.topic == "live.down") {
-      on_live_down(msg);
-      return;
-    }
-    return;  // plain "kvs.setroot" is never published in sharded mode
-  }
-  if (msg.topic == "kvs.setroot") {
-    const auto version =
-        static_cast<std::uint64_t>(msg.payload().get_int("version", 0));
-    const auto ref = Sha1::parse(msg.payload().get_string("rootref"));
-    if (!ref) {
-      log::error("kvs", "setroot event with bad rootref");
-      return;
-    }
-    std::vector<std::string> fences;
-    if (msg.payload().at("fences").is_array())
-      for (const Json& f : msg.payload().at("fences").as_array())
-        if (f.is_string()) fences.push_back(f.as_string());
-    apply_root(*ref, version, fences);
-  }
+  if (msg.topic == "kvs.fence.done")
+    on_fence_done(msg);
+  else if (msg.topic == "live.down")
+    on_live_down(msg);
+  else if (msg.topic.starts_with("kvs.setroot"))
+    on_setroot(msg);
 }
 
 // ---------------------------------------------------------------------------
@@ -409,16 +360,10 @@ KvsModule::TxnKey KvsModule::txn_key(const Message& msg) {
 }
 
 void KvsModule::record(Message& msg, std::string key, ObjPtr obj) {
+  // Held with the transaction; op_fence positions it once its shard is
+  // known.
   Txn& txn = txns_[txn_key(msg)];
   txn.tuples.push_back(Tuple{std::move(key), obj->id});
-  if (!sharded() && is_master()) {
-    store_.put(obj);
-  } else {
-    // Sharded: the owning master is only known per-tuple; stage in the cache
-    // (pinned) and let the fence flush place each object on its shard.
-    cache_.put(obj, epoch_);
-    cache_.pin(obj->id);
-  }
   txn.objects.push_back(std::move(obj));
 }
 
@@ -457,10 +402,7 @@ void KvsModule::op_stage(Message& msg) {
   }
   for (const ObjPtr& obj : bundle->objects()) {
     ++ops_.puts;
-    if (!sharded() && is_master())
-      store_.put(obj);
-    else
-      cache_.put(obj, epoch_);
+    cache_.put(obj, epoch_);
   }
   respond_ok(msg);
 }
@@ -486,7 +428,7 @@ void KvsModule::op_mkdir(Message& msg) {
 }
 
 // ---------------------------------------------------------------------------
-// Commit / fence / flush
+// Fences: op_fence -> fence_add -> flush_fence (one hop up the shard tree)
 // ---------------------------------------------------------------------------
 
 void KvsModule::op_commit(Message& msg) {
@@ -518,7 +460,6 @@ std::optional<KvsModule::Txn> KvsModule::claim_txn(Message& msg) {
       respond_error(msg, errc::inval, "fence: malformed ops");
       return std::nullopt;
     }
-    std::vector<ObjPtr> objects;
     if (msg.attachment()) {
       auto bundle =
           std::dynamic_pointer_cast<const ObjectBundle>(msg.attachment());
@@ -526,21 +467,9 @@ std::optional<KvsModule::Txn> KvsModule::claim_txn(Message& msg) {
         respond_error(msg, errc::inval, "fence: non-bundle attachment");
         return std::nullopt;
       }
-      objects = bundle->objects();
+      txn.objects = bundle->objects();
     }
     txn.tuples = std::move(tuples).value();
-    for (ObjPtr& obj : objects) {
-      // Mirror record(): the single master stores straight away; everyone
-      // else caches + pins so the objects survive eviction until the fence
-      // completes.
-      if (!sharded() && is_master()) {
-        store_.put(obj);
-      } else {
-        cache_.put(obj, epoch_);
-        cache_.pin(obj->id);
-      }
-      txn.objects.push_back(std::move(obj));
-    }
   }
   if (auto it = txns_.find(txn_key(msg)); it != txns_.end()) {
     std::move(it->second.tuples.begin(), it->second.tuples.end(),
@@ -562,15 +491,64 @@ void KvsModule::op_fence(Message& msg) {
   }
   auto txn = claim_txn(msg);
   if (!txn) return;
-  if (sharded()) {
-    op_fence_sharded(msg, name, nprocs, std::move(*txn));
-    return;
+
+  // Split the transaction into per-shard parts. Objects follow the tuples
+  // that reference them (an object referenced from two shards ships to
+  // both — content addressing makes that a harmless duplicate).
+  std::vector<std::vector<Tuple>> tuples_by(shards_);
+  std::vector<std::vector<ObjPtr>> objects_by(shards_);
+  std::unordered_map<Sha1, ObjPtr> by_id;
+  for (const ObjPtr& obj : txn->objects) by_id.emplace(obj->id, obj);
+  std::vector<std::unordered_set<Sha1>> routed(shards_);
+  for (Tuple& t : txn->tuples) {
+    const std::uint32_t s = shard_map_.shard_of(t.key);
+    if (auto it = by_id.find(t.ref);
+        it != by_id.end() && routed[s].insert(t.ref).second)
+      objects_by[s].push_back(it->second);
+    tuples_by[s].push_back(std::move(t));
   }
-  FenceState& fence = fences_[name];
-  for (const ObjPtr& obj : txn->objects) fence.pins.push_back(obj->id);
+
+  // Writes against a dead shard fail fast instead of hanging the fence.
+  for (std::uint32_t s = 0; s < shards_; ++s) {
+    if (!tuples_by[s].empty() && shard_dead_[s]) {
+      respond_error(msg, errc::host_down,
+                    "fence: master of shard " + std::to_string(s) + " is down");
+      return;
+    }
+  }
+
+  Fence& fence = fence_state(name, nprocs);
   fence.waiters.push_back(msg);
-  fence_add(name, nprocs, {fence_origin_key(msg)}, std::move(txn->tuples),
-            txn->objects);
+  const std::string origin = fence_origin_key(msg);
+  // EVERY live shard receives this participant's contribution — empty parts
+  // included — so each master independently detects completion at nprocs.
+  for (std::uint32_t s = 0; s < shards_; ++s) {
+    if (shard_dead_[s]) continue;
+    // Objects bound for another broker's store wait in the local cache,
+    // pinned so they survive eviction until the fence completes.
+    if (!is_shard_master(s)) {
+      for (const ObjPtr& obj : objects_by[s]) {
+        cache_.put(obj, epoch_);
+        cache_.pin(obj->id);
+        fence.pins.push_back(obj->id);
+      }
+    }
+    fence_add(name, s, nprocs, {origin}, std::move(tuples_by[s]),
+              objects_by[s]);
+  }
+}
+
+KvsModule::Fence& KvsModule::fence_state(const std::string& name,
+                                         std::int64_t nprocs) {
+  Fence& fence = fences_[name];
+  if (fence.parts.empty()) {
+    fence.parts.resize(shards_);
+    fence.nprocs = nprocs;
+  } else if (fence.nprocs != nprocs) {
+    log::warn("kvs", "fence '", name, "': inconsistent nprocs ", nprocs,
+              " vs ", fence.nprocs);
+  }
+  return fence;
 }
 
 std::string KvsModule::fence_origin_key(const Message& msg) {
@@ -580,15 +558,14 @@ std::string KvsModule::fence_origin_key(const Message& msg) {
   return std::to_string(origin.rank) + ":" + std::to_string(origin.id);
 }
 
-void KvsModule::fence_add(const std::string& name, std::int64_t nprocs,
+void KvsModule::fence_add(const std::string& name, std::uint32_t shard,
+                          std::int64_t nprocs,
                           std::vector<std::string> contributors,
                           std::vector<Tuple> tuples,
                           const std::vector<ObjPtr>& objects) {
-  FenceState& fence = fences_[name];
-  if (fence.nprocs == 0) fence.nprocs = nprocs;
-  if (fence.nprocs != nprocs)
-    log::warn("kvs", "fence '", name, "': inconsistent nprocs ", nprocs,
-              " vs ", fence.nprocs);
+  Fence& fence = fence_state(name, nprocs);
+  Part& part = fence.parts[shard];
+  if (!tuples.empty()) part.touched = true;
   // Retry detection, uniform for local clients (op_fence) and relayed
   // flushes (op_flush): a contributor this broker already forwarded means
   // some downstream attempt timed out, so the earlier flush carrying its
@@ -598,80 +575,88 @@ void KvsModule::fence_add(const std::string& name, std::int64_t nprocs,
   // forgetting the forwarded ids makes this wave re-ship its objects too.
   bool retried = false;
   for (const std::string& c : contributors)
-    if (!fence.origins.insert(c).second) retried = true;
-  if (retried) fence.forwarded_ids.clear();
-  std::move(contributors.begin(), contributors.end(),
-            std::back_inserter(fence.pending_contributors));
-  std::move(tuples.begin(), tuples.end(),
-            std::back_inserter(fence.pending_tuples));
-  for (const ObjPtr& obj : objects) {
-    // SHA1 dedup: redundant values are *reduced* here while the (key, SHA1)
-    // tuples above are concatenated — the asymmetry behind Figure 3.
-    if (is_master()) continue;  // master already stored them
-    if (fence.forwarded_ids.insert(obj->id).second)
-      fence.pending_objects.push_back(obj);
-  }
-  schedule_fence_flush(name);
-}
+    if (!part.origins.insert(c).second) retried = true;
+  if (retried) part.forwarded_ids.clear();
 
-void KvsModule::schedule_fence_flush(const std::string& name) {
-  FenceState& fence = fences_[name];
-  if (fence.flush_scheduled) return;
-  fence.flush_scheduled = true;
-  // Posted (not inline) so contributions arriving in the same reactor turn
-  // coalesce into one upstream message — the module-level data reduction of
-  // the paper's tree overlay.
-  broker().executor().post([this, name] { flush_fence(name); });
-}
-
-void KvsModule::flush_fence(const std::string& name) {
-  auto it = fences_.find(name);
-  if (it == fences_.end()) return;
-  FenceState& fence = it->second;
-  fence.flush_scheduled = false;
-  if (fence.pending_contributors.empty()) return;
-
-  if (is_master()) {
+  if (is_shard_master(shard)) {
+    for (const ObjPtr& obj : objects) store_.put(obj);
     // Tuples of a re-delivered contributor concatenate twice; applying the
     // same (key, SHA1) assignment again is value-idempotent.
-    for (std::string& c : fence.pending_contributors)
-      fence.counted.insert(std::move(c));
-    std::move(fence.pending_tuples.begin(), fence.pending_tuples.end(),
-              std::back_inserter(fence.total_tuples));
-    fence.pending_contributors.clear();
-    fence.pending_tuples.clear();
-    master_check_fence(name);
+    for (std::string& c : contributors) part.counted.insert(std::move(c));
+    std::move(tuples.begin(), tuples.end(),
+              std::back_inserter(part.total_tuples));
+    const auto counted = static_cast<std::int64_t>(part.counted.size());
+    if (counted < fence.nprocs) return;
+    if (counted > fence.nprocs)
+      log::warn("kvs", "fence '", name, "' shard ", shard, ": ", counted,
+                " contributors for nprocs=", fence.nprocs);
+    if (part.apply_pending) return;
+    part.apply_pending = true;
+    // Coalesce: every part that becomes ready before the flush shares one
+    // root transition (production flux-core batches ready transactions the
+    // same way). The posted flush applies the batch in readiness order.
+    masters_[shard].batch.emplace_back(name, std::move(part.total_tuples));
+    part.total_tuples.clear();
+    schedule_master_apply(shard);
     return;
   }
 
-  ++ops_.flushes_forwarded;
-  Json contributors = Json::array();
-  for (std::string& c : fence.pending_contributors)
-    contributors.push_back(std::move(c));
-  Message flush = Message::request(
-      "kvs.flush", Json::object({{"name", name},
-                                 {"nprocs", fence.nprocs},
-                                 {"contributors", std::move(contributors)},
-                                 {"tuples", tuples_to_json(fence.pending_tuples)}}));
-  if (!fence.pending_objects.empty())
-    flush.set_attachment(
-        std::make_shared<ObjectBundle>(std::move(fence.pending_objects)));
-  fence.pending_contributors.clear();
-  fence.pending_tuples.clear();
-  fence.pending_objects.clear();
+  std::move(contributors.begin(), contributors.end(),
+            std::back_inserter(part.pending_contributors));
+  std::move(tuples.begin(), tuples.end(),
+            std::back_inserter(part.pending_tuples));
+  // SHA1 dedup: redundant values are *reduced* here while the (key, SHA1)
+  // tuples above are concatenated — the asymmetry behind Figure 3.
+  for (const ObjPtr& obj : objects)
+    if (part.forwarded_ids.insert(obj->id).second)
+      part.pending_objects.push_back(obj);
+  if (part.flush_scheduled) return;
+  part.flush_scheduled = true;
+  // Posted (not inline) so contributions arriving in the same reactor turn
+  // coalesce into one upstream message per tree edge — the module-level
+  // data reduction of the paper's tree overlay.
+  broker().executor().post([this, name, shard] { flush_fence(name, shard); });
+}
+
+void KvsModule::flush_fence(const std::string& name, std::uint32_t shard) {
+  auto it = fences_.find(name);
+  if (it == fences_.end()) return;
+  Part& part = it->second.parts[shard];
+  part.flush_scheduled = false;
+  if (part.pending_contributors.empty()) return;
+  // A dead master (or an orphaned broker) makes the flush undeliverable;
+  // the coordinator or the client's retry settles the fence.
+  const auto up = shard_dead_[shard] ? std::nullopt : tree_parent(shard);
+  if (up) {
+    ++ops_.flushes_forwarded;
+    Message flush = Message::request(
+        "kvs.flush",
+        Json::object({{"name", name},
+                      {"nprocs", it->second.nprocs},
+                      {"contributors",
+                       string_array(std::move(part.pending_contributors))},
+                      {"shard", static_cast<std::int64_t>(shard)},
+                      {"tuples", tuples_to_json(part.pending_tuples)}}));
+    if (!part.pending_objects.empty())
+      flush.set_attachment(
+          std::make_shared<ObjectBundle>(std::move(part.pending_objects)));
+    broker().forward_direct(*up, std::move(flush));
+  }
+  part.pending_contributors.clear();
+  part.pending_tuples.clear();
+  part.pending_objects.clear();
   // forwarded_ids intentionally NOT cleared: dedup spans flush waves.
-  broker().forward_upstream(std::move(flush));
 }
 
 void KvsModule::op_flush(Message& msg) {
   const std::string name = msg.payload().get_string("name");
   const std::int64_t nprocs = msg.payload().get_int("nprocs", 0);
-  std::vector<std::string> contributors;
-  if (const Json& jc = msg.payload().at("contributors"); jc.is_array())
-    for (const Json& c : jc.as_array())
-      if (c.is_string()) contributors.push_back(c.as_string());
+  const std::int64_t shard = msg.payload().get_int("shard", -1);
+  std::vector<std::string> contributors =
+      strings_of(msg.payload().at("contributors"));
   auto tuples = tuples_from_json(msg.payload().at("tuples"));
-  if (name.empty() || nprocs <= 0 || contributors.empty() || !tuples) {
+  if (name.empty() || nprocs <= 0 || contributors.empty() || !tuples ||
+      shard < 0 || shard >= static_cast<std::int64_t>(shards_)) {
     log::error("kvs", "malformed flush for fence '", name, "'");
     return;
   }
@@ -684,184 +669,301 @@ void KvsModule::op_flush(Message& msg) {
     }
     objects = bundle->objects();
   }
-  const std::int64_t shard = msg.payload().get_int("shard", -1);
-  if (shard >= 0) {
-    if (!sharded() || shard >= static_cast<std::int64_t>(shards_)) {
-      log::error("kvs", "flush for unknown shard ", shard);
-      return;
-    }
-    shard_fence_add(name, static_cast<std::uint32_t>(shard), nprocs,
-                    std::move(contributors), std::move(tuples).value(),
-                    objects);
-    return;
-  }
-  if (is_master())
-    for (const ObjPtr& obj : objects) store_.put(obj);
-  fence_add(name, nprocs, std::move(contributors), std::move(tuples).value(),
-            objects);
+  fence_add(name, static_cast<std::uint32_t>(shard), nprocs,
+            std::move(contributors), std::move(tuples).value(), objects);
 }
 
-void KvsModule::master_check_fence(const std::string& name) {
-  assert(is_master());
+void KvsModule::complete_fence(const std::string& name, bool failed) {
   auto it = fences_.find(name);
   if (it == fences_.end()) return;
-  FenceState& fence = it->second;
-  const auto counted = static_cast<std::int64_t>(fence.counted.size());
-  if (counted < fence.nprocs) return;
-  if (counted > fence.nprocs)
-    log::warn("kvs", "fence '", name, "': ", counted,
-              " contributors for nprocs=", fence.nprocs);
-  if (fence.apply_pending) return;
-  fence.apply_pending = true;
-  // Coalesce: every fence that fuses within this reactor turn shares one
-  // root transition (production flux-core batches ready transactions the
-  // same way). The posted flush applies the batch in readiness order.
-  apply_batch_.emplace_back(name, std::move(fence.total_tuples));
-  fence.total_tuples.clear();
-  schedule_master_apply();
+  Fence fence = std::move(it->second);
+  fences_.erase(it);
+  for (const Sha1& id : fence.pins) cache_.unpin(id);
+  // Even when the coordinator salvaged the live shards, writes this broker
+  // routed to a now-dead shard are gone — its waiters must hear that.
+  for (std::uint32_t s = 0; s < fence.parts.size(); ++s)
+    if (shard_dead_[s] && fence.parts[s].touched) failed = true;
+  if (failed) {
+    for (const Message& waiter : fence.waiters)
+      respond_error(waiter, errc::host_down,
+                    "fence '" + name + "': a shard master died");
+    return;
+  }
+  Json out = Json::object(
+      {{"version", root_version_}, {"rootref", root_ref_.hex()}});
+  if (sharded()) {
+    Json vv = Json::array();
+    for (const std::uint64_t v : shard_versions_)
+      vv.push_back(static_cast<std::int64_t>(v));
+    out["vv"] = std::move(vv);
+  }
+  for (const Message& waiter : fence.waiters)
+    broker().respond(waiter.respond(out));
 }
 
-void KvsModule::schedule_master_apply() {
-  if (apply_scheduled_) return;
-  apply_scheduled_ = true;
+// ---------------------------------------------------------------------------
+// Shard masters: apply batch -> master_apply -> announce
+// ---------------------------------------------------------------------------
+
+void KvsModule::schedule_master_apply(std::uint32_t shard) {
+  Master& m = masters_[shard];
+  if (m.apply_scheduled) return;
+  m.apply_scheduled = true;
   Executor& ex = broker().executor();
   // Rate-limit like the announce: the first flush after an idle window runs
   // this turn (lone-op latency untouched); under sustained load, commits
   // landing at distinct instants wait for one timer and share one apply —
   // one directory freeze and one hash for the whole window.
-  if (last_apply_flush_ == TimePoint{} ||
-      ex.now() - last_apply_flush_ >= announce_window_) {
-    ex.post([this] { flush_apply_batch(); });
+  if (m.last_apply == TimePoint{} || ex.now() - m.last_apply >= announce_window_) {
+    ex.post([this, shard] { flush_apply_batch(shard); });
     return;
   }
-  ex.post_at(last_apply_flush_ + announce_window_,
-             [this, tok = std::weak_ptr<const bool>(announce_token_)] {
+  ex.post_at(m.last_apply + announce_window_,
+             [this, shard, tok = std::weak_ptr<const bool>(timer_token_)] {
                if (tok.expired()) return;  // module destroyed (restart)
-               flush_apply_batch();
+               flush_apply_batch(shard);
              });
 }
 
-void KvsModule::flush_apply_batch() {
-  apply_scheduled_ = false;
-  last_apply_flush_ = broker().executor().now();
-  if (apply_batch_.empty()) return;
+void KvsModule::flush_apply_batch(std::uint32_t shard) {
+  Master& m = masters_[shard];
+  m.apply_scheduled = false;
+  m.last_apply = broker().executor().now();
+  if (m.batch.empty()) return;
   if (broker().failed()) {
     // Master crashed mid-batch: never half-apply. The coalesced committers'
     // RPCs settle with typed host-down errors through the failure path (a
     // restarted master re-counts from retried flushes).
-    apply_batch_.clear();
+    m.batch.clear();
     return;
   }
   std::size_t ntuples = 0;
-  for (const auto& [name, tuples] : apply_batch_) ntuples += tuples.size();
+  for (const auto& [name, tuples] : m.batch) ntuples += tuples.size();
   std::vector<Tuple> tuples;
   tuples.reserve(ntuples);
   std::vector<std::string> names;
-  names.reserve(apply_batch_.size());
-  for (auto& [name, fence_tuples] : apply_batch_) {
+  names.reserve(m.batch.size());
+  for (auto& [name, fence_tuples] : m.batch) {
     names.push_back(std::move(name));
     std::move(fence_tuples.begin(), fence_tuples.end(),
               std::back_inserter(tuples));
   }
-  const std::uint64_t batched = apply_batch_.size();
-  apply_batch_.clear();
+  m.batch.clear();
   ++ops_.apply_batches;
-  ops_.apply_batched_fences += batched;
+  ops_.apply_batched_fences += names.size();
   if (apply_batches_stat_ != nullptr) apply_batches_stat_->inc();
-  if (apply_batch_size_ != nullptr) apply_batch_size_->record(batched);
-  master_apply(tuples, std::move(names));
+  if (apply_batch_size_ != nullptr) apply_batch_size_->record(names.size());
+  master_apply(shard, tuples, std::move(names));
 }
 
-void KvsModule::master_apply(const std::vector<Tuple>& tuples,
+void KvsModule::master_apply(std::uint32_t shard,
+                             const std::vector<Tuple>& tuples,
                              std::vector<std::string> fences) {
-  assert(is_master());
+  const auto t0 = std::chrono::steady_clock::now();
   store_.set_birth_version(root_version_ + 1);
-  root_ref_ = apply_transaction(store_, root_ref_, tuples);
+  shard_roots_[shard] = apply_transaction(store_, shard_roots_[shard], tuples);
   // Mutation "kvs.skip_version_bump" (tests only): publish a new root under
   // a stale version number — breaks setroot-sequence monotonicity.
-  if (!check::mutation("kvs.skip_version_bump")) ++root_version_;
-  persist_root(0, root_version_, root_ref_);
-  // The master bumps its version here, so the event-path guard in
-  // apply_root (version > root_version_) won't fire for it: complete local
-  // version waiters directly.
-  complete_version_waiters();
-  for (auto& f : fences) announce_names_.push_back(std::move(f));
-  schedule_announce();
+  if (!check::mutation("kvs.skip_version_bump")) ++shard_versions_[shard];
+  persist_root(shard);
+  if (apply_ns_ != nullptr) apply_ns_->record(wall_ns_since(t0));
+  // The master bumps its version here, so the adopt guard on the announce
+  // path won't fire for it: refresh the scalar root and local waiters now.
+  refresh_scalar_root();
+  Master& m = masters_[shard];
+  for (auto& f : fences) m.announce_names.push_back(std::move(f));
+  schedule_announce(shard);
 }
 
-void KvsModule::schedule_announce() {
-  if (announce_armed_) return;  // already armed; this apply joins it
+void KvsModule::schedule_announce(std::uint32_t shard) {
+  Master& m = masters_[shard];
+  if (m.announce_armed) return;  // already armed; this apply joins it
   Executor& ex = broker().executor();
   const TimePoint now = ex.now();
-  if (last_announce_ == TimePoint{} || now - last_announce_ >= announce_window_) {
-    flush_announce();
+  if (m.last_announce == TimePoint{} || now - m.last_announce >= announce_window_) {
+    flush_announce(shard);
     return;
   }
-  announce_armed_ = true;
-  ex.post_at(last_announce_ + announce_window_,
-             [this, tok = std::weak_ptr<const bool>(announce_token_)] {
+  m.announce_armed = true;
+  ex.post_at(m.last_announce + announce_window_,
+             [this, shard, tok = std::weak_ptr<const bool>(timer_token_)] {
                if (tok.expired()) return;  // module destroyed (restart)
-               flush_announce();
+               flush_announce(shard);
              });
 }
 
-void KvsModule::flush_announce() {
-  announce_armed_ = false;
-  if (announce_names_.empty()) return;
+void KvsModule::flush_announce(std::uint32_t shard) {
+  Master& m = masters_[shard];
+  m.announce_armed = false;
+  if (m.announce_names.empty()) return;
   if (broker().failed()) {
     // Master crashed between apply and announce: committers settle with
     // typed host-down errors through the broker failure path; the unsent
     // announce dies with this instance.
-    announce_names_.clear();
+    m.announce_names.clear();
     return;
   }
   ++ops_.announces;
-  ops_.announced_fences += announce_names_.size();
+  ops_.announced_fences += m.announce_names.size();
   if (announces_stat_ != nullptr) announces_stat_->inc();
-  if (announce_size_ != nullptr) announce_size_->record(announce_names_.size());
-  last_announce_ = broker().executor().now();
-  Json fence_names = Json::array();
-  for (auto& f : announce_names_) fence_names.push_back(std::move(f));
-  announce_names_.clear();
-  broker().publish("kvs.setroot",
-                   Json::object({{"version", root_version_},
-                                 {"rootref", root_ref_.hex()},
-                                 {"fences", std::move(fence_names)}}));
-  // The publish delivered the setroot event to this module synchronously
-  // (the root broker delivers locally), so every coalesced fence is now
-  // completed — all of them against the same (latest) root.
+  if (announce_size_ != nullptr) announce_size_->record(m.announce_names.size());
+  m.last_announce = broker().executor().now();
+  std::vector<std::string> names = std::move(m.announce_names);
+  m.announce_names.clear();
+  announce_root(shard, std::move(names));
 }
 
-void KvsModule::apply_root(const Sha1& ref, std::uint64_t version,
-                           const std::vector<std::string>& fences) {
-  // Never apply roots out of order (monotonic reads; paper §IV-B).
-  if (version > root_version_) {
-    if (check::mutation("kvs.skip_apply") && root_version_ >= 1) {
-      // Mutation (tests only): complete fences below without adopting the
-      // new root — waiters get responses naming a root this instance never
-      // serves, breaking read-your-writes.
-    } else if (check::mutation("kvs.regress_root") && version >= 3) {
-      // Mutation (tests only): adopt the root but roll the version counter
-      // backwards — clients sampling the local version see it regress,
-      // breaking monotonic reads.
-      root_ref_ = ref;
-      root_version_ = version - 2;
-    } else {
-      root_ref_ = ref;
-      root_version_ = version;
-      complete_version_waiters();
+void KvsModule::announce_root(std::uint32_t shard,
+                              std::vector<std::string> fences, bool remaster) {
+  const std::uint64_t version = shard_versions_[shard];
+  const Sha1 root = shard_roots_[shard];
+  Json ev = Json::object({{"version", version}, {"rootref", root.hex()}});
+  if (!sharded()) {
+    // k = 1: the paper's "kvs.setroot". Every broker adopts the root and
+    // completes the listed fences; the root broker delivers to this module
+    // synchronously, so the master's own waiters are answered right here —
+    // all of them against the same (latest) root.
+    ev["fences"] = string_array(std::move(fences));
+    broker().publish("kvs.setroot", std::move(ev));
+    return;
+  }
+  ev["shard"] = static_cast<std::int64_t>(shard);
+  if (remaster) ev["master"] = broker().rank();
+  broker().publish("kvs.setroot." + std::to_string(shard), std::move(ev));
+  if (fences.empty()) return;
+  // k > 1: hand the batch to the coordinator, which fuses every shard's
+  // report into one "kvs.fence.done" (on the session root that re-enters
+  // this module and erases the fences — nothing may follow this call).
+  if (coord_) {
+    coord_->shard_done(fences, shard, version, root);
+    return;
+  }
+  Json done = Json::object({{"names", string_array(std::move(fences))},
+                            {"shard", static_cast<std::int64_t>(shard)},
+                            {"version", version},
+                            {"rootref", root.hex()}});
+  broker().forward_direct(0, Message::request("kvs.shard_done", std::move(done)));
+}
+
+void KvsModule::op_shard_done(Message& msg) {
+  // Master -> coordinator completion report; fire-and-forget.
+  if (!coord_) return;
+  const std::vector<std::string> names = strings_of(msg.payload().at("names"));
+  const std::int64_t shard = msg.payload().get_int("shard", -1);
+  const auto version =
+      static_cast<std::uint64_t>(msg.payload().get_int("version", 0));
+  const auto ref = Sha1::parse(msg.payload().get_string("rootref"));
+  if (names.empty() || shard < 0 ||
+      shard >= static_cast<std::int64_t>(shards_) || !ref)
+    return;
+  coord_->shard_done(names, static_cast<std::uint32_t>(shard), version, *ref);
+}
+
+// ---------------------------------------------------------------------------
+// Root state: announces, fused completions, versions
+// ---------------------------------------------------------------------------
+
+void KvsModule::on_setroot(const Message& msg) {
+  const Json& p = msg.payload();
+  const std::int64_t shard = p.get_int("shard", 0);
+  const auto version = static_cast<std::uint64_t>(p.get_int("version", 0));
+  const auto ref = Sha1::parse(p.get_string("rootref"));
+  if (shard < 0 || shard >= static_cast<std::int64_t>(shards_) || !ref) {
+    log::error("kvs", "setroot event with bad rootref");
+    return;
+  }
+  const auto s = static_cast<std::uint32_t>(shard);
+  // Failover / post-rejoin announcement: a "master" field re-binds the shard
+  // to a new authoritative rank. Adopt it before the version check so the
+  // shard counts as live again even on ranks that raced ahead.
+  if (p.contains("master")) {
+    const auto m = static_cast<NodeId>(p.get_int("master", -1));
+    if (m < broker().size() && shard_masters_[s] != m) {
+      shard_masters_[s] = m;
+      shard_dead_[s] = false;
+      pending_failover_.erase(s);
+      if (coord_) coord_->shard_revived(s, version, *ref);
+      log::info("kvs", "rank ", broker().rank(), ": shard ", s,
+                " now mastered by rank ", m);
     }
   }
-  for (const std::string& name : fences) {
-    auto it = fences_.find(name);
-    if (it == fences_.end()) continue;
-    FenceState fence = std::move(it->second);
-    fences_.erase(it);
-    for (const Sha1& id : fence.pins) cache_.unpin(id);
-    for (const Message& waiter : fence.waiters)
-      broker().respond(waiter.respond(Json::object(
-          {{"version", root_version_}, {"rootref", root_ref_.hex()}})));
+  adopt_root(s, version, *ref);
+  refresh_scalar_root();
+  // k = 1: the announce itself completes the fences it covers.
+  for (const std::string& name : strings_of(p.at("fences")))
+    complete_fence(name, false);
+}
+
+void KvsModule::on_fence_done(const Message& msg) {
+  // Adopt ALL shard roots before responding: read-your-writes plus
+  // cross-shard visibility of everything the fences committed.
+  adopt_roots(msg.payload());
+  const bool failed = msg.payload().get_bool("failed", false);
+  for (const std::string& name : strings_of(msg.payload().at("names")))
+    complete_fence(name, failed);
+}
+
+void KvsModule::adopt_roots(const Json& payload) {
+  const Json& vv = payload.at("vv");
+  const Json& rootrefs = payload.at("rootrefs");
+  if (vv.is_array() && rootrefs.is_array()) {
+    const std::size_t n =
+        std::min<std::size_t>({shards_, vv.size(), rootrefs.size()});
+    for (std::size_t s = 0; s < n; ++s) {
+      const Json& v = vv.as_array()[s];
+      const Json& r = rootrefs.as_array()[s];
+      if (!v.is_int() || !r.is_string()) continue;
+      if (const auto ref = Sha1::parse(r.as_string()))
+        adopt_root(static_cast<std::uint32_t>(s),
+                   static_cast<std::uint64_t>(v.as_int()), *ref);
+    }
   }
+  refresh_scalar_root();
+}
+
+void KvsModule::adopt_root(std::uint32_t shard, std::uint64_t version,
+                           const Sha1& ref) {
+  // Never apply roots out of order (monotonic reads; paper §IV-B).
+  if (version <= shard_versions_[shard]) return;
+  if (check::mutation("kvs.skip_apply") && shard_versions_[shard] >= 1) {
+    // Mutation (tests only): complete fences without adopting the new root
+    // — waiters get responses naming a root this instance never serves,
+    // breaking read-your-writes.
+    return;
+  }
+  shard_roots_[shard] = ref;
+  // Mutation "kvs.regress_root" (tests only): adopt the root but roll the
+  // version counter backwards — clients sampling the local version see it
+  // regress, breaking monotonic reads.
+  shard_versions_[shard] =
+      check::mutation("kvs.regress_root") && version >= 3 ? version - 2 : version;
+}
+
+void KvsModule::refresh_scalar_root() {
+  std::uint64_t sum = 0;
+  for (const std::uint64_t v : shard_versions_) sum += v;
+  root_version_ = sum;
+  root_ref_ = shard_roots_[0];
+  complete_version_waiters();
+  auto it = shard_ready_waiters_.begin();
+  while (it != shard_ready_waiters_.end()) {
+    if (shard_versions_[it->first] >= 1) {
+      auto promise = it->second;
+      it = shard_ready_waiters_.erase(it);
+      promise.set_value(1);
+    } else {
+      ++it;
+    }
+  }
+}
+
+Future<std::uint64_t> KvsModule::shard_ready(std::uint32_t shard) {
+  Promise<std::uint64_t> p(broker().executor());
+  if (shard_versions_[shard] >= 1)
+    p.set_value(shard_versions_[shard]);
+  else
+    shard_ready_waiters_.emplace_back(shard, p);
+  return p.future();
 }
 
 void KvsModule::complete_version_waiters() {
@@ -886,316 +988,8 @@ Future<std::uint64_t> KvsModule::version_reached(std::uint64_t version) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded masters (paper §VII)
+// Failover / rejoin recovery
 // ---------------------------------------------------------------------------
-
-void KvsModule::refresh_scalar_root() {
-  std::uint64_t sum = 0;
-  for (const std::uint64_t v : shard_versions_) sum += v;
-  root_version_ = sum;
-  if (!shard_roots_.empty()) root_ref_ = shard_roots_[0];
-  complete_version_waiters();
-  auto it = shard_ready_waiters_.begin();
-  while (it != shard_ready_waiters_.end()) {
-    if (shard_versions_[it->first] >= 1) {
-      auto promise = it->second;
-      it = shard_ready_waiters_.erase(it);
-      promise.set_value(1);
-    } else {
-      ++it;
-    }
-  }
-}
-
-Future<std::uint64_t> KvsModule::shard_ready(std::uint32_t shard) {
-  Promise<std::uint64_t> p(broker().executor());
-  if (shard_versions_[shard] >= 1)
-    p.set_value(shard_versions_[shard]);
-  else
-    shard_ready_waiters_.emplace_back(shard, p);
-  return p.future();
-}
-
-void KvsModule::op_fence_sharded(Message& msg, const std::string& name,
-                                 std::int64_t nprocs, Txn txn) {
-  // Split the transaction into per-shard parts. Objects follow the tuples
-  // that reference them (an object referenced from two shards ships to
-  // both — content addressing makes that a harmless duplicate).
-  std::vector<std::vector<Tuple>> tuples_by(shards_);
-  std::vector<std::vector<ObjPtr>> objects_by(shards_);
-  std::unordered_map<Sha1, ObjPtr> by_id;
-  for (const ObjPtr& obj : txn.objects) by_id.emplace(obj->id, obj);
-  std::vector<std::unordered_set<Sha1>> routed(shards_);
-  for (Tuple& t : txn.tuples) {
-    const std::uint32_t s = shard_map_.shard_of(t.key);
-    if (auto it = by_id.find(t.ref);
-        it != by_id.end() && routed[s].insert(t.ref).second)
-      objects_by[s].push_back(it->second);
-    tuples_by[s].push_back(std::move(t));
-  }
-
-  // Writes against a dead shard fail fast instead of hanging the fence.
-  for (std::uint32_t s = 0; s < shards_; ++s) {
-    if (!tuples_by[s].empty() && shard_dead_[s]) {
-      for (const ObjPtr& obj : txn.objects) cache_.unpin(obj->id);
-      respond_error(msg, errc::host_down,
-                    "fence: master of shard " + std::to_string(s) + " is down");
-      return;
-    }
-  }
-
-  ShardedFence& fence = sharded_fences_[name];
-  if (fence.parts.empty()) fence.parts.resize(shards_);
-  if (fence.nprocs == 0) fence.nprocs = nprocs;
-  for (const ObjPtr& obj : txn.objects) fence.pins.push_back(obj->id);
-  fence.waiters.push_back(msg);
-  const std::string origin = fence_origin_key(msg);
-
-  // EVERY live shard receives this participant's contribution — empty parts
-  // included — so each master independently detects completion at nprocs
-  // and the coordinator fuses exactly once per fence.
-  for (std::uint32_t s = 0; s < shards_; ++s) {
-    if (shard_dead_[s]) continue;
-    shard_fence_add(name, s, nprocs, {origin}, std::move(tuples_by[s]),
-                    objects_by[s]);
-  }
-}
-
-void KvsModule::shard_fence_add(const std::string& name, std::uint32_t shard,
-                                std::int64_t nprocs,
-                                std::vector<std::string> contributors,
-                                std::vector<Tuple> tuples,
-                                const std::vector<ObjPtr>& objects) {
-  ShardedFence& fence = sharded_fences_[name];
-  if (fence.parts.empty()) fence.parts.resize(shards_);
-  if (fence.nprocs == 0) fence.nprocs = nprocs;
-  if (fence.nprocs != nprocs)
-    log::warn("kvs", "fence '", name, "': inconsistent nprocs ", nprocs,
-              " vs ", fence.nprocs);
-  ShardPart& part = fence.parts[shard];
-  if (!tuples.empty()) part.touched = true;
-  // Same retry detection as the single-master fence_add: a re-seen
-  // contributor means an earlier flush (and its object frames) may be lost,
-  // so this wave re-ships its objects.
-  bool retried = false;
-  for (const std::string& c : contributors)
-    if (!part.origins.insert(c).second) retried = true;
-  if (retried) part.forwarded_ids.clear();
-
-  if (is_shard_master(shard)) {
-    for (const ObjPtr& obj : objects) store_.put(obj);
-    for (std::string& c : contributors) part.counted.insert(std::move(c));
-    std::move(tuples.begin(), tuples.end(),
-              std::back_inserter(part.total_tuples));
-    const auto counted = static_cast<std::int64_t>(part.counted.size());
-    if (counted >= fence.nprocs && !part.applied) {
-      if (counted > fence.nprocs)
-        log::warn("kvs", "fence '", name, "' shard ", shard, ": ", counted,
-                  " contributors for nprocs=", fence.nprocs);
-      // May re-enter this module (coordinator fuse) and erase the fence
-      // state — nothing after this call may touch `fence`/`part`.
-      shard_master_apply(name, shard);
-    }
-    return;
-  }
-
-  std::move(contributors.begin(), contributors.end(),
-            std::back_inserter(part.pending_contributors));
-  std::move(tuples.begin(), tuples.end(),
-            std::back_inserter(part.pending_tuples));
-  for (const ObjPtr& obj : objects)
-    if (part.forwarded_ids.insert(obj->id).second)
-      part.pending_objects.push_back(obj);
-  if (!part.flush_scheduled) {
-    part.flush_scheduled = true;
-    // Posted, like the single-master flush: same-turn contributions
-    // coalesce into one message per shard-tree edge.
-    broker().executor().post(
-        [this, name, shard] { flush_shard_fence(name, shard); });
-  }
-}
-
-void KvsModule::flush_shard_fence(const std::string& name,
-                                  std::uint32_t shard) {
-  auto it = sharded_fences_.find(name);
-  if (it == sharded_fences_.end()) return;
-  ShardPart& part = it->second.parts[shard];
-  part.flush_scheduled = false;
-  if (part.pending_contributors.empty()) return;
-  if (shard_dead_[shard]) {
-    // Undeliverable; the coordinator fails this fence.
-    part.pending_contributors.clear();
-    part.pending_tuples.clear();
-    part.pending_objects.clear();
-    return;
-  }
-  ++ops_.flushes_forwarded;
-  Json contributors = Json::array();
-  for (std::string& c : part.pending_contributors)
-    contributors.push_back(std::move(c));
-  Message flush = Message::request(
-      "kvs.flush",
-      Json::object({{"name", name},
-                    {"nprocs", it->second.nprocs},
-                    {"contributors", std::move(contributors)},
-                    {"shard", static_cast<std::int64_t>(shard)},
-                    {"tuples", tuples_to_json(part.pending_tuples)}}));
-  if (!part.pending_objects.empty())
-    flush.set_attachment(
-        std::make_shared<ObjectBundle>(std::move(part.pending_objects)));
-  part.pending_contributors.clear();
-  part.pending_tuples.clear();
-  part.pending_objects.clear();
-  // forwarded_ids intentionally NOT cleared: dedup spans flush waves.
-  const auto up = shard_parent_live(shard, broker().rank());
-  if (up) broker().forward_direct(*up, std::move(flush));
-}
-
-void KvsModule::shard_master_apply(const std::string& name,
-                                   std::uint32_t shard) {
-  auto it = sharded_fences_.find(name);
-  if (it == sharded_fences_.end()) return;
-  ShardPart& part = it->second.parts[shard];
-  part.applied = true;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  store_.set_birth_version(root_version_ + 1);
-  shard_roots_[shard] =
-      apply_transaction(store_, shard_roots_[shard], part.total_tuples);
-  ++shard_versions_[shard];
-  part.total_tuples.clear();
-  persist_root(shard, shard_versions_[shard], shard_roots_[shard]);
-  if (shard_apply_ns_) shard_apply_ns_->record(wall_ns_since(t0));
-  if (shard_commits_) shard_commits_->inc();
-  refresh_scalar_root();
-
-  const std::uint64_t version = shard_versions_[shard];
-  const Sha1 root = shard_roots_[shard];
-  Json ev = Json::object({{"shard", static_cast<std::int64_t>(shard)},
-                          {"version", version},
-                          {"rootref", root.hex()}});
-  broker().publish("kvs.setroot." + std::to_string(shard), std::move(ev));
-  // Report to the coordinator LAST: fusing re-enters this module
-  // ("kvs.fence.done") and erases the fence state.
-  if (coord_) {
-    coord_->shard_done(name, shard, version, root);
-  } else {
-    Json done = Json::object({{"name", name},
-                              {"shard", static_cast<std::int64_t>(shard)},
-                              {"version", version},
-                              {"rootref", root.hex()}});
-    broker().forward_direct(0, Message::request("kvs.shard_done",
-                                                std::move(done)));
-  }
-}
-
-void KvsModule::op_shard_done(Message& msg) {
-  // Master -> coordinator completion report; fire-and-forget.
-  if (!coord_) return;
-  const std::string name = msg.payload().get_string("name");
-  const std::int64_t shard = msg.payload().get_int("shard", -1);
-  const auto version =
-      static_cast<std::uint64_t>(msg.payload().get_int("version", 0));
-  const auto ref = Sha1::parse(msg.payload().get_string("rootref"));
-  if (name.empty() || shard < 0 ||
-      shard >= static_cast<std::int64_t>(shards_) || !ref)
-    return;
-  coord_->shard_done(name, static_cast<std::uint32_t>(shard), version, *ref);
-}
-
-void KvsModule::on_shard_setroot(const Message& msg) {
-  const std::int64_t shard = msg.payload().get_int("shard", -1);
-  const auto version =
-      static_cast<std::uint64_t>(msg.payload().get_int("version", 0));
-  const auto ref = Sha1::parse(msg.payload().get_string("rootref"));
-  if (shard < 0 || shard >= static_cast<std::int64_t>(shards_) || !ref) {
-    log::error("kvs", "malformed shard setroot event");
-    return;
-  }
-  const auto s = static_cast<std::uint32_t>(shard);
-  // Failover / post-rejoin announcement: a "master" field re-binds the shard
-  // to a new authoritative rank. Adopt it before the version check so the
-  // shard counts as live again even on ranks that raced ahead.
-  if (msg.payload().contains("master")) {
-    const auto m = static_cast<NodeId>(msg.payload().get_int("master", -1));
-    if (m < broker().size() && shard_masters_[s] != m) {
-      shard_masters_[s] = m;
-      shard_dead_[s] = false;
-      pending_failover_.erase(s);
-      if (coord_) coord_->shard_revived(s, version, *ref);
-      log::info("kvs", "rank ", broker().rank(), ": shard ", s,
-                " now mastered by rank ", m);
-    }
-  }
-  // Per-shard monotonic reads: a shard's roots apply in version order.
-  if (version > shard_versions_[s]) {
-    shard_versions_[s] = version;
-    shard_roots_[s] = *ref;
-    refresh_scalar_root();
-  }
-}
-
-void KvsModule::on_fence_done(const Message& msg) {
-  const std::string name = msg.payload().get_string("name");
-  const bool failed = msg.payload().get_bool("failed", false);
-  const Json& vv = msg.payload().at("vv");
-  const Json& rootrefs = msg.payload().at("rootrefs");
-  if (vv.is_array() && rootrefs.is_array()) {
-    const auto& versions = vv.as_array();
-    const auto& roots = rootrefs.as_array();
-    const std::size_t n =
-        std::min<std::size_t>({shards_, versions.size(), roots.size()});
-    for (std::size_t s = 0; s < n; ++s) {
-      const auto version = static_cast<std::uint64_t>(versions[s].as_int());
-      if (version <= shard_versions_[s]) continue;
-      const auto ref = Sha1::parse(roots[s].as_string());
-      if (!ref) continue;
-      shard_versions_[s] = version;
-      shard_roots_[s] = *ref;
-    }
-  }
-  // Adopt ALL shard roots before responding: read-your-writes plus
-  // cross-shard visibility of everything the fence committed.
-  refresh_scalar_root();
-
-  auto it = sharded_fences_.find(name);
-  if (it == sharded_fences_.end()) return;
-  ShardedFence fence = std::move(it->second);
-  sharded_fences_.erase(it);
-  for (const Sha1& id : fence.pins) cache_.unpin(id);
-  // Even when the coordinator salvaged the live shards, writes this broker
-  // routed to a now-dead shard are gone — its waiters must hear that.
-  bool lost_local_writes = false;
-  for (std::uint32_t s = 0; s < fence.parts.size(); ++s)
-    if (shard_dead_[s] && fence.parts[s].touched) lost_local_writes = true;
-  if (failed || lost_local_writes) {
-    for (const Message& waiter : fence.waiters)
-      respond_error(waiter, errc::host_down,
-                    "fence '" + name + "': a shard master died");
-    return;
-  }
-  Json vv_out = Json::array();
-  for (const std::uint64_t v : shard_versions_)
-    vv_out.push_back(static_cast<std::int64_t>(v));
-  for (const Message& waiter : fence.waiters)
-    broker().respond(waiter.respond(
-        Json::object({{"version", root_version_},
-                      {"rootref", root_ref_.hex()},
-                      {"vv", vv_out}})));
-}
-
-std::optional<NodeId> KvsModule::shard_parent_live(std::uint32_t shard,
-                                                   NodeId rank) const {
-  // The per-shard trees are arithmetic (ShardMap, relabeled so the current
-  // master — home or failed-over successor — is the tree root); unlike the
-  // session tree they have no heal_around, so climb over dead interior
-  // ranks here.
-  const NodeId master = shard_masters_[shard];
-  auto up = shard_map_.parent(shard, rank, master);
-  while (up && dead_ranks_.contains(*up))
-    up = shard_map_.parent(shard, *up, master);
-  return up;
-}
 
 void KvsModule::on_live_down(const Message& msg) {
   const auto dead = static_cast<NodeId>(msg.payload().get_int("rank", -1));
@@ -1265,26 +1059,12 @@ void KvsModule::promote_shard(std::uint32_t shard) {
   ObjPtr empty = empty_dir_object();
   const Sha1 root = empty->id;
   store_.put(std::move(empty));
-  shard_masters_[shard] = broker().rank();
-  shard_dead_[shard] = false;
+  bind_master(shard);
   shard_roots_[shard] = root;
   ++shard_versions_[shard];
-  const std::uint64_t version = shard_versions_[shard];
-  if (!my_shard_) {
-    my_shard_ = shard;
-    obs::StatsRegistry& reg = broker().stats_registry();
-    const std::string prefix = "kvs.shard." + std::to_string(shard);
-    shard_commits_ = &reg.counter(prefix + ".commits");
-    shard_faults_served_ = &reg.counter(prefix + ".faults_served");
-    shard_apply_ns_ = &reg.histogram(prefix + ".apply_ns");
-  }
   refresh_scalar_root();
-  if (coord_) coord_->shard_revived(shard, version, root);
-  Json ev = Json::object({{"shard", static_cast<std::int64_t>(shard)},
-                          {"version", version},
-                          {"rootref", root.hex()},
-                          {"master", broker().rank()}});
-  broker().publish("kvs.setroot." + std::to_string(shard), std::move(ev));
+  if (coord_) coord_->shard_revived(shard, shard_versions_[shard], root);
+  announce_root(shard, {}, /*remaster=*/true);
 }
 
 Task<void> KvsModule::resync_after_rejoin() {
@@ -1293,21 +1073,13 @@ Task<void> KvsModule::resync_after_rejoin() {
     req.nodeid = kNodeUpstream;
     Message resp = co_await broker().module_rpc(*this, std::move(req));
     if (!resp.ok()) co_return;
-    if (!sharded()) {
-      const auto version =
-          static_cast<std::uint64_t>(resp.payload().get_int("version", 0));
-      const auto ref = Sha1::parse(resp.payload().get_string("rootref"));
-      if (ref && version > root_version_) apply_root(*ref, version, {});
-      co_return;
-    }
     // Adopt masters first: shard-tree parent links and write authority both
     // key off them.
-    if (resp.payload().contains("masters") &&
-        resp.payload().at("masters").is_array()) {
-      const auto& ms = resp.payload().at("masters").as_array();
+    const Json& ms = resp.payload().at("masters");
+    if (ms.is_array()) {
       for (std::uint32_t s = 0; s < shards_ && s < ms.size(); ++s) {
-        if (!ms[s].is_int()) continue;
-        const auto m = static_cast<NodeId>(ms[s].as_int());
+        if (!ms.as_array()[s].is_int()) continue;
+        const auto m = static_cast<NodeId>(ms.as_array()[s].as_int());
         if (m < broker().size() && shard_masters_[s] != m) {
           shard_masters_[s] = m;
           shard_dead_[s] = false;
@@ -1315,23 +1087,7 @@ Task<void> KvsModule::resync_after_rejoin() {
         }
       }
     }
-    if (resp.payload().contains("vv") && resp.payload().at("vv").is_array() &&
-        resp.payload().contains("rootrefs") &&
-        resp.payload().at("rootrefs").is_array()) {
-      const auto& vv = resp.payload().at("vv").as_array();
-      const auto& roots = resp.payload().at("rootrefs").as_array();
-      const std::size_t n =
-          std::min<std::size_t>({shards_, vv.size(), roots.size()});
-      for (std::size_t s = 0; s < n; ++s) {
-        if (!vv[s].is_int()) continue;
-        const auto version = static_cast<std::uint64_t>(vv[s].as_int());
-        const auto ref = Sha1::parse(roots[s].as_string());
-        if (!ref || version <= shard_versions_[s]) continue;
-        shard_versions_[s] = version;
-        shard_roots_[s] = *ref;
-      }
-    }
-    refresh_scalar_root();
+    adopt_roots(resp.payload());
     // A restarted broker that still masters a shard: with a durable backend,
     // start() already recovered the shard's tree from its log — re-assert
     // mastership one version up so peers that raced ahead of the start()
@@ -1340,32 +1096,18 @@ Task<void> KvsModule::resync_after_rejoin() {
     // adopted_version + 1 (same explicit data-loss policy as hb failover).
     for (std::uint32_t s = 0; s < shards_; ++s) {
       if (shard_masters_[s] != broker().rank()) continue;
-      if (s < recovered_versions_.size() && recovered_versions_[s] != 0 &&
-          shard_versions_[s] <= recovered_versions_[s]) {
-        ++shard_versions_[s];
-        recovered_versions_[s] = shard_versions_[s];
-        persist_root(s, shard_versions_[s], shard_roots_[s]);
-        refresh_scalar_root();
-        Json ev = Json::object({{"shard", static_cast<std::int64_t>(s)},
-                                {"version", shard_versions_[s]},
-                                {"rootref", shard_roots_[s].hex()},
-                                {"master", broker().rank()}});
-        broker().publish("kvs.setroot." + std::to_string(s), std::move(ev));
-        continue;
+      const bool kept = recovered_versions_[s] != 0 &&
+                        shard_versions_[s] <= recovered_versions_[s];
+      if (!kept) {
+        ObjPtr empty = empty_dir_object();
+        shard_roots_[s] = empty->id;
+        store_.put(std::move(empty));
       }
-      ObjPtr empty = empty_dir_object();
-      const Sha1 root = empty->id;
-      store_.put(std::move(empty));
-      shard_roots_[s] = root;
       ++shard_versions_[s];
-      const std::uint64_t version = shard_versions_[s];
-      persist_root(s, version, root);
+      if (kept) recovered_versions_[s] = shard_versions_[s];
+      persist_root(s);
       refresh_scalar_root();
-      Json ev = Json::object({{"shard", static_cast<std::int64_t>(s)},
-                              {"version", version},
-                              {"rootref", root.hex()},
-                              {"master", broker().rank()}});
-      broker().publish("kvs.setroot." + std::to_string(s), std::move(ev));
+      announce_root(s, {}, /*remaster=*/true);
     }
   } catch (const FluxException& ex) {
     log::warn("kvs", "rank ", broker().rank(),
@@ -1374,27 +1116,36 @@ Task<void> KvsModule::resync_after_rejoin() {
 }
 
 // ---------------------------------------------------------------------------
-// Lookups (get / lookup_ref / fault)
+// Lookups (get / lookup_ref / fault / load)
 // ---------------------------------------------------------------------------
 
-Task<ObjPtr> KvsModule::lookup_object(Sha1 ref, int shard) {
-  co_return co_await lookup_chain(ref, {}, shard);
+std::optional<NodeId> KvsModule::tree_parent(std::uint32_t shard) const {
+  const NodeId master = shard_masters_[shard];
+  if (master == broker().rank()) return std::nullopt;
+  // A tree rooted at the session root is the session tree itself
+  // (ShardMap), so follow the broker's own parent link: it heals around
+  // dead ranks and re-attaches rejoined ones.
+  if (master == 0) return broker().parent();
+  // Other shard trees are arithmetic, relabeled so the current master —
+  // home or failed-over successor — is the tree root; unlike the session
+  // tree they have no heal_around, so climb over dead interior ranks here.
+  auto up = shard_map_.parent(shard, broker().rank(), master);
+  while (up && dead_ranks_.contains(*up))
+    up = shard_map_.parent(shard, *up, master);
+  return up;
 }
 
 Task<ObjPtr> KvsModule::lookup_chain(Sha1 ref, std::vector<std::string> walk,
-                                     int shard) {
+                                     std::uint32_t shard) {
   std::vector<ObjPtr> objs =
       co_await ensure_objects(std::vector<Sha1>(1, ref), std::move(walk), shard);
   co_return objs[0];
 }
 
 Task<std::vector<ObjPtr>> KvsModule::ensure_objects(
-    std::vector<Sha1> refs, std::vector<std::string> walk, int shard) {
-  const bool authoritative =
-      shard < 0 ? is_master()
-                : is_shard_master(static_cast<std::uint32_t>(shard));
+    std::vector<Sha1> refs, std::vector<std::string> walk, std::uint32_t shard) {
   std::vector<ObjPtr> out(refs.size());
-  if (authoritative) {
+  if (is_shard_master(shard)) {
     for (std::size_t i = 0; i < refs.size(); ++i) out[i] = store_.get(refs[i]);
     co_return out;
   }
@@ -1428,49 +1179,33 @@ Task<std::vector<ObjPtr>> KvsModule::ensure_objects(
     const bool send_walk = !walk.empty() && fresh.front() == refs.front();
     Json jrefs = Json::array();
     for (const Sha1& r : fresh) jrefs.push_back(r.hex());
-    Json payload = Json::object({{"refs", std::move(jrefs)}});
-    if (send_walk) {
-      Json names = Json::array();
-      for (const std::string& n : walk) names.push_back(n);
-      payload["walk"] = std::move(names);
-    }
-    if (shard >= 0) payload["shard"] = static_cast<std::int64_t>(shard);
+    Json payload = Json::object({{"refs", std::move(jrefs)},
+                                 {"shard", static_cast<std::int64_t>(shard)}});
+    if (send_walk) payload["walk"] = string_array(walk);
 
     // A dropped/corrupted batch must taint or retry, never hang: with a
     // session RPC policy the attempt gets a deadline (+ retries); without
-    // one it behaves like the legacy fault path.
+    // one a dead parent still settles the RPC (EHOSTDOWN on live.down).
     const RetryPolicy policy = broker().session().config().rpc;
     Message resp;
     bool have_resp = false;
     Duration backoff = policy.backoff;
     int attempts_left = policy.has_retries() ? policy.retries : 0;
     for (;;) {
-      Message req = Message::request("kvs.load", payload);
-      bool failed = false;
-      try {
-        if (shard < 0) {
-          req.nodeid = kNodeUpstream;  // the local module is the requester
+      // Climb the shard's tree over a direct edge.
+      const auto up = tree_parent(shard);
+      bool failed = !up;
+      if (up) {
+        try {
+          Message req = Message::request("kvs.load", payload);
           if (policy.has_timeout())
-            resp = co_await broker().module_rpc(*this, std::move(req),
-                                                policy.timeout);
-          else
-            resp = co_await broker().module_rpc(*this, std::move(req));
-        } else {
-          // Climb the shard's own tree over a direct edge; a dead master
-          // settles the RPC with EHOSTDOWN (misses surface as nulls).
-          const auto up = shard_parent_live(static_cast<std::uint32_t>(shard),
-                                            broker().rank());
-          if (!up) {
-            failed = true;
-          } else if (policy.has_timeout()) {
             resp = co_await broker().direct_rpc(*this, *up, std::move(req),
                                                 policy.timeout);
-          } else {
+          else
             resp = co_await broker().direct_rpc(*this, *up, std::move(req));
-          }
+        } catch (const FluxException&) {
+          failed = true;
         }
-      } catch (const FluxException&) {
-        failed = true;
       }
       if (!failed) {
         have_resp = true;
@@ -1525,10 +1260,9 @@ Task<std::vector<ObjPtr>> KvsModule::ensure_objects(
 }
 
 Task<void> KvsModule::serve_load(Message req, std::vector<Sha1> refs,
-                                 std::vector<std::string> walk, int shard) {
-  const bool authoritative =
-      shard < 0 ? is_master()
-                : is_shard_master(static_cast<std::uint32_t>(shard));
+                                 std::vector<std::string> walk,
+                                 std::uint32_t shard) {
+  const bool authoritative = is_shard_master(shard);
   std::vector<ObjPtr> objs = co_await ensure_objects(refs, walk, shard);
 
   std::vector<ObjPtr> found;
@@ -1570,8 +1304,6 @@ Task<void> KvsModule::serve_load(Message req, std::vector<Sha1> refs,
     ++wi;
   }
 
-  if (authoritative && shard >= 0 && shard_faults_served_)
-    shard_faults_served_->inc();
   Message resp = req.respond(Json::object({{"missing", std::move(missing)}}));
   if (!found.empty())
     resp.set_attachment(std::make_shared<ObjectBundle>(std::move(found)));
@@ -1581,8 +1313,10 @@ Task<void> KvsModule::serve_load(Message req, std::vector<Sha1> refs,
 void KvsModule::op_load(Message& msg) {
   ++ops_.loads_served;
   const Json& jrefs = msg.payload().at("refs");
-  if (!jrefs.is_array() || jrefs.as_array().empty()) {
-    respond_error(msg, errc::inval, "load: need refs[]");
+  const std::int64_t shard = msg.payload().get_int("shard", 0);
+  if (!jrefs.is_array() || jrefs.as_array().empty() || shard < 0 ||
+      shard >= static_cast<std::int64_t>(shards_)) {
+    respond_error(msg, errc::inval, "load: need refs[] and a valid shard");
     return;
   }
   std::vector<Sha1> refs;
@@ -1596,47 +1330,27 @@ void KvsModule::op_load(Message& msg) {
     }
     refs.push_back(*ref);
   }
-  std::vector<std::string> walk;
-  const Json& jwalk = msg.payload().at("walk");
-  if (jwalk.is_array())
-    for (const Json& n : jwalk.as_array())
-      if (n.is_string()) walk.push_back(n.as_string());
-  const int shard = static_cast<int>(msg.payload().get_int("shard", -1));
+  std::vector<std::string> walk = strings_of(msg.payload().at("walk"));
   co_spawn(broker().executor(),
-           serve_load(std::move(msg), std::move(refs), std::move(walk), shard),
+           serve_load(std::move(msg), std::move(refs), std::move(walk),
+                      static_cast<std::uint32_t>(shard)),
            "kvs.load");
 }
 
 void KvsModule::op_fault(Message& msg) {
   ++ops_.faults_served;
   const auto ref = Sha1::parse(msg.payload().get_string("ref"));
-  if (!ref) {
-    respond_error(msg, errc::inval, "fault: bad ref");
+  const std::int64_t shard = msg.payload().get_int("shard", 0);
+  if (!ref || shard < 0 || shard >= static_cast<std::int64_t>(shards_)) {
+    respond_error(msg, errc::inval, "fault: bad ref or shard");
     return;
   }
-  const std::int64_t shard = msg.payload().get_int("shard", -1);
-  const bool authoritative =
-      shard < 0 ? is_master()
-                : is_shard_master(static_cast<std::uint32_t>(shard));
-  // Fast path: local hit.
-  ObjPtr obj = authoritative ? store_.get(*ref) : cache_.get(*ref, epoch_);
-  if (obj) {
-    if (authoritative && shard >= 0 && shard_faults_served_)
-      shard_faults_served_->inc();
-    Message resp = msg.respond();
-    resp.set_data(object_frame(obj));
-    broker().respond(std::move(resp));
-    return;
-  }
-  if (authoritative) {
-    respond_error(msg, errc::noent, "fault: unknown object " + ref->short_hex());
-    return;
-  }
-  // Slow path: fault it in from our own parent, then serve.
   co_spawn(
       broker().executor(),
-      [](KvsModule* self, Message req, Sha1 id, int s) -> Task<void> {
-        ObjPtr found = co_await self->lookup_object(id, s);
+      [](KvsModule* self, Message req, Sha1 id, std::uint32_t s) -> Task<void> {
+        // Local hit (store on the shard master, else cache), or fault it in
+        // from our own parent, then serve.
+        ObjPtr found = co_await self->lookup_chain(id, {}, s);
         if (!found) {
           self->respond_error(req, errc::noent,
                               "fault: unknown object " + id.short_hex());
@@ -1645,7 +1359,7 @@ void KvsModule::op_fault(Message& msg) {
         Message resp = req.respond();
         resp.set_data(object_frame(found));
         self->broker().respond(std::move(resp));
-      }(this, std::move(msg), *ref, static_cast<int>(shard)),
+      }(this, std::move(msg), *ref, static_cast<std::uint32_t>(shard)),
       "kvs.fault");
 }
 
@@ -1660,16 +1374,15 @@ void KvsModule::op_lookup_ref(Message& msg) {
            "kvs.lookup_ref");
 }
 
-Task<void> KvsModule::do_get_root_sharded(Message req, bool ref_only,
-                                          bool want_dir) {
+Task<void> KvsModule::do_get_root(Message req, bool ref_only, bool want_dir) {
   if (ref_only) {
     // The scalar root mirror is shard 0's root (as is the "rootref" every
     // commit/fence response reports).
     if (shard_versions_[0] == 0) {
       try {
         co_await shard_ready(0);
-      } catch (const FluxException&) {
-        respond_error(req, errc::host_down, "lookup_ref: shard 0 master down");
+      } catch (const FluxException& e) {
+        respond_error(req, e.error().code, "lookup_ref: shard 0 has no root");
         co_return;
       }
     }
@@ -1691,7 +1404,7 @@ Task<void> KvsModule::do_get_root_sharded(Message req, bool ref_only,
         continue;
       }
     }
-    ObjPtr dir = co_await lookup_object(shard_roots_[s], static_cast<int>(s));
+    ObjPtr dir = co_await lookup_chain(shard_roots_[s], {}, s);
     if (!dir || !dir->is_dir()) continue;
     for (const auto& [name, ref] : dir->entries()) merged.insert(name);
   }
@@ -1704,43 +1417,28 @@ Task<void> KvsModule::do_get(Message req, bool ref_only) {
   const std::string key = req.payload().get_string("key");
   const bool want_dir = req.payload().get_bool("dir", false);
   const auto path = split_key(key);
-
-  int shard = -1;
-  Sha1 cur;
-  if (sharded()) {
-    if (path.empty()) {
-      co_await do_get_root_sharded(std::move(req), ref_only, want_dir);
-      co_return;
-    }
-    const std::uint32_t s = shard_map_.shard_of(path[0]);
-    shard = static_cast<int>(s);
-    if (shard_dead_[s]) {
-      respond_error(req, errc::host_down,
-                    "get: master of shard " + std::to_string(s) + " is down");
-      co_return;
-    }
-    if (shard_versions_[s] == 0) {
-      try {
-        co_await shard_ready(s);
-      } catch (const FluxException&) {
-        respond_error(req, errc::host_down,
-                      "get: master of shard " + std::to_string(s) + " is down");
-        co_return;
-      }
-    }
-    cur = shard_roots_[s];
-  } else {
-    if (root_version_ == 0) {
-      try {
-        co_await version_reached(1);
-      } catch (const FluxException& e) {
-        respond_error(req, e.error().code, "get: no root before shutdown");
-        co_return;
-      }
-    }
-    cur = root_ref_;
+  if (path.empty()) {
+    co_await do_get_root(std::move(req), ref_only, want_dir);
+    co_return;
   }
 
+  const std::uint32_t shard = shard_map_.shard_of(path[0]);
+  const std::string down =
+      "get: master of shard " + std::to_string(shard) + " is down";
+  if (shard_dead_[shard]) {
+    respond_error(req, errc::host_down, down);
+    co_return;
+  }
+  if (shard_versions_[shard] == 0) {
+    try {
+      co_await shard_ready(shard);
+    } catch (const FluxException& e) {
+      respond_error(req, e.error().code, down);
+      co_return;
+    }
+  }
+
+  Sha1 cur = shard_roots_[shard];
   for (std::size_t ci = 0; ci < path.size(); ++ci) {
     const std::string& component = path[ci];
     // Chain lookup: a cold miss batches the entire remaining path into one
@@ -1752,8 +1450,8 @@ Task<void> KvsModule::do_get(Message req, bool ref_only) {
                                  path.end()),
         shard);
     if (!dir) {
-      if (shard >= 0 && shard_dead_[static_cast<std::uint32_t>(shard)])
-        respond_error(req, errc::host_down, "get: shard master died");
+      if (shard_dead_[shard])
+        respond_error(req, errc::host_down, down);
       else
         respond_error(req, errc::noent, "get: dangling ref on path of " + key);
       co_return;
@@ -1781,10 +1479,10 @@ Task<void> KvsModule::do_get(Message req, bool ref_only) {
     co_return;
   }
 
-  ObjPtr obj = co_await lookup_object(cur, shard);
+  ObjPtr obj = co_await lookup_chain(cur, {}, shard);
   if (!obj) {
-    if (shard >= 0 && shard_dead_[static_cast<std::uint32_t>(shard)])
-      respond_error(req, errc::host_down, "get: shard master died");
+    if (shard_dead_[shard])
+      respond_error(req, errc::host_down, down);
     else
       respond_error(req, errc::noent, "get: dangling terminal ref for " + key);
     co_return;
@@ -1816,22 +1514,19 @@ Task<void> KvsModule::do_get(Message req, bool ref_only) {
 // ---------------------------------------------------------------------------
 
 void KvsModule::op_get_version(Message& msg) {
-  Json out = Json::object({{"version", root_version_},
-                           {"rootref", root_ref_.hex()}});
-  if (sharded()) {
-    Json vv = Json::array();
-    Json rootrefs = Json::array();
-    Json masters = Json::array();
-    for (std::uint32_t s = 0; s < shards_; ++s) {
-      vv.push_back(static_cast<std::int64_t>(shard_versions_[s]));
-      rootrefs.push_back(shard_roots_[s].hex());
-      masters.push_back(static_cast<std::int64_t>(shard_masters_[s]));
-    }
-    out["vv"] = std::move(vv);
-    out["rootrefs"] = std::move(rootrefs);
-    out["masters"] = std::move(masters);
+  Json vv = Json::array();
+  Json rootrefs = Json::array();
+  Json masters = Json::array();
+  for (std::uint32_t s = 0; s < shards_; ++s) {
+    vv.push_back(static_cast<std::int64_t>(shard_versions_[s]));
+    rootrefs.push_back(shard_roots_[s].hex());
+    masters.push_back(static_cast<std::int64_t>(shard_masters_[s]));
   }
-  respond_ok(msg, std::move(out));
+  respond_ok(msg, Json::object({{"version", root_version_},
+                                {"rootref", root_ref_.hex()},
+                                {"vv", std::move(vv)},
+                                {"rootrefs", std::move(rootrefs)},
+                                {"masters", std::move(masters)}}));
 }
 
 void KvsModule::op_wait_version(Message& msg) {

@@ -1,57 +1,58 @@
-// The kvs comms module (paper §IV-B), with optional sharded masters (§VII).
+// The kvs comms module (paper §IV-B), with the master distributable over k
+// shards (§VII).
 //
-// One instance runs inside each broker where the module is loaded. In the
-// default single-master layout the instance on the session root is the
-// *master*: it holds the authoritative content store, applies transactions,
-// and publishes new root references as "kvs.setroot" events. Every other
-// instance is a *slave cache*: it resolves gets against its local object
-// cache, faulting missing objects from its CMB-tree parent "recursively up
-// the tree until the request can be fulfilled", and switches roots in version
-// order when setroot events arrive.
+// One instance runs inside each broker where the module is loaded. The
+// namespace is hash-partitioned by top-level directory into k shards
+// (module config {"shards": k}, default 1); a deterministic ShardMap
+// (rendezvous hashing, shard_map.hpp) lets every broker compute a key's
+// owner locally. Each shard has a *master* broker (master_rank(s) =
+// s*size/k, so shard 0 is mastered by the session root) that holds that
+// shard's authoritative content store, applies its transactions, and
+// announces its new roots. Every broker also keeps a *slave cache*: gets
+// resolve against it, faulting missing objects from the parent in the
+// shard's reduction tree "recursively up the tree until the request can be
+// fulfilled", and roots switch in version order as announces arrive. The
+// paper's single master is exactly k = 1: shard 0 of a one-shard map, its
+// tree the session tree.
+//
+// One fence path serves every k. A fence (and a commit, which is a
+// one-party fence) is split into one part per shard (empty parts still carry
+// their participant count); each part climbs its shard's tree, reduced at
+// every hop (op_fence -> fence_add -> flush_fence); the shard master counts
+// distinct contributors and, at nprocs, queues the part into its apply batch
+// (flush_apply_batch -> master_apply), which coalesces fences under a
+// rate-limit window and announces the new root (flush_announce, DESIGN §4e).
+// Only completion depends on k:
+//  - k = 1: the announce is the paper's "kvs.setroot" event; its "fences"
+//    list completes those fences on every broker;
+//  - k > 1: the announce is "kvs.setroot.<s>", and the master hands the
+//    batch's fence names to a ShardCoordinator on the session root, which
+//    fuses every shard's report into one "kvs.fence.done" event carrying
+//    the full version vector (collective-commit semantics plus cross-shard
+//    visibility: a completed fence's writes are readable on every shard).
 //
 // Consistency (Vogels' taxonomy, as claimed by the paper):
-//  - monotonic reads: setroot events are globally sequenced and applied in
-//    version order, and gets walk an immutable snapshot;
+//  - monotonic reads: each shard's roots apply in that shard's version
+//    order, and gets walk an immutable snapshot;
 //  - read-your-writes: commit/fence responses carry the new root, which the
 //    local instance applies *before* responding to the caller;
 //  - causal: get_version/wait_version let one process pass a version to
-//    another, which waits for it before reading.
+//    another, which waits for it before reading. The scalar version is the
+//    sum of the per-shard vector (the vector itself rides along as "vv"
+//    when k > 1).
 //
-// Sharded masters (module config {"shards": k}, the §VII "distributed KVS
-// master" built for real):
-//  - The namespace is hash-partitioned by top-level directory across k
-//    master brokers in ONE session; a deterministic ShardMap (rendezvous
-//    hashing, shard_map.hpp) lets every broker compute a key's owner
-//    locally. master_rank(s) = s*size/k, so shard 0 stays on the session
-//    root and k=1 degenerates to the classic layout bit-for-bit.
-//  - Each shard owns a full hash tree (own root ref + version) and its own
-//    logical reduction tree over all ranks, rooted at its master. Fence
-//    flushes and object faults for shard s climb that tree over *direct*
-//    transport edges (Broker::forward_direct / direct_rpc), so shard traffic
-//    never serializes through the session root — the whole point of §VII.
-//  - Every fence/commit contribution is split into k per-shard parts (empty
-//    parts still carry their participant count), each shard master applies
-//    at nprocs independently and publishes "kvs.setroot.<s>"; a
-//    ShardCoordinator on the session root fuses the per-shard completions
-//    into one "kvs.fence.done" event carrying the full version vector, which
-//    completes fence waiters everywhere — collective-commit semantics, plus
-//    cross-shard visibility: a completed fence's writes are readable on
-//    every shard.
-//  - Consistency becomes per-shard: each shard's roots apply in that shard's
-//    version order (monotonic reads per shard); the scalar version reported
-//    to clients is the sum of the vector (monotonic, and equal to the legacy
-//    scalar at k=1), with the vector itself alongside as "vv".
-//  - A dead shard master ("live.down") fails fast: in-flight direct RPCs to
-//    it settle EHOSTDOWN, pending fences fuse as failed, new operations on
-//    its shard are refused, and the other shards keep serving. Re-mastering
-//    a shard is future work, as §VII's full design is in the paper.
+// A dead shard master ("live.down") fails fast: in-flight direct RPCs to it
+// settle EHOSTDOWN, pending fences fuse as failed, new operations on its
+// shard are refused, and the other shards keep serving; with {"failover":
+// true} a successor re-masters the shard.
 //
 // Client-visible operations (via kvs_client.hpp):
 //   put, unlink, mkdir, get, lookup_ref, commit, fence, get_version,
 //   wait_version, stats, drop_cache
 // Internal (module-to-module):
-//   flush (aggregated dirty state heading to a master), fault (object fetch
-//   from the per-shard tree parent), shard_done (master -> coordinator).
+//   flush (aggregated dirty state heading to a shard master), load/fault
+//   (object fetch from the shard-tree parent), shard_done (master ->
+//   coordinator).
 #pragma once
 
 #include <cstdint>
@@ -86,10 +87,10 @@ class KvsModule final : public ModuleBase {
   void on_fail() override;
   void handle_event(const Message& msg) override;
 
-  /// True on the session root (authoritative store lives here).
+  /// True on the session root (master of shard 0).
   [[nodiscard]] bool is_master() const noexcept;
 
-  /// Sharded-master mode (module config {"shards": k>1}).
+  /// More than one shard (module config {"shards": k>1}).
   [[nodiscard]] bool sharded() const noexcept { return shards_ > 1; }
   [[nodiscard]] std::uint32_t shards() const noexcept { return shards_; }
   [[nodiscard]] const ShardMap& shard_map() const noexcept { return shard_map_; }
@@ -112,14 +113,14 @@ class KvsModule final : public ModuleBase {
     /// Objects brought into the local cache by fault/load responses.
     std::uint64_t objects_faulted = 0;
     std::uint64_t flushes_forwarded = 0;
-    /// Classic master: root transitions performed (one per coalesced apply
-    /// batch) and the total fences those transitions covered. The ratio is
-    /// the coalescing factor commit bursts achieve.
+    /// Shard master: root transitions performed (one per coalesced apply
+    /// batch) and the total fence parts those transitions covered. The
+    /// ratio is the coalescing factor commit bursts achieve.
     std::uint64_t apply_batches = 0;
     std::uint64_t apply_batched_fences = 0;
-    /// Classic master: "kvs.setroot" announces published and the fences they
-    /// covered. Under commit bursts one announce carries several coalesced
-    /// root transitions, so announces <= apply_batches.
+    /// Shard master: root announces published and the fences they covered.
+    /// Under commit bursts one announce carries several coalesced root
+    /// transitions, so announces <= apply_batches.
     std::uint64_t announces = 0;
     std::uint64_t announced_fences = 0;
   };
@@ -136,7 +137,9 @@ class KvsModule final : public ModuleBase {
   };
 
   // Introspection for tests/benches.
+  /// Sum of the per-shard versions (shard 0's version when k = 1).
   [[nodiscard]] std::uint64_t root_version() const noexcept { return root_version_; }
+  /// Shard 0's root (the whole namespace when k = 1).
   [[nodiscard]] const Sha1& root_ref() const noexcept { return root_ref_; }
   [[nodiscard]] const ObjectCache& cache() const noexcept { return cache_; }
   [[nodiscard]] const ContentStore& store() const noexcept { return store_; }
@@ -147,6 +150,9 @@ class KvsModule final : public ModuleBase {
   [[nodiscard]] bool persistent() const noexcept { return backend_ != nullptr; }
   [[nodiscard]] const std::vector<std::uint64_t>& shard_versions() const noexcept {
     return shard_versions_;
+  }
+  [[nodiscard]] const std::vector<Sha1>& shard_roots() const noexcept {
+    return shard_roots_;
   }
   /// Current master rank per shard (updated by hb-driven failover).
   [[nodiscard]] const std::vector<NodeId>& shard_masters() const noexcept {
@@ -172,7 +178,7 @@ class KvsModule final : public ModuleBase {
   void op_stats(Message& msg);
   void op_drop_cache(Message& msg);
 
-  // -- machinery ---------------------------------------------------------------
+  // -- fences ------------------------------------------------------------------
   /// Key identifying the client transaction a put belongs to.
   using TxnKey = std::pair<NodeId, std::uint64_t>;
   struct Txn {
@@ -180,122 +186,136 @@ class KvsModule final : public ModuleBase {
     std::vector<ObjPtr> objects;
   };
   static TxnKey txn_key(const Message& msg);
-  /// Record one dirty object + tuple under the caller's transaction.
+  /// Record one object + tuple under the caller's transaction.
   void record(Message& msg, std::string key, ObjPtr obj);
   /// Claim the caller's transaction (payload ops + bundle + staged RPC ops);
   /// returns nullopt after responding with an error on malformed input.
   std::optional<Txn> claim_txn(Message& msg);
 
-  struct FenceState {
-    std::int64_t nprocs = 0;
-    // Contributor identities not yet flushed upstream (or into the master
-    // total). May repeat across waves — the master's `counted` set dedupes.
+  /// One shard's slice of a fence on this broker.
+  struct Part {
+    // Contributor identities not yet flushed upstream. May repeat across
+    // waves — the master's `counted` set dedupes.
     std::vector<std::string> pending_contributors;
     std::vector<Tuple> pending_tuples;
     std::vector<ObjPtr> pending_objects;
-    /// Objects already forwarded upstream for this fence: cumulative, so an
+    /// Objects already forwarded upstream for this part: cumulative, so an
     /// object crosses each broker at most once no matter how contributions
     /// stagger ("values are reduced while being sent up the tree").
     std::unordered_set<Sha1> forwarded_ids;
-    bool flush_scheduled = false;
-    // Master only: distinct contributor identities seen so far. Fences fuse
-    // when this reaches nprocs. Counting identities instead of arrivals
-    // makes client RPC retries idempotent end-to-end: a duplicate flush (the
-    // original was merely slow) collapses here instead of letting the fence
-    // fuse without the slowest participant's ops, while a retry whose
-    // original flush was lost to a crashed broker re-supplies it.
-    std::set<std::string> counted;
-    std::vector<Tuple> total_tuples;
     /// Contributor identities seen at this broker — local clients and
     /// relayed flushes alike (retry detection — see fence_add).
-    std::set<std::string> origins;
-    // Requests from clients of *this* broker awaiting completion.
-    std::vector<Message> waiters;
-    // Local cache pins to release at completion.
-    std::vector<Sha1> pins;
-    // Master only: this fence is already queued in the apply batch — extra
-    // contributions past nprocs must not enqueue it twice.
-    bool apply_pending = false;
-  };
-
-  /// Identity of the requesting endpoint, stable across its RPC retries.
-  std::string fence_origin_key(const Message& msg);
-
-  void fence_add(const std::string& name, std::int64_t nprocs,
-                 std::vector<std::string> contributors,
-                 std::vector<Tuple> tuples,
-                 const std::vector<ObjPtr>& objects);
-  void schedule_fence_flush(const std::string& name);
-  void flush_fence(const std::string& name);
-  void master_check_fence(const std::string& name);
-
-  /// Master: post one apply for every fence that became ready this reactor
-  /// turn (idempotent while a flush is pending).
-  void schedule_master_apply();
-  /// The posted flush: concatenates the batch (readiness order) into ONE
-  /// apply_transaction + ONE version bump + ONE kvs.setroot publish, so all
-  /// coalesced committers observe the same new root.
-  void flush_apply_batch();
-
-  /// Master: apply tuples, bump version, schedule the setroot announce.
-  void master_apply(const std::vector<Tuple>& tuples,
-                    std::vector<std::string> fences);
-
-  /// Master: publish "kvs.setroot" now if the last announce is at least one
-  /// window old, else arm a timer at last_announce_ + window. Idle and
-  /// sequential traffic stays on the synchronous path; only commit bursts
-  /// (applies closer together than the window) coalesce.
-  void schedule_announce();
-  /// Publish one "kvs.setroot" covering every root transition since the last
-  /// announce: the latest version/rootref plus all accumulated fence names.
-  void flush_announce();
-
-  /// Adopt a (newer) root reference; completes version waiters and fences.
-  void apply_root(const Sha1& ref, std::uint64_t version,
-                  const std::vector<std::string>& fences);
-
-  // -- sharded-master machinery ------------------------------------------------
-  /// Per-(fence, shard) aggregation state on this broker.
-  struct ShardPart {
-    std::vector<std::string> pending_contributors;
-    std::vector<Tuple> pending_tuples;
-    std::vector<ObjPtr> pending_objects;
-    std::unordered_set<Sha1> forwarded_ids;
-    /// Contributor identities seen at this broker for this shard (retry
-    /// detection — see fence_add).
     std::set<std::string> origins;
     bool flush_scheduled = false;
     // Tuples were routed to this shard through this broker; if the shard's
     // master then dies mid-fence, local waiters must see an error even when
     // the coordinator salvages the live shards.
     bool touched = false;
-    // Shard master only: distinct contributors (see FenceState::counted).
+    // Shard master only: distinct contributor identities seen so far. The
+    // part is ready when this reaches nprocs. Counting identities instead of
+    // arrivals makes client RPC retries idempotent end-to-end: a duplicate
+    // flush (the original was merely slow) collapses here instead of letting
+    // the fence fuse without the slowest participant's ops, while a retry
+    // whose original flush was lost to a crashed broker re-supplies it.
     std::set<std::string> counted;
     std::vector<Tuple> total_tuples;
-    bool applied = false;
+    // Shard master only: already queued in the apply batch — extra
+    // contributions past nprocs must not enqueue it twice.
+    bool apply_pending = false;
   };
-  struct ShardedFence {
+  struct Fence {
     std::int64_t nprocs = 0;
-    std::vector<ShardPart> parts;  // one per shard
+    std::vector<Part> parts;  // one per shard
+    // Requests from clients of *this* broker awaiting completion.
     std::vector<Message> waiters;
+    // Local cache pins to release at completion.
     std::vector<Sha1> pins;
+  };
+  Fence& fence_state(const std::string& name, std::int64_t nprocs);
+
+  /// Identity of the requesting endpoint, stable across its RPC retries.
+  std::string fence_origin_key(const Message& msg);
+
+  /// Add contributions to shard `shard`'s part of fence `name`: a shard
+  /// master counts them and queues the part into its apply batch once it
+  /// reaches nprocs; everyone else queues them for flush_fence.
+  void fence_add(const std::string& name, std::uint32_t shard,
+                 std::int64_t nprocs, std::vector<std::string> contributors,
+                 std::vector<Tuple> tuples, const std::vector<ObjPtr>& objects);
+  /// Ship the part's pending contributions one hop up the shard's tree.
+  void flush_fence(const std::string& name, std::uint32_t shard);
+  /// Complete a fence locally: release pins and answer its waiters.
+  void complete_fence(const std::string& name, bool failed);
+
+  // -- shard masters -----------------------------------------------------------
+  /// Master-side state of one shard this broker masters.
+  struct Master {
+    /// Parts ready to apply — {fence, tuples in readiness order}. Flushed by
+    /// one posted task; under sustained load the flush is additionally
+    /// rate-limited to one per announce window, so commits arriving at
+    /// distinct instants still share one root transition (and one directory
+    /// freeze/hash).
+    std::vector<std::pair<std::string, std::vector<Tuple>>> batch;
+    bool apply_scheduled = false;
+    TimePoint last_apply{};
+    /// Deferred announce: the window rate-limits both the apply flush and
+    /// the O(tree) event broadcast to one per window under load; the first
+    /// flush after an idle window stays synchronous, so lone-op latency is
+    /// untouched. Zero window disables deferral.
+    bool announce_armed = false;
+    TimePoint last_announce{};
+    std::vector<std::string> announce_names;
+    std::uint64_t applies_since_checkpoint = 0;
+    std::uint64_t applies_since_gc = 0;
   };
 
   [[nodiscard]] bool is_shard_master(std::uint32_t shard) const noexcept;
   /// The shard currently mastered by `rank`, consulting failover state.
   [[nodiscard]] std::optional<std::uint32_t> mastered_by(NodeId rank) const;
-  void op_fence_sharded(Message& msg, const std::string& name,
-                        std::int64_t nprocs, Txn txn);
-  void shard_fence_add(const std::string& name, std::uint32_t shard,
-                       std::int64_t nprocs,
-                       std::vector<std::string> contributors,
-                       std::vector<Tuple> tuples,
-                       const std::vector<ObjPtr>& objects);
-  void flush_shard_fence(const std::string& name, std::uint32_t shard);
-  void shard_master_apply(const std::string& name, std::uint32_t shard);
-  void on_shard_setroot(const Message& msg);
+  /// Post one apply for the shard's batch (idempotent while one is pending).
+  void schedule_master_apply(std::uint32_t shard);
+  /// The posted flush: concatenates the batch (readiness order) into ONE
+  /// apply_transaction + ONE version bump, so all coalesced committers
+  /// observe the same new root.
+  void flush_apply_batch(std::uint32_t shard);
+  /// Apply tuples, bump the shard's version, persist, schedule the announce.
+  void master_apply(std::uint32_t shard, const std::vector<Tuple>& tuples,
+                    std::vector<std::string> fences);
+  /// Announce now if the last announce is at least one window old, else arm
+  /// a timer at last_announce + window. Idle and sequential traffic stays on
+  /// the synchronous path; only commit bursts coalesce.
+  void schedule_announce(std::uint32_t shard);
+  /// Announce every root transition since the last announce: the latest
+  /// version/rootref plus all accumulated fence names.
+  void flush_announce(std::uint32_t shard);
+  /// Publish shard `shard`'s current root and start completing `fences` —
+  /// the one step that depends on k (see the file comment). `remaster`
+  /// re-binds the shard to this broker on every rank (failover/rejoin).
+  void announce_root(std::uint32_t shard, std::vector<std::string> fences,
+                     bool remaster = false);
+  /// Bootstrap or recover the shard this broker masters at start().
+  void start_master(std::uint32_t shard);
+  /// Make this broker the shard's master (start or failover promotion).
+  void bind_master(std::uint32_t shard);
+
+  // -- root state ----------------------------------------------------------------
+  void on_setroot(const Message& msg);
   void on_fence_done(const Message& msg);
   void on_live_down(const Message& msg);
+  /// Adopt a newer root for `shard` (per-shard version order). The caller
+  /// runs refresh_scalar_root() afterwards.
+  void adopt_root(std::uint32_t shard, std::uint64_t version, const Sha1& ref);
+  /// Adopt every newer root of a {"vv": [...], "rootrefs": [...]} payload,
+  /// then refresh the scalar root.
+  void adopt_roots(const Json& payload);
+  /// Recompute the scalar mirror (root_version_ = sum of shard versions,
+  /// root_ref_ = shard 0's root) and complete waiters it unblocks.
+  void refresh_scalar_root();
+  /// Resolves once shard `shard` has a root (version >= 1).
+  Future<std::uint64_t> shard_ready(std::uint32_t shard);
+  /// Wait until the local root version reaches `version`.
+  Future<std::uint64_t> version_reached(std::uint64_t version);
+  void complete_version_waiters();
 
   // -- failover / rejoin recovery ---------------------------------------------
   /// Deterministic successor for a dead shard master: the next live rank
@@ -311,28 +331,22 @@ class KvsModule final : public ModuleBase {
   /// After a broker restart+rejoin: re-adopt roots/versions/masters from the
   /// upstream kvs instance (objects fault back in on demand).
   Task<void> resync_after_rejoin();
-  /// Recompute the scalar mirror (root_version_ = sum of shard versions,
-  /// root_ref_ = shard 0's root) and complete waiters it unblocks.
-  void refresh_scalar_root();
-  /// Resolves once shard `shard` has a root (version >= 1).
-  Future<std::uint64_t> shard_ready(std::uint32_t shard);
-  /// Next hop toward shard `shard`'s master, climbing over dead interior
-  /// ranks (the shard-tree analogue of the session tree's self-healing).
-  /// nullopt at the master or when the whole chain above is dead.
-  [[nodiscard]] std::optional<NodeId> shard_parent_live(std::uint32_t shard,
-                                                        NodeId rank) const;
-  /// Merged top-level listing / root ref (sharded root-directory get).
-  Task<void> do_get_root_sharded(Message req, bool ref_only, bool want_dir);
 
-  /// Local-or-fault object lookup (coalesces concurrent faults). With a
-  /// non-negative shard, faults climb that shard's tree over direct edges;
-  /// otherwise the legacy session tree.
-  Task<ObjPtr> lookup_object(Sha1 ref, int shard = -1);
+  // -- lookups -------------------------------------------------------------------
+  /// Next hop toward shard `shard`'s master; nullopt at the master or when
+  /// the whole chain above is dead. A tree rooted at the session root is
+  /// the session tree itself, so it follows the broker's own (healed,
+  /// rejoin-aware) parent link; other trees climb over dead ranks here.
+  [[nodiscard]] std::optional<NodeId> tree_parent(std::uint32_t shard) const;
+  /// Merged top-level listing / root ref (get of the root directory).
+  Task<void> do_get_root(Message req, bool ref_only, bool want_dir);
 
-  /// Chain-aware lookup used by the get walk: on a miss, one batched
+  /// Local-or-fault object lookup in shard `shard` (coalesces concurrent
+  /// faults; misses climb that shard's tree). On a miss, one batched
   /// kvs.load round-trip brings in `ref` plus (speculatively) the whole
   /// directory chain named by `walk` below it.
-  Task<ObjPtr> lookup_chain(Sha1 ref, std::vector<std::string> walk, int shard);
+  Task<ObjPtr> lookup_chain(Sha1 ref, std::vector<std::string> walk,
+                            std::uint32_t shard);
 
   /// Batched fault core: make `refs` locally available, fetching every miss
   /// in a single upstream kvs.load round-trip (per-id coalescing across
@@ -341,25 +355,20 @@ class KvsModule final : public ModuleBase {
   /// (null = unknown upstream, or fetch tainted by timeout/host-down).
   Task<std::vector<ObjPtr>> ensure_objects(std::vector<Sha1> refs,
                                            std::vector<std::string> walk,
-                                           int shard);
+                                           std::uint32_t shard);
 
   /// Server side of one kvs.load request; responds with an ObjectBundle of
   /// everything located (requested refs + walked chain) and the missing ids.
   Task<void> serve_load(Message req, std::vector<Sha1> refs,
-                        std::vector<std::string> walk, int shard);
+                        std::vector<std::string> walk, std::uint32_t shard);
 
   /// Async get walk; responds to `req` when done.
   Task<void> do_get(Message req, bool ref_only);
 
-  /// Wait until the local root version reaches `version`.
-  Future<std::uint64_t> version_reached(std::uint64_t version);
-
-  void complete_version_waiters();
-
   // -- persistence (durable content store + checkpoint/restart + GC) ----------
   /// Module config {"persist": {"path": ..., "checkpoint_every": N,
-  /// "gc_every": M, "retention": R}}. Only masters open a backend; sharded
-  /// masters suffix the path with ".s<shard>".
+  /// "gc_every": M, "retention": R}}. Only masters open a backend; with
+  /// k > 1 the path gets a ".s<shard>" suffix.
   struct PersistConfig {
     std::string path;
     std::uint64_t checkpoint_every = 16;  ///< applies per checkpoint record
@@ -372,64 +381,64 @@ class KvsModule final : public ModuleBase {
   bool persist_open(std::uint32_t shard);
   /// Durability point after one master apply: append the root record, sync
   /// (ack-after-sync: announce only happens after this), then run the
-  /// checkpoint and GC cadences.
-  void persist_root(std::uint32_t shard, std::uint64_t version,
-                    const Sha1& ref);
-  /// Full root-ref + version-vector snapshot for checkpoint records.
-  [[nodiscard]] std::vector<Sha1> checkpoint_roots() const;
-  [[nodiscard]] std::vector<std::uint64_t> checkpoint_vv() const;
+  /// shard's checkpoint and GC cadences.
+  void persist_root(std::uint32_t shard);
   /// Live roots and GC pins (in-flight fence objects) for mark_and_sweep.
   [[nodiscard]] std::vector<Sha1> gc_roots() const;
   [[nodiscard]] std::vector<Sha1> gc_pins() const;
   void run_gc();
 
   // -- state -------------------------------------------------------------------
-  Sha1 root_ref_{};
-  std::uint64_t root_version_ = 0;  // 0 == no root yet (sharded: sum of vv)
-  ContentStore store_;              // master / shard master only
-  ObjectCache cache_;               // slaves (and master's put staging)
+  Sha1 root_ref_{};                 // shard 0's root
+  std::uint64_t root_version_ = 0;  // sum of shard versions; 0 == no root yet
+  ContentStore store_;              // shard masters only
+  ObjectCache cache_;               // every broker
   std::uint64_t epoch_ = 0;
   std::uint64_t expiry_epochs_ = 0;  // 0 == expiry disabled
 
   std::uint64_t commit_seq_ = 0;
   std::uint64_t fence_anon_seq_ = 0;  // fence_origin_key fallback counter
   std::map<TxnKey, Txn> txns_;
-  std::map<std::string, FenceState> fences_;
-  /// Classic master: fences ready to apply, coalescing within one reactor
-  /// turn — {name, tuples in readiness order}. Flushed by one posted task;
-  /// under sustained load the flush is additionally rate-limited to one per
-  /// announce window, so commits arriving at distinct instants still share
-  /// one root transition (and one directory freeze/hash).
-  std::vector<std::pair<std::string, std::vector<Tuple>>> apply_batch_;
-  bool apply_scheduled_ = false;
-  TimePoint last_apply_flush_{};
-  /// Batch instruments (bound in start(); surface in `flux_cli stats`).
-  obs::Counter* apply_batches_stat_ = nullptr;
-  obs::Histogram* apply_batch_size_ = nullptr;
-  /// Classic master: deferred "kvs.setroot" announce. The window rate-limits
-  /// both the apply flush (above) and the O(tree) event broadcast — which
-  /// carries the coalesced fence completions downstream — to one per window
-  /// under load; the first flush after an idle window stays synchronous, so
-  /// lone-op latency is untouched. Zero window disables deferral.
+  std::map<std::string, Fence> fences_;
+
+  std::uint32_t shards_ = 1;
+  ShardMap shard_map_;
+  std::optional<std::uint32_t> my_shard_;
+  std::vector<Sha1> shard_roots_;
+  std::vector<std::uint64_t> shard_versions_;
+  std::vector<bool> shard_dead_;           // indexed by shard (master died)
+  std::unordered_set<NodeId> dead_ranks_;  // every dead rank (tree healing)
+  // Current master per shard (ShardMap home ranks until failover moves one).
+  std::vector<NodeId> shard_masters_;
+  std::vector<Master> masters_;  // indexed by shard; used where we master
+  // hb-driven failover (module config {"failover": true}): shard -> epoch at
+  // which the designated successor self-promotes.
+  bool failover_ = false;
+  std::map<std::uint32_t, std::uint64_t> pending_failover_;
+  std::unique_ptr<ShardCoordinator> coord_;  // session root, k > 1 only
+
+  /// Apply/announce rate limit (module config "announce_window_us").
   Duration announce_window_{};
-  TimePoint last_announce_{};
-  bool announce_armed_ = false;
   /// Liveness token for the deferred apply/announce timers: ThreadExecutor
   /// timers are not cancelable, and a broker restart destroys this module
   /// instance while an armed timer may still fire — the callbacks hold a
   /// weak_ptr and become no-ops once the token dies with the module.
-  std::shared_ptr<const bool> announce_token_ = std::make_shared<const bool>(true);
-  std::vector<std::string> announce_names_;
+  std::shared_ptr<const bool> timer_token_ = std::make_shared<const bool>(true);
+  // Master instruments (bound when this broker first masters a shard;
+  // surface in `flux_cli stats`).
+  obs::Counter* apply_batches_stat_ = nullptr;
+  obs::Histogram* apply_batch_size_ = nullptr;
+  obs::Histogram* apply_ns_ = nullptr;
   obs::Counter* announces_stat_ = nullptr;
   obs::Histogram* announce_size_ = nullptr;
+
   std::unordered_map<Sha1, Promise<ObjPtr>> faults_;
   std::vector<std::pair<std::uint64_t, Promise<std::uint64_t>>> version_waiters_;
+  std::vector<std::pair<std::uint32_t, Promise<std::uint64_t>>> shard_ready_waiters_;
 
   // Persistence state (masters with {"persist": ...} config only).
   std::optional<PersistConfig> persist_;
   std::unique_ptr<ContentBackend> backend_;
-  std::uint64_t applies_since_checkpoint_ = 0;
-  std::uint64_t applies_since_gc_ = 0;
   /// Per-shard version this instance re-established from its durable log at
   /// start() (post recovery-epoch bump); 0 = not recovered. Consulted by
   /// resync_after_rejoin to keep recovered data instead of re-bootstrapping
@@ -437,28 +446,6 @@ class KvsModule final : public ModuleBase {
   std::vector<std::uint64_t> recovered_versions_;
   PersistStats persist_stats_;
   obs::Histogram* gc_pause_ns_ = nullptr;
-
-  // Sharded-master state (inert when shards_ == 1).
-  std::uint32_t shards_ = 1;
-  ShardMap shard_map_;
-  std::optional<std::uint32_t> my_shard_;
-  std::vector<Sha1> shard_roots_;
-  std::vector<std::uint64_t> shard_versions_;
-  std::vector<bool> shard_dead_;       // indexed by shard (master died)
-  std::unordered_set<NodeId> dead_ranks_;  // every dead rank (tree healing)
-  // Current master per shard (ShardMap home ranks until failover moves one).
-  std::vector<NodeId> shard_masters_;
-  // hb-driven failover (module config {"failover": true}): shard -> epoch at
-  // which the designated successor self-promotes.
-  bool failover_ = false;
-  std::map<std::uint32_t, std::uint64_t> pending_failover_;
-  std::map<std::string, ShardedFence> sharded_fences_;
-  std::vector<std::pair<std::uint32_t, Promise<std::uint64_t>>> shard_ready_waiters_;
-  std::unique_ptr<ShardCoordinator> coord_;  // session root only
-  // Per-shard instruments (shard master only; named kvs.shard.<s>.*).
-  obs::Counter* shard_commits_ = nullptr;
-  obs::Counter* shard_faults_served_ = nullptr;
-  obs::Histogram* shard_apply_ns_ = nullptr;
 
   OpStats ops_;
 };

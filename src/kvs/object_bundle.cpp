@@ -1,5 +1,7 @@
 #include "kvs/object_bundle.hpp"
 
+#include <algorithm>
+
 #include "msg/codec.hpp"
 
 namespace flux {
@@ -43,7 +45,9 @@ Expected<std::shared_ptr<const Attachment>> ObjectBundle::deserialize(
   if (!read_u32(body, pos, count))
     return Error(errc::proto, "object bundle: truncated count");
   std::vector<ObjPtr> objects;
-  objects.reserve(count);
+  // Each object needs at least its 4-byte length prefix: never reserve
+  // more than the remaining bytes can hold.
+  objects.reserve(std::min<std::size_t>(count, (body.size() - pos) / 4));
   for (std::uint32_t i = 0; i < count; ++i) {
     std::uint32_t len = 0;
     if (!read_u32(body, pos, len) || pos + len > body.size())

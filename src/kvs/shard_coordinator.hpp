@@ -1,15 +1,17 @@
 // Cross-shard fence coordinator for sharded KVS masters (paper §VII).
 //
-// Lives on the session root's kvs instance when shards > 1. Every fence (and
-// commit, which is a one-party fence) is split into per-shard parts; each
-// shard master applies its part independently and reports completion here
+// Lives on the session root's kvs instance when shards > 1 (with one shard
+// the master's own "kvs.setroot" completes fences, and no coordinator is
+// built). Every fence (and commit, which is a one-party fence) is split into
+// per-shard parts; each shard master applies its parts in coalesced batches
+// and, with each announce, reports the batch's fence names here
 // ("kvs.shard_done", a direct fire-and-forget hop for non-root masters).
-// When all live shards have reported, the coordinator publishes ONE fused
-// "kvs.fence.done" event carrying the full per-shard version vector and root
-// references — the collective-commit analogue of the single master's
-// "kvs.setroot": every broker adopts all shard roots from it *before*
-// completing local fence waiters, which preserves read-your-writes and
-// cross-shard fence visibility.
+// Fences whose live shards have all reported fuse into one "kvs.fence.done"
+// event per report, carrying the fused names plus the full per-shard version
+// vector and root references — the collective-commit analogue of the single
+// master's "kvs.setroot": every broker adopts all shard roots from it
+// *before* completing local fence waiters, which preserves read-your-writes
+// and cross-shard fence visibility.
 //
 // If a shard master dies mid-fence (live.down), its part can never complete;
 // the coordinator fuses over the surviving shards and flags the event failed
@@ -33,9 +35,9 @@ class ShardCoordinator {
  public:
   ShardCoordinator(Broker& broker, std::uint32_t shards);
 
-  /// Shard `shard` finished applying its part of fence `name` and is now at
-  /// (version, rootref).
-  void shard_done(const std::string& name, std::uint32_t shard,
+  /// Shard `shard` finished applying its parts of fences `names` and is now
+  /// at (version, rootref).
+  void shard_done(const std::vector<std::string>& names, std::uint32_t shard,
                   std::uint64_t version, const Sha1& rootref);
 
   /// Shard master declared dead: fences pending at this moment fuse over
@@ -66,8 +68,10 @@ class ShardCoordinator {
     bool tainted = false;
   };
 
-  void maybe_fuse(const std::string& name, Pending& p);
-  [[nodiscard]] std::uint32_t live_shards() const noexcept;
+  [[nodiscard]] bool ready(const Pending& p) const;
+  /// Fuse every ready fence among `names`: one "kvs.fence.done" for those
+  /// that completed, one (failed) for those a dead shard tainted.
+  void fuse(const std::vector<std::string>& names);
 
   Broker& broker_;
   std::uint32_t shards_;

@@ -1,5 +1,6 @@
 #include "kvs/treeobj.hpp"
 
+#include <algorithm>
 #include <mutex>
 #include <unordered_map>
 
@@ -11,7 +12,9 @@ namespace {
 // SHA1, so when the same serialized object reaches many brokers (a hot
 // directory replicating through 512 slave caches), parsing it once is
 // enough — the digest check still runs per call. Keyed weakly so retired
-// objects do not accumulate.
+// objects do not accumulate: a sweep drops expired entries whenever the
+// memo doubles past what the last sweep left alive, so the cost stays
+// amortized O(1) per insert even when every object stays alive.
 class ParseMemo {
  public:
   ObjPtr find(const Sha1& id) {
@@ -25,7 +28,7 @@ class ParseMemo {
 
   void insert(const ObjPtr& obj) {
     std::lock_guard lk(mu_);
-    if (memo_.size() >= kSweepThreshold) sweep();
+    if (memo_.size() >= next_sweep_) sweep();
     memo_.insert_or_assign(obj->id, obj);
   }
 
@@ -33,9 +36,11 @@ class ParseMemo {
   void sweep() {
     for (auto it = memo_.begin(); it != memo_.end();)
       it = it->second.expired() ? memo_.erase(it) : std::next(it);
+    next_sweep_ = std::max(kMinSweep, 2 * memo_.size());
   }
 
-  static constexpr std::size_t kSweepThreshold = 1 << 16;
+  static constexpr std::size_t kMinSweep = 1 << 16;
+  std::size_t next_sweep_ = kMinSweep;
   std::mutex mu_;
   std::unordered_map<Sha1, std::weak_ptr<const StoredObject>> memo_;
 };

@@ -1,5 +1,6 @@
 #include "msg/codec.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 
@@ -66,6 +67,7 @@ class Reader {
   }
   [[nodiscard]] bool done() const { return pos_ == wire_.size(); }
   [[nodiscard]] std::size_t pos() const { return pos_; }
+  [[nodiscard]] std::size_t remaining() const { return wire_.size() - pos_; }
 
  private:
   bool fixed(std::uint8_t* out, std::size_t n) {
@@ -202,7 +204,10 @@ Expected<Message> decode_impl(std::span<const std::uint8_t> wire,
 
   std::uint16_t route_len = 0;
   if (!rd.u16(route_len)) return proto_error("truncated route length");
-  msg.route.reserve(route_len);
+  // Counts come off the wire: reserve no more hops than the remaining bytes
+  // can hold (13 bytes per route or trace hop).
+  constexpr std::size_t kHopBytes = 1 + 4 + 8;
+  msg.route.reserve(std::min<std::size_t>(route_len, rd.remaining() / kHopBytes));
   for (std::uint16_t i = 0; i < route_len; ++i) {
     RouteHop hop;
     std::uint8_t kind = 0;
@@ -215,7 +220,7 @@ Expected<Message> decode_impl(std::span<const std::uint8_t> wire,
 
   std::uint16_t trace_len = 0;
   if (!rd.u16(trace_len)) return proto_error("truncated trace length");
-  msg.trace.reserve(trace_len);
+  msg.trace.reserve(std::min<std::size_t>(trace_len, rd.remaining() / kHopBytes));
   for (std::uint16_t i = 0; i < trace_len; ++i) {
     TraceHop hop;
     std::uint8_t plane = 0;

@@ -52,7 +52,7 @@ Message Message::respond(Json response_payload) const {
   return m;
 }
 
-Message Message::respond_error(Errc code, std::string_view what) const {
+Message Message::respond_error(errc code, std::string_view what) const {
   Message m = respond();
   m.errnum = static_cast<int>(code);
   if (!what.empty()) m.payload_ = Json::object({{"errmsg", std::string(what)}});

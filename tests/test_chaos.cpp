@@ -609,47 +609,63 @@ TEST(Chaos, MasterCrashMidBatchNeverHalfApplies) {
 
 TEST(Chaos, WindowedApplyCoalescesWithoutLosingAckedCommits) {
   // With an explicit coalescing window, commits landing at distinct sim
-  // instants share one deferred apply flush and one setroot announce. The
+  // instants share one deferred apply flush and one root announce on every
+  // shard master — the single master (k = 1) and each of k = 4 alike. The
   // batching must be visible in the stats AND invisible to the oracle:
-  // every acked transaction is present whole in the master tree.
-  SimSession s(chaos_config(6, Json::object({{"announce_window_us", 60}})));
-  ChaosOutcome out;
-  int done = 0;
-  bool acked[kWriters][kRounds] = {};
-  std::vector<std::unique_ptr<Handle>> handles;
-  for (int w = 0; w < kWriters; ++w) {
-    handles.push_back(s.attach(static_cast<NodeId>(1 + w)));
-    co_spawn(s.ex(),
-             batch_txn_writer(handles.back().get(), w, &out, acked, &done),
-             "windowed-writer");
-  }
-  s.ex().run();
+  // every acked transaction is present whole in its shard master's tree.
+  for (const std::int64_t shards : {std::int64_t{1}, std::int64_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "shards " << shards);
+    SimSession s(chaos_config(
+        6, Json::object({{"announce_window_us", 60}, {"shards", shards}})));
+    ChaosOutcome out;
+    int done = 0;
+    bool acked[kWriters][kRounds] = {};
+    std::vector<std::unique_ptr<Handle>> handles;
+    for (int w = 0; w < kWriters; ++w) {
+      handles.push_back(s.attach(static_cast<NodeId>(1 + w)));
+      co_spawn(s.ex(),
+               batch_txn_writer(handles.back().get(), w, &out, acked, &done),
+               "windowed-writer");
+    }
+    s.ex().run();
 
-  EXPECT_EQ(done, kWriters);
-  EXPECT_EQ(out.unexpected, 0);
-  EXPECT_EQ(out.ok, kWriters * kRounds) << "no faults injected, no failures";
+    EXPECT_EQ(done, kWriters);
+    EXPECT_EQ(out.unexpected, 0);
+    EXPECT_EQ(out.ok, kWriters * kRounds) << "no faults injected, no failures";
 
-  auto* k0 =
-      dynamic_cast<KvsModule*>(s.session().broker(0).find_module("kvs"));
-  ASSERT_NE(k0, nullptr);
-  const auto& ops = k0->op_stats();
-  // All 16 writer commits (plus any module boot-time commit) flowed through
-  // the batch path, and the window must have merged concurrent ones:
-  // strictly fewer root transitions and announces than fences applied.
-  EXPECT_GE(ops.apply_batched_fences, static_cast<std::uint64_t>(kWriters) * kRounds);
-  EXPECT_LT(ops.apply_batches, ops.apply_batched_fences)
-      << "window never coalesced an apply";
-  EXPECT_LT(ops.announces, ops.announced_fences)
-      << "window never coalesced an announce";
-  for (int w = 0; w < kWriters; ++w) {
-    for (int r = 0; r < kRounds; ++r) {
-      ASSERT_TRUE(acked[w][r]);
-      const std::string base =
-          "batch.w" + std::to_string(w) + ".r" + std::to_string(r);
-      for (int k = 0; k < kKeysPerTxn; ++k)
-        EXPECT_TRUE(resolve_in_store(k0->store(), k0->root_ref(),
-                                     base + ".k" + std::to_string(k)))
-            << base << ".k" << k << ": acked key missing";
+    auto kvs_at = [&s](NodeId rank) {
+      return dynamic_cast<KvsModule*>(s.session().broker(rank).find_module("kvs"));
+    };
+    const KvsModule* k0 = kvs_at(0);
+    ASSERT_NE(k0, nullptr);
+    ASSERT_EQ(k0->shards(), static_cast<std::uint32_t>(shards));
+    for (const NodeId rank : k0->shard_masters()) {
+      SCOPED_TRACE(::testing::Message() << "shard master rank " << rank);
+      const auto& ops = kvs_at(rank)->op_stats();
+      // All 16 writer commits (plus any module boot-time commit) flowed
+      // through this master's batch path — every fence carries a part, empty
+      // or not, to every shard — and the window must have merged concurrent
+      // ones: strictly fewer root transitions and announces than fences.
+      EXPECT_GE(ops.apply_batched_fences,
+                static_cast<std::uint64_t>(kWriters) * kRounds);
+      EXPECT_LT(ops.apply_batches, ops.apply_batched_fences)
+          << "window never coalesced an apply";
+      EXPECT_LT(ops.announces, ops.announced_fences)
+          << "window never coalesced an announce";
+    }
+    for (int w = 0; w < kWriters; ++w) {
+      for (int r = 0; r < kRounds; ++r) {
+        ASSERT_TRUE(acked[w][r]);
+        const std::string base =
+            "batch.w" + std::to_string(w) + ".r" + std::to_string(r);
+        const std::uint32_t shard = k0->shard_map().shard_of(base);
+        const KvsModule* master = kvs_at(k0->shard_masters()[shard]);
+        for (int k = 0; k < kKeysPerTxn; ++k)
+          EXPECT_TRUE(resolve_in_store(master->store(),
+                                       master->shard_roots()[shard],
+                                       base + ".k" + std::to_string(k)))
+              << base << ".k" << k << ": acked key missing";
+      }
     }
   }
 }

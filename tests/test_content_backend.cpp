@@ -297,6 +297,47 @@ TEST_F(ContentBackendTest, CorruptedRecordStopsTheScan) {
   EXPECT_TRUE(store.contains(a->id));
 }
 
+TEST_F(ContentBackendTest, SemanticallyBadRecordStopsTheScan) {
+  // Checksum-valid records that decode to nonsense are treated as torn:
+  // a root record whose shard index is negative or huge (it sizes the
+  // recovered vectors) and a checkpoint whose arrays hold the wrong types.
+  const ObjPtr a = make_val_object(Json::object({{"n", std::int64_t{1}}}));
+  auto root = [&a](std::int64_t shard) {
+    return Json::object({{"shard", shard},
+                         {"version", std::int64_t{2}},
+                         {"rootref", a->id.hex()}})
+        .dump();
+  };
+  const std::vector<std::pair<contentlog::RecordType, std::string>> bad = {
+      {contentlog::RecordType::root, root(-1)},
+      {contentlog::RecordType::root, root(std::int64_t{1} << 31)},
+      {contentlog::RecordType::checkpoint,
+       Json::object({{"rootrefs", Json::array({std::int64_t{7}})},
+                     {"vv", Json::array({a->id.hex()})}})
+           .dump()}};
+  for (const auto& [type, payload] : bad) {
+    SCOPED_TRACE(payload);
+    const std::string path = temp_log();
+    {
+      std::ofstream f(path, std::ios::binary);
+      const std::string log =
+          contentlog::header_bytes() +
+          contentlog::frame(contentlog::RecordType::object, a->bytes) +
+          contentlog::frame(contentlog::RecordType::root,
+                            contentlog::root_payload(0, 1, a->id)) +
+          contentlog::frame(type, payload);
+      f.write(log.data(), static_cast<std::streamsize>(log.size()));
+    }
+    ContentStore store;
+    FileLogBackend backend(path);
+    const ContentBackend::Recovered rec = backend.recover(store);
+    ASSERT_TRUE(rec.has_root(0));
+    EXPECT_EQ(rec.roots.size(), 1u);
+    EXPECT_EQ(rec.versions[0], 1u);
+    EXPECT_EQ(rec.truncated_bytes, contentlog::kFrameOverhead + payload.size());
+  }
+}
+
 TEST_F(ContentBackendTest, CheckpointSupersedesRootRecords) {
   const std::string path = temp_log();
   const ObjPtr a = make_val_object(Json::object({{"s", std::int64_t{0}}}));

@@ -4,7 +4,9 @@
 // ObjectBundle bodies, oversized length fields deep inside a rich frame, the
 // attachment-registry path, and exhaustive byte-corruption sweeps. The whole
 // file is most valuable under the asan preset, where an over-read is a hard
-// failure instead of a silent lucky pass.
+// failure instead of a silent lucky pass. It builds as its own binary with
+// an allocation cap (alloc_cap.cpp), so a decoder that reserves a size read
+// off the wire fails here on every host, overcommitting or not.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_cap.hpp"
 #include "base/error.hpp"
 #include "base/rng.hpp"
 #include "kvs/object_bundle.hpp"
@@ -51,6 +54,13 @@ void expect_proto(const Expected<std::shared_ptr<const Attachment>>& r,
                   const char* what) {
   ASSERT_FALSE(r.has_value()) << what;
   EXPECT_EQ(r.error().code, errc::proto) << r.error().to_string();
+}
+
+TEST(DecodeAllocCap, OversizedAllocationThrows) {
+  // The cap itself: without it the sweeps below cannot catch an
+  // input-sized reserve on a host that overcommits.
+  std::vector<char> v;
+  EXPECT_THROW(v.reserve(testing::kAllocCap + 1), std::bad_alloc);
 }
 
 // -- ObjectBundle::deserialize ------------------------------------------------

@@ -166,8 +166,8 @@ TEST(Future, ErrorThrowsOnAwait) {
   SimExecutor ex;
   Promise<int> p(ex);
   p.set_error(Error(errc::timeout, "deadline"));
-  Errc seen = errc::ok;
-  co_spawn(ex, [](Future<int> f, Errc* out) -> Task<void> {
+  errc seen = errc::ok;
+  co_spawn(ex, [](Future<int> f, errc* out) -> Task<void> {
     try {
       (void)co_await f;
     } catch (const FluxException& e) {

@@ -134,8 +134,8 @@ TEST(Failure, MultipleDeaths) {
 TEST(Failure, PendingRpcOnFailedBrokerSettles) {
   SimSession s(failure_config(8));
   auto h = s.attach(3);
-  Errc seen = errc::ok;
-  co_spawn(s.ex(), [](Handle* hd, Errc* out) -> Task<void> {
+  errc seen = errc::ok;
+  co_spawn(s.ex(), [](Handle* hd, errc* out) -> Task<void> {
     try {
       // A barrier that will never complete while the broker dies.
       co_await hd->barrier("doomed", 999);
@@ -248,10 +248,10 @@ TEST(Failure, ShardMasterDeathSettlesInFlightFence) {
   }
 
   auto h = s.attach(7);
-  std::optional<Errc> seen;
+  std::optional<errc> seen;
   int done = 0;
   co_spawn(s.ex(),
-           [](Handle* hd, std::string k, std::optional<Errc>* out,
+           [](Handle* hd, std::string k, std::optional<errc>* out,
               int* d) -> Task<void> {
              KvsClient kvs(*hd);
              co_await kvs.put(k + ".v", 1);

@@ -2,6 +2,9 @@
 // worked example plus hash-tree invariants as properties.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <vector>
+
 #include "base/rng.hpp"
 #include "kvs/content_store.hpp"
 #include "kvs/object_bundle.hpp"
@@ -23,6 +26,20 @@ TEST(TreeObj, ContentAddressingDeduplicates) {
   EXPECT_NE(make_val_object("a")->id, make_val_object("b")->id);
   // Int and double values are distinct content.
   EXPECT_NE(make_val_object(1)->id, make_val_object(1.0)->id);
+}
+
+TEST(TreeObj, ManyLiveObjectsStayCheapToCreate) {
+  // The parse memo sweeps expired entries as it grows; with every object
+  // still alive a sweep frees nothing, and sweeping again on every insert
+  // would make creation quadratic (minutes for this count). The budget is
+  // generous: linear creation takes well under a second.
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<ObjPtr> live;
+  live.reserve(150'000);
+  for (std::int64_t i = 0; i < 150'000; ++i) live.push_back(make_val_object(i));
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(elapsed, std::chrono::seconds(10));
+  EXPECT_EQ(parse_object(live.back()->bytes)->id, live.back()->id);
 }
 
 TEST(TreeObj, DirObjectShape) {

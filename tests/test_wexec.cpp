@@ -1,7 +1,6 @@
 // Execution through the job pipeline: bulk launch, stdio capture into the
 // KVS, cancellation, exit aggregation — all via the fluent h.job() API
-// (ingest -> queue -> schedule -> wexec -> KVS fold-back). One test keeps
-// the deprecated direct-to-wexec shim alive for its release.
+// (ingest -> queue -> schedule -> wexec -> KVS fold-back).
 #include <gtest/gtest.h>
 
 #include "api/job_client.hpp"
@@ -174,19 +173,6 @@ TEST(Wexec, CustomRegisteredCommand) {
     if (out.as_array().at(0) != Json("42"))
       throw FluxException(Error(errc::proto, "custom command output wrong"));
   }(h.get(), r.id));
-}
-
-// The one test that keeps the deprecated direct-to-wexec shim exercised for
-// its final release (everything else goes through h.job()).
-TEST(Wexec, DeprecatedDirectRunShim) {
-  SimSession s(SimSession::default_config(4));
-  auto h = s.attach(1);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  Message resp = s.run(wexec_run(*h, "legacy", "hostname"));
-#pragma GCC diagnostic pop
-  EXPECT_EQ(resp.payload().get_int("ntasks"), 4);
-  EXPECT_TRUE(resp.payload().get_bool("success"));
 }
 
 }  // namespace
