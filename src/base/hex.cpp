@@ -47,10 +47,8 @@ std::string hex_encode(std::span<const std::uint8_t> bytes) {
   return out;
 }
 
-std::optional<std::vector<std::uint8_t>> hex_decode(std::string_view hex) {
-  if (hex.size() % 2 != 0) return std::nullopt;
-  std::vector<std::uint8_t> out;
-  out.resize(hex.size() / 2);
+bool hex_decode_into(std::string_view hex, std::span<std::uint8_t> out) {
+  if (hex.size() % 2 != 0 || hex.size() / 2 != out.size()) return false;
   std::uint8_t* p = out.data();
   // Accumulate validity instead of branching per character: a single bad
   // digit poisons the sign bit of `bad`.
@@ -61,7 +59,12 @@ std::optional<std::vector<std::uint8_t>> hex_decode(std::string_view hex) {
     bad |= hi | lo;
     *p++ = static_cast<std::uint8_t>((hi << 4) | lo);
   }
-  if (bad < 0) return std::nullopt;
+  return bad >= 0;
+}
+
+std::optional<std::vector<std::uint8_t>> hex_decode(std::string_view hex) {
+  std::vector<std::uint8_t> out(hex.size() / 2);
+  if (!hex_decode_into(hex, out)) return std::nullopt;
   return out;
 }
 

@@ -9,6 +9,12 @@
 
 namespace flux {
 
+namespace {
+/// How long a restarted broker waits for its re-admission event before it
+/// asks the root again.
+constexpr Duration kRejoinRetry = std::chrono::milliseconds(1);
+}  // namespace
+
 Broker::Broker(Session& session, NodeId rank, Executor& ex)
     : session_(session), rank_(rank), ex_(ex), topo_(session.topology()) {
   net_rx_msgs_ = &registry_.counter("cmb.net.rx_msgs");
@@ -704,10 +710,19 @@ void Broker::restart() {
     return;
   }
   log::info("broker", "rank ", rank_, ": restarting, requesting rejoin");
+  request_rejoin(++incarnation_);
+}
+
+void Broker::request_rejoin(std::uint64_t incarnation) {
+  if (failed_ || online() || incarnation != incarnation_) return;
   Message req = Message::request("cmb.rejoin");
   req.nodeid = 0;
   req.mutable_payload()["rank"] = rank_;
   send(0, std::move(req));
+  // A daemon event, so a broker that cannot rejoin (root down) does not keep
+  // a simulation's run-until-idle loop alive.
+  ex_.post_daemon_after(kRejoinRetry,
+                        [this, incarnation] { request_rejoin(incarnation); });
 }
 
 }  // namespace flux

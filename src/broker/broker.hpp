@@ -123,7 +123,9 @@ class Broker {
   /// pending RPCs, no event history. Sends "cmb.rejoin" straight to the
   /// root; the root re-attaches this rank under its nearest live ancestor
   /// and broadcasts the new parent relation, which doubles as this broker's
-  /// wire-up confirmation (online() flips when the event arrives).
+  /// wire-up confirmation (online() flips when the event arrives). The
+  /// request repeats until that event arrives: an announcement broadcast
+  /// while an ancestor is down but not yet declared dead is lost with it.
   void restart();
   /// Ranks this broker has seen declared dead (via "live.down") and not yet
   /// rejoined. The root consults this to pick a rejoin parent.
@@ -174,6 +176,10 @@ class Broker {
   void deliver_event(const Message& msg);
   void send(NodeId to, Message msg);
   void maybe_complete_hello();
+  /// Send "cmb.rejoin" to the root, then again every kRejoinRetry until the
+  /// re-admission event arrives, this broker fails, or a later restart
+  /// supersedes `incarnation`.
+  void request_rejoin(std::uint64_t incarnation);
   /// Settle the pending RPC `tag` with errc::timeout after `timeout` passes
   /// (no-op if the response already arrived).
   void arm_rpc_timeout(std::uint32_t tag, Duration timeout, std::string topic);
@@ -186,6 +192,7 @@ class Broker {
   /// never share mutable topology state across threads.
   Topology topo_;
   bool failed_ = false;
+  std::uint64_t incarnation_ = 0;  ///< restarts so far
   std::set<NodeId> dead_ranks_;
   // Read by Session::wait_online from a foreign thread in threaded sessions;
   // written only on this broker's reactor.

@@ -4,6 +4,13 @@
 // by their SHA1 digests" (§IV-B). This is a from-scratch FIPS-180-1
 // implementation; cryptographic strength is irrelevant here — we only need a
 // stable, well-distributed content address with negligible collision odds.
+//
+// Every stored value and directory is hashed, so block compression is a hot
+// path. Sha1Stream hands whole runs of 64-byte blocks to one kernel, chosen
+// once at static initialization from what the CPU reports: the x86-64
+// SHA-extensions kernel where the CPU has SHA and SSE4.1, else the portable
+// reference kernel (the only one built for other architectures). Both yield
+// identical digests; hash/sha1_compress.hpp exposes them to the tests.
 #pragma once
 
 #include <array>
@@ -29,7 +36,8 @@ class Sha1 {
   /// Digest of a string's bytes.
   static Sha1 of(std::string_view data);
 
-  /// Parse a 40-char lower/upper hex reference ("1c002dde...").
+  /// Parse a 40-char lower/upper hex reference ("1c002dde..."), decoding
+  /// straight into the digest without allocating.
   static std::optional<Sha1> parse(std::string_view hex);
 
   [[nodiscard]] const std::array<std::uint8_t, kSize>& raw() const noexcept {
@@ -55,8 +63,6 @@ class Sha1Stream {
   Sha1 digest();
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::uint32_t h_[5];
   std::uint64_t total_bytes_ = 0;
   std::array<std::uint8_t, 64> buffer_{};

@@ -60,7 +60,6 @@ KvsModule::KvsModule(Broker& b) : ModuleBase(b) {
   on("commit", [this](Message& m) { op_commit(m); });
   on("fence", [this](Message& m) { op_fence(m); });
   on("flush", [this](Message& m) { op_flush(m); });
-  on("fault", [this](Message& m) { op_fault(m); });
   on("load", [this](Message& m) { op_load(m); });
   on("shard_done", [this](Message& m) { op_shard_done(m); });
   on("stats", [this](Message& m) { op_stats(m); });
@@ -1116,7 +1115,7 @@ Task<void> KvsModule::resync_after_rejoin() {
 }
 
 // ---------------------------------------------------------------------------
-// Lookups (get / lookup_ref / fault / load)
+// Lookups (get / lookup_ref / load)
 // ---------------------------------------------------------------------------
 
 std::optional<NodeId> KvsModule::tree_parent(std::uint32_t shard) const {
@@ -1337,32 +1336,6 @@ void KvsModule::op_load(Message& msg) {
            "kvs.load");
 }
 
-void KvsModule::op_fault(Message& msg) {
-  ++ops_.faults_served;
-  const auto ref = Sha1::parse(msg.payload().get_string("ref"));
-  const std::int64_t shard = msg.payload().get_int("shard", 0);
-  if (!ref || shard < 0 || shard >= static_cast<std::int64_t>(shards_)) {
-    respond_error(msg, errc::inval, "fault: bad ref or shard");
-    return;
-  }
-  co_spawn(
-      broker().executor(),
-      [](KvsModule* self, Message req, Sha1 id, std::uint32_t s) -> Task<void> {
-        // Local hit (store on the shard master, else cache), or fault it in
-        // from our own parent, then serve.
-        ObjPtr found = co_await self->lookup_chain(id, {}, s);
-        if (!found) {
-          self->respond_error(req, errc::noent,
-                              "fault: unknown object " + id.short_hex());
-          co_return;
-        }
-        Message resp = req.respond();
-        resp.set_data(object_frame(found));
-        self->broker().respond(std::move(resp));
-      }(this, std::move(msg), *ref, static_cast<std::uint32_t>(shard)),
-      "kvs.fault");
-}
-
 void KvsModule::op_get(Message& msg) {
   ++ops_.gets;
   co_spawn(broker().executor(), do_get(std::move(msg), /*ref_only=*/false),
@@ -1562,7 +1535,6 @@ void KvsModule::op_stats(Message& msg) {
                     {"commits", ops_.commits},
                     {"fences", ops_.fences},
                     {"faults_issued", ops_.faults_issued},
-                    {"faults_served", ops_.faults_served},
                     {"flushes_forwarded", ops_.flushes_forwarded},
                     {"apply_batches", ops_.apply_batches},
                     {"apply_batched_fences", ops_.apply_batched_fences},

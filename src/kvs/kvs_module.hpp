@@ -50,8 +50,8 @@
 //   put, unlink, mkdir, get, lookup_ref, commit, fence, get_version,
 //   wait_version, stats, drop_cache
 // Internal (module-to-module):
-//   flush (aggregated dirty state heading to a shard master), load/fault
-//   (object fetch from the shard-tree parent), shard_done (master ->
+//   flush (aggregated dirty state heading to a shard master), load
+//   (batched object fetch from the shard-tree parent), shard_done (master ->
 //   coordinator).
 #pragma once
 
@@ -107,10 +107,9 @@ class KvsModule final : public ModuleBase {
     /// Upstream fault round-trips issued (a batched kvs.load counts once no
     /// matter how many objects it brings in).
     std::uint64_t faults_issued = 0;
-    std::uint64_t faults_served = 0;
     /// Batched kvs.load requests handled for downstream brokers.
     std::uint64_t loads_served = 0;
-    /// Objects brought into the local cache by fault/load responses.
+    /// Objects brought into the local cache by load responses.
     std::uint64_t objects_faulted = 0;
     std::uint64_t flushes_forwarded = 0;
     /// Shard master: root transitions performed (one per coalesced apply
@@ -172,7 +171,6 @@ class KvsModule final : public ModuleBase {
   void op_commit(Message& msg);
   void op_fence(Message& msg);
   void op_flush(Message& msg);
-  void op_fault(Message& msg);
   void op_load(Message& msg);
   void op_shard_done(Message& msg);
   void op_stats(Message& msg);

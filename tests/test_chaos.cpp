@@ -18,7 +18,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -146,6 +149,16 @@ void expect_clean(const ChaosOutcome& out) {
   EXPECT_EQ(out.ok + out.failed, kWriters * kRounds);
 }
 
+/// Every broker the schedule restarted must have rejoined the session.
+void expect_restarts_rejoined(SimSession& s, const FaultPlan& plan) {
+  for (const fault::NodeEvent& ev : plan.events()) {
+    if (ev.kind != fault::NodeEvent::Kind::restart) continue;
+    EXPECT_TRUE(s.session().broker(ev.rank).online())
+        << "rank " << ev.rank << " did not rejoin";
+    EXPECT_FALSE(s.session().broker(ev.rank).failed());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Seeded schedule categories
 // ---------------------------------------------------------------------------
@@ -178,14 +191,37 @@ TEST(Chaos, CrashRestartSeeds) {
     FaultPlan plan = FaultPlan::random(seed, opt);
     const ChaosOutcome out = run_chaos_workload(s, plan);
     expect_clean(out);
-    // Every broker the schedule restarted must have rejoined the session.
-    for (const fault::NodeEvent& ev : plan.events()) {
-      if (ev.kind != fault::NodeEvent::Kind::restart) continue;
-      EXPECT_TRUE(s.session().broker(ev.rank).online())
-          << "rank " << ev.rank << " did not rejoin";
-      EXPECT_FALSE(s.session().broker(ev.rank).failed());
-    }
+    expect_restarts_rejoined(s, plan);
   }
+}
+
+// Shrunk chaos schedules committed under tests/repro/chaos/, each
+// {"size": N, "plan": <FaultPlan JSON>}. Unlike the DST repros one level up
+// (mutation-driven failures that must keep failing), these are fixed bugs:
+// every one must replay clean, with every restarted broker back online.
+TEST(Chaos, CommittedPlansReplayClean) {
+  const std::filesystem::path dir =
+      std::filesystem::path(FLUX_REPRO_DIR) / "chaos";
+  ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
+  int n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".json") continue;
+    SCOPED_TRACE(entry.path().filename().string());
+    ++n;
+    std::ifstream in(entry.path());
+    std::stringstream buf;
+    buf << in.rdbuf();
+    auto parsed = Json::parse(buf.str());
+    ASSERT_TRUE(parsed.has_value()) << parsed.error().to_string();
+    const auto size = static_cast<std::uint32_t>(parsed->get_int("size", 0));
+    ASSERT_GT(size, 0u);
+    SimSession s(chaos_config(size));
+    FaultPlan plan = FaultPlan::from_json(parsed->at("plan"));
+    const ChaosOutcome out = run_chaos_workload(s, plan);
+    expect_clean(out);
+    expect_restarts_rejoined(s, plan);
+  }
+  EXPECT_GE(n, 1) << "no committed chaos plans under " << dir;
 }
 
 TEST(Chaos, LossyLinkSeeds) {
