@@ -1,6 +1,6 @@
 // Job-lifecycle throughput: sustained jobs/sec through the full pipeline
 // (job.submit validation -> root jobid assignment -> job-manager queue ->
-// scheduler -> resvc allocation -> wexec dispatch -> KVS fold-back ->
+// scheduler allocation on resvc's pool -> wexec dispatch -> KVS fold-back ->
 // waiter response) versus broker count and submission-window depth.
 //
 // The paper's thesis is that a session-scoped framework keeps per-job

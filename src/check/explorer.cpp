@@ -231,7 +231,7 @@ Task<void> jobs_post_check(Handle* h, const std::vector<std::uint64_t>* ids,
                        std::to_string(iv[i].second) + "]");
   }
   // End state: every allocation returned (a crashed broker's job must Fail
-  // or requeue, never leave resvc holding nodes for a dead job).
+  // and release, never leave resvc holding nodes for a dead job).
   try {
     Message st = co_await h->request("resvc.status").call();
     const Json& p = st.payload();

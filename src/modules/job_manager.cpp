@@ -1,22 +1,27 @@
 #include "modules/job_manager.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "api/handle.hpp"
 #include "base/log.hpp"
 #include "broker/broker.hpp"
 #include "kvs/kvs_client.hpp"
+#include "modules/resvc.hpp"
 #include "sched/policy.hpp"
 
 namespace flux::modules {
 
 namespace {
 
-constexpr int kMaxAllocRetries = 3;
 constexpr std::size_t kTerminalKeep = 1024;
 
 std::string job_key(std::uint64_t id, std::string_view leaf) {
   return "job." + std::to_string(id) + "." + std::string(leaf);
+}
+
+bool ended(JobState s) {
+  return s != JobState::Pending && s != JobState::Running;
 }
 
 }  // namespace
@@ -35,7 +40,6 @@ JobManager::JobManager(Broker& b) : ModuleBase(b) {
   c_failed_ = &reg.counter("job-manager.failed");
   c_canceled_ = &reg.counter("job-manager.canceled");
   c_rejected_ = &reg.counter("job-manager.rejected");
-  c_requeued_ = &reg.counter("job-manager.requeued");
   h_alloc_ns_ = &reg.histogram("job-manager.alloc_ns");
   h_run_ns_ = &reg.histogram("job-manager.run_ns");
   h_depth_ = &reg.histogram("job-manager.queue_depth");
@@ -45,25 +49,22 @@ JobManager::~JobManager() = default;
 
 void JobManager::start() {
   if (!broker().is_root()) return;
+  resvc_ = dynamic_cast<Resvc*>(broker().find_module("resvc"));
+  if (resvc_ == nullptr)
+    throw std::logic_error("job-manager: needs the resvc module loaded");
   const Json cfg = broker().module_config("job-manager");
   max_queue_ = cfg.get_int("max_queue", 4096);
-  const auto cores =
-      static_cast<unsigned>(cfg.get_int("cores_per_node", 16));
-  // Mirror pool: one flat rack of the session's brokers. The authoritative
-  // free list is resvc's; this pool only paces the scheduler (feasibility,
-  // backfill planning), so count agreement is what matters.
-  graph_ = ResourceGraph::build_center("session", 1, 1, broker().size(), cores);
-  pool_ = std::make_unique<ResourcePool>(graph_);
-  sched_ = std::make_unique<Scheduler>(broker().executor(), *pool_,
+  sched_ = std::make_unique<Scheduler>(broker().executor(), resvc_->pool(),
                                        make_policy(cfg.get_string("policy", "fcfs")));
   sched_->bind_stats(broker().stats_registry(), "job-manager.sched");
-  sched_->on_start([this](std::uint64_t sched_id, const Allocation&) {
+  sched_->on_start([this](std::uint64_t sched_id, const Allocation& alloc) {
     auto it = sched_to_job_.find(sched_id);
     if (it == sched_to_job_.end()) return;
-    JobRecord* rec = find(it->second);
-    if (rec == nullptr || rec->phase != Phase::Queued) return;
-    rec->phase = Phase::Allocating;
-    co_spawn(broker().executor(), dispatch(rec->id), "job-manager.dispatch");
+    if (JobRecord* rec = find(it->second)) start_job(*rec, alloc);
+  });
+  // Nodes a direct resvc.free returns may unblock a queued job.
+  resvc_->on_free([this] {
+    if (sched_->queue_length() > 0) sched_->kick();
   });
   handle_ = std::make_unique<Handle>(broker());
   kvs_ = std::make_unique<KvsClient>(*handle_);
@@ -168,87 +169,30 @@ void JobManager::op_submit(Message& msg) {
   respond_ok(msg, Json::object({{"id", static_cast<std::int64_t>(id)}}));
 }
 
-Task<void> JobManager::dispatch(std::uint64_t id) {
+void JobManager::start_job(JobRecord& rec, const Allocation& alloc) {
+  rec.state = JobState::Running;
+  rec.ranks = resvc_->ranks_of(alloc);
+  Json ranks = Json::array();
+  for (NodeId r : rec.ranks) ranks.push_back(r);
+  h_alloc_ns_->record(broker().executor().now() - rec.submit_t);
+  kvs_->txn().put(job_key(rec.id, "ranks"), ranks);
+  event(rec, "alloc", Json::object({{"ranks", ranks}}));
+  event(rec, "start", Json::object());
+  stage_state(rec);
+  co_spawn(broker().executor(), run(rec.id, std::move(ranks)),
+           "job-manager.run");
+}
+
+Task<void> JobManager::run(std::uint64_t id, Json ranks) {
   JobRecord* rec = find(id);
-  if (rec == nullptr || rec->phase != Phase::Allocating) co_return;
+  if (rec == nullptr || rec->state != JobState::Running) co_return;
   if (rec->canceled) {
     finalize(*rec, JobState::Canceled, Json::object(), 0, "canceled");
     co_return;
   }
 
-  // 1. Authoritative allocation from resvc.
-  const Json alloc_req =
-      Json::object({{"jobid", std::to_string(id)},
-                    {"nnodes", rec->spec.request.nnodes}});
-  Message alloc_resp;
-  bool alloc_threw = false;  // timeout / host_down arrive as exceptions
-  try {
-    alloc_resp = co_await broker().module_rpc(
-        *this, Message::request("resvc.alloc", alloc_req),
-        std::chrono::seconds(5));
-  } catch (const FluxException& e) {
-    if (e.error().code == errc::canceled) co_return;  // session shutdown
-    alloc_threw = true;
-  }
-  rec = find(id);
-  if (rec == nullptr || rec->phase != Phase::Allocating) {
-    // Finalized meanwhile (live.down): return the allocation if we got one.
-    if (!alloc_threw && alloc_resp.errnum == 0)
-      co_spawn(broker().executor(), release_allocation(id),
-               "job-manager.release");
-    co_return;
-  }
-  if (alloc_threw || alloc_resp.errnum != 0) {
-    // Mirror raced the authoritative pool (direct resvc users, node death).
-    // Re-queue a bounded number of times, then fail.
-    sched_->finish(rec->sched_id);
-    sched_to_job_.erase(rec->sched_id);
-    if (rec->alloc_retries++ < kMaxAllocRetries && !rec->canceled) {
-      Expected<std::uint64_t> sid =
-          sched_->submit(rec->spec.request, rec->spec.walltime,
-                         rec->spec.priority, /*manual_completion=*/true);
-      if (sid) {
-        rec->sched_id = *sid;
-        rec->phase = Phase::Queued;
-        sched_to_job_[*sid] = id;
-        c_requeued_->inc();
-        event(*rec, "requeue", Json::object({{"try", rec->alloc_retries}}));
-        co_return;
-      }
-    }
-    rec->phase = Phase::Done;  // scheduler already released above
-    rec->state = JobState::Failed;
-    rec->freed = true;
-    event(*rec, "alloc_failed", Json::object());
-    finish_terminal(*rec, Json::object(), 0, "alloc_failed");
-    co_return;
-  }
-
-  std::vector<NodeId> ranks;
-  Json ranks_json = alloc_resp.payload().at("ranks");
-  for (const Json& r : ranks_json.as_array())
-    ranks.push_back(static_cast<NodeId>(r.as_int()));
-  rec->ranks = std::move(ranks);
-
-  if (rec->canceled || rec->node_died) {
-    const JobState terminal =
-        rec->canceled ? JobState::Canceled : JobState::Failed;
-    finalize(*rec, terminal, Json::object(), 0,
-             rec->canceled ? "canceled" : "node_down");
-    co_return;
-  }
-
-  // 2. Transition to Running; fold allocation into the KVS.
-  rec->state = JobState::Running;
-  rec->phase = Phase::Dispatched;
-  h_alloc_ns_->record(broker().executor().now() - rec->submit_t);
-  kvs_->txn().put(job_key(id, "ranks"), ranks_json);
-  event(*rec, "alloc", Json::object({{"ranks", ranks_json}}));
-  event(*rec, "start", Json::object());
-  stage_state(*rec);
-
-  // 3. Execute through wexec. Empty command means the synthetic workload:
-  // the built-in "sleep" for the job's walltime.
+  // Execute through wexec. Empty command means the synthetic workload: the
+  // built-in "sleep" for the job's walltime.
   const bool synthetic = rec->spec.command.empty();
   const std::string cmd = synthetic ? "sleep" : rec->spec.command;
   Json args = synthetic
@@ -257,11 +201,10 @@ Task<void> JobManager::dispatch(std::uint64_t id) {
   const Json run_req = Json::object({{"jobid", std::to_string(id)},
                                      {"cmd", cmd},
                                      {"args", std::move(args)},
-                                     {"ranks", ranks_json}});
+                                     {"ranks", std::move(ranks)}});
   const TimePoint started = broker().executor().now();
-  // Backstop deadline: wexec's collective stdio fence can hang forever if a
-  // participant broker dies; live.down normally fails the job first, but the
-  // timeout guarantees this coroutine always settles.
+  // Backstop deadline: wexec fails a run that loses a rank, but the timeout
+  // guarantees this coroutine always settles.
   const Duration deadline =
       rec->spec.walltime * 2 + std::chrono::seconds(30);
   Message run_resp;
@@ -269,17 +212,15 @@ Task<void> JobManager::dispatch(std::uint64_t id) {
     run_resp = co_await broker().module_rpc(
         *this, Message::request("wexec.run", run_req), deadline);
   } catch (const FluxException&) {
-    // Deadline or transport loss; if live.down already finalized the job
-    // this is just the abandoned fence timing out.
     rec = find(id);
-    if (rec != nullptr && rec->phase != Phase::Done)
+    if (rec != nullptr && !ended(rec->state))
       finalize(*rec, rec->canceled ? JobState::Canceled : JobState::Failed,
                Json::object(), 0, "exec_timeout");
     co_return;
   }
 
   rec = find(id);
-  if (rec == nullptr || rec->phase == Phase::Done) co_return;  // live.down won
+  if (rec == nullptr || ended(rec->state)) co_return;  // live.down won
   h_run_ns_->record(broker().executor().now() - started);
   if (run_resp.errnum != 0) {
     const JobState terminal =
@@ -300,35 +241,24 @@ Task<void> JobManager::dispatch(std::uint64_t id) {
 
 void JobManager::finalize(JobRecord& rec, JobState terminal, Json exits,
                           std::int64_t ntasks, std::string_view why) {
-  if (rec.phase == Phase::Done) return;
-  // Scheduler bookkeeping: a Queued job is still in the scheduler's pending
-  // queue; anything later holds a mirror-pool allocation.
-  if (rec.phase == Phase::Queued)
+  if (ended(rec.state)) return;
+  // A pending job is still in the scheduler's queue; a running one holds
+  // nodes, which finish() returns to the pool (a down node stays out).
+  if (rec.state == JobState::Pending)
     (void)sched_->cancel(rec.sched_id);
   else
     sched_->finish(rec.sched_id);
   sched_to_job_.erase(rec.sched_id);
-  rec.phase = Phase::Done;
-  if (!rec.ranks.empty() && !rec.freed) {
-    rec.freed = true;
-    co_spawn(broker().executor(), release_allocation(rec.id),
-             "job-manager.release");
-  }
   rec.state = terminal;
-  finish_terminal(rec, std::move(exits), ntasks, why);
-}
-
-void JobManager::finish_terminal(JobRecord& rec, Json exits,
-                                 std::int64_t ntasks, std::string_view why) {
-  const bool success = rec.state == JobState::Complete;
+  const bool success = terminal == JobState::Complete;
   rec.result =
       Json::object({{"id", static_cast<std::int64_t>(rec.id)},
-                    {"state", std::string(job_state_name(rec.state))},
+                    {"state", std::string(job_state_name(terminal))},
                     {"success", success},
                     {"exits", std::move(exits)},
                     {"ntasks", ntasks}});
   event(rec, "finish",
-        Json::object({{"state", std::string(job_state_name(rec.state))},
+        Json::object({{"state", std::string(job_state_name(terminal))},
                       {"why", std::string(why)}}));
   stage_state(rec);
   kvs_->txn().put(job_key(rec.id, "result"), rec.result);
@@ -337,7 +267,7 @@ void JobManager::finish_terminal(JobRecord& rec, Json exits,
                     "lwj." + std::to_string(rec.id));
   schedule_flush();
 
-  switch (rec.state) {
+  switch (terminal) {
     case JobState::Complete: c_completed_->inc(); break;
     case JobState::Canceled: c_canceled_->inc(); break;
     default: c_failed_->inc(); break;
@@ -350,19 +280,6 @@ void JobManager::finish_terminal(JobRecord& rec, Json exits,
     jobs_.erase(terminal_fifo_.front());
     terminal_fifo_.pop_front();
   }
-  try_tombstone();
-}
-
-Task<void> JobManager::release_allocation(std::uint64_t id) {
-  const Json req = Json::object({{"jobid", std::to_string(id)}});
-  try {
-    Message resp = co_await broker().module_rpc(
-        *this, Message::request("resvc.free", req), std::chrono::seconds(5));
-    if (resp.errnum != 0)
-      log::warn("job-manager", "resvc.free failed for job ", id);
-  } catch (const FluxException&) {
-    // Timeout or shutdown; live.down tombstoning reconciles the pool.
-  }
 }
 
 Task<void> JobManager::kill_tasks(std::uint64_t id) {
@@ -374,7 +291,7 @@ Task<void> JobManager::kill_tasks(std::uint64_t id) {
     if (resp.errnum != 0)
       log::debug("job-manager", "wexec.kill miss for job ", id);
   } catch (const FluxException&) {
-    // Timeout or shutdown; the dispatch backstop deadline reaps the job.
+    // Timeout or shutdown; the run backstop deadline reaps the job.
   }
 }
 
@@ -386,30 +303,17 @@ void JobManager::op_cancel(Message& msg) {
     respond_error(msg, errc::job_unknown, "job-manager.cancel: no such job");
     return;
   }
-  Json state_resp = Json::object(
-      {{"id", static_cast<std::int64_t>(id)},
-       {"state", std::string(job_state_name(rec->state))}});
-  switch (rec->phase) {
-    case Phase::Queued:
-      rec->canceled = true;
-      event(*rec, "cancel", Json::object());
+  if (!ended(rec->state)) {
+    rec->canceled = true;
+    event(*rec, "cancel", Json::object());
+    if (rec->state == JobState::Pending)
       finalize(*rec, JobState::Canceled, Json::object(), 0, "canceled");
-      break;
-    case Phase::Allocating:
-      // The dispatch coroutine observes the flag after resvc.alloc returns.
-      rec->canceled = true;
-      event(*rec, "cancel", Json::object());
-      break;
-    case Phase::Dispatched:
-      rec->canceled = true;
-      event(*rec, "cancel", Json::object());
+    else
       co_spawn(broker().executor(), kill_tasks(id), "job-manager.kill");
-      break;
-    case Phase::Done:
-      break;  // idempotent: respond with the terminal state
   }
-  state_resp["state"] = std::string(job_state_name(rec->state));
-  respond_ok(msg, std::move(state_resp));
+  respond_ok(msg, Json::object(
+                      {{"id", static_cast<std::int64_t>(id)},
+                       {"state", std::string(job_state_name(rec->state))}}));
 }
 
 void JobManager::op_state(Message& msg) {
@@ -431,7 +335,7 @@ void JobManager::op_wait(Message& msg) {
   if (forward_if_not_root(msg)) return;
   const auto id = static_cast<std::uint64_t>(msg.payload().get_int("id", 0));
   if (JobRecord* rec = find(id)) {
-    if (rec->phase == Phase::Done)
+    if (ended(rec->state))
       respond_ok(msg, rec->result);
     else
       rec->waiters.push_back(std::move(msg));
@@ -473,39 +377,20 @@ void JobManager::op_list(Message& msg) {
 void JobManager::handle_event(const Message& msg) {
   if (msg.topic != "live.down" || !broker().is_root() || !sched_) return;
   const auto rank = static_cast<NodeId>(msg.payload().get_int("rank", -1));
-  if (rank >= broker().size()) return;
-  // Shrink the mirror pool by one node (resvc already dropped the real one).
-  ++pending_tombstones_;
-  try_tombstone();
-  // Fail every non-terminal job whose allocation includes the dead rank —
-  // promptly, so nothing waits out the wexec fence that can no longer
-  // complete, and the allocation is returned (resvc skips down ranks).
+  // Fail every running job whose allocation includes the dead rank —
+  // promptly, so its nodes return to the pool (resvc keeps the dead one
+  // out) and nothing waits on tasks that can no longer finish.
   std::vector<std::uint64_t> hit;
-  for (const auto& [id, rec] : jobs_) {
-    if (rec->phase == Phase::Done) continue;
-    if (std::find(rec->ranks.begin(), rec->ranks.end(), rank) !=
-        rec->ranks.end())
+  for (const auto& [id, rec] : jobs_)
+    if (rec->state == JobState::Running &&
+        std::find(rec->ranks.begin(), rec->ranks.end(), rank) !=
+            rec->ranks.end())
       hit.push_back(id);
-  }
   for (std::uint64_t id : hit) {
     JobRecord* rec = find(id);
-    rec->node_died = true;
     event(*rec, "node_down",
           Json::object({{"rank", static_cast<std::int64_t>(rank)}}));
     finalize(*rec, JobState::Failed, Json::object(), 0, "node_down");
-  }
-}
-
-void JobManager::try_tombstone() {
-  // A tombstone is a 1-node mirror allocation that is never released; it
-  // keeps the scheduler's pool in count-agreement with resvc after a node
-  // death. If every node is busy the tombstone waits for the next release.
-  while (pending_tombstones_ > 0) {
-    ResourceRequest one;
-    one.nnodes = 1;
-    Expected<Allocation> a = pool_->allocate(one);
-    if (!a) return;
-    --pending_tombstones_;
   }
 }
 

@@ -4,10 +4,11 @@
 // Runs its real logic on the session root only (non-root brokers forward
 // upstream, the resvc/wexec idiom). The root instance owns:
 //   - admission control (bounded pending queue -> errc::job_rejected),
-//   - a Scheduler over a mirror ResourcePool of the session's nodes,
-//     reusing src/sched/policy (fcfs / firstfit / easy policies, priority
-//     ordering inside the queue),
-//   - the dispatch path: resvc.alloc -> wexec.run -> resvc.free,
+//   - a Scheduler directly over resvc's ResourcePool, the session's only
+//     allocator, reusing src/sched/policy (fcfs / firstfit / easy policies,
+//     priority ordering inside the queue): the scheduler's allocation is
+//     the job's allocation, and Scheduler::finish returns the nodes,
+//   - the dispatch path: schedule -> wexec.run -> finish,
 //   - the JobState machine Pending -> Running -> Complete/Failed/Canceled,
 //     with every transition appended to a KVS event log,
 //   - the job.<id>.* KVS namespace (single writer):
@@ -28,10 +29,9 @@
 //   job-manager.list   {}              -> {jobs: [{id, state}...]}
 //
 // Failure handling: on "live.down" the manager fails (never orphans) every
-// non-terminal job whose allocation includes the dead rank — the allocation
-// is returned to resvc (which skips down ranks) and a tombstone allocation
-// removes one node from the scheduler's mirror pool. A job that loses the
-// resvc.alloc race is re-queued a bounded number of times, then Failed.
+// running job whose allocation includes the dead rank and releases the
+// allocation; resvc has marked the dead node down in the pool, so it never
+// comes back, and wexec fails the job's run with host_down.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +43,6 @@
 #include "broker/module.hpp"
 #include "core/jobspec.hpp"
 #include "exec/task.hpp"
-#include "resource/resource.hpp"
 #include "sched/scheduler.hpp"
 
 namespace flux {
@@ -52,6 +51,8 @@ class KvsClient;
 }  // namespace flux
 
 namespace flux::modules {
+
+class Resvc;
 
 class JobManager final : public ModuleBase {
  public:
@@ -64,21 +65,13 @@ class JobManager final : public ModuleBase {
   [[nodiscard]] Json stats_json() const override;
 
  private:
-  /// Where a job is in the dispatch pipeline (orthogonal to JobState:
-  /// Allocating/Dispatched both present as Pending/Running to clients).
-  enum class Phase { Queued, Allocating, Dispatched, Done };
-
   struct JobRecord {
     std::uint64_t id = 0;
     JobSpec spec;
     JobState state = JobState::Pending;
-    Phase phase = Phase::Queued;
     std::uint64_t sched_id = 0;  ///< Scheduler's internal job id
-    std::vector<NodeId> ranks;   ///< resvc allocation (empty until Running)
+    std::vector<NodeId> ranks;   ///< allocated ranks (empty until Running)
     bool canceled = false;       ///< cancel requested
-    bool node_died = false;      ///< a rank in `ranks` was declared dead
-    bool freed = false;          ///< resvc.free issued (or never allocated)
-    int alloc_retries = 0;
     Json eventlog = Json::array();
     std::vector<Message> waiters;  ///< parked job-manager.wait requests
     Json result;                   ///< terminal result payload
@@ -101,30 +94,25 @@ class JobManager final : public ModuleBase {
   void schedule_flush();
   Task<void> flush_task();
 
-  Task<void> dispatch(std::uint64_t id);
+  /// Scheduler start callback: the allocation is made; go Running.
+  void start_job(JobRecord& rec, const Allocation& alloc);
+  Task<void> run(std::uint64_t id, Json ranks);
+  /// Settle the scheduler (dequeue or release the nodes) and record the
+  /// terminal state: result/eventlog/KVS, waiters, counters, eviction.
   void finalize(JobRecord& rec, JobState terminal, Json exits,
                 std::int64_t ntasks, std::string_view why);
-  /// Terminal bookkeeping shared by finalize() and the alloc-failure path
-  /// (which has already settled its scheduler state): result/eventlog/KVS,
-  /// waiters, counters, eviction.
-  void finish_terminal(JobRecord& rec, Json exits, std::int64_t ntasks,
-                       std::string_view why);
-  Task<void> release_allocation(std::uint64_t id);
   Task<void> kill_tasks(std::uint64_t id);
   Task<void> answer_from_kvs(Message req, std::uint64_t id, bool want_result);
-  void try_tombstone();
 
   // Root-only state (built in start()).
   std::int64_t max_queue_ = 4096;
-  ResourceGraph graph_;
-  std::unique_ptr<ResourcePool> pool_;      ///< scheduler's mirror pool
+  Resvc* resvc_ = nullptr;                  ///< owns the pool sched_ uses
   std::unique_ptr<Scheduler> sched_;
   std::unique_ptr<Handle> handle_;          ///< for the KVS client
   std::unique_ptr<KvsClient> kvs_;
   std::map<std::uint64_t, std::unique_ptr<JobRecord>> jobs_;
   std::map<std::uint64_t, std::uint64_t> sched_to_job_;
-  std::deque<std::uint64_t> terminal_fifo_;  ///< bounded eviction of Done jobs
-  int pending_tombstones_ = 0;
+  std::deque<std::uint64_t> terminal_fifo_;  ///< bounded eviction of ended jobs
   bool flush_scheduled_ = false;
   bool flush_rerun_ = false;
 
@@ -134,7 +122,6 @@ class JobManager final : public ModuleBase {
   obs::Counter* c_failed_ = nullptr;
   obs::Counter* c_canceled_ = nullptr;
   obs::Counter* c_rejected_ = nullptr;
-  obs::Counter* c_requeued_ = nullptr;
   obs::Histogram* h_alloc_ns_ = nullptr;  ///< submit -> allocation latency
   obs::Histogram* h_run_ns_ = nullptr;    ///< allocation -> terminal latency
   obs::Histogram* h_depth_ = nullptr;     ///< queue depth sampled per submit

@@ -1,5 +1,7 @@
 #include "modules/resvc.hpp"
 
+#include <algorithm>
+
 #include "base/log.hpp"
 #include "broker/broker.hpp"
 #include "kvs/treeobj.hpp"
@@ -11,16 +13,31 @@ Resvc::Resvc(Broker& b) : ModuleBase(b) {
   on("free", [this](Message& m) { op_free(m); });
   on("status", [this](Message& m) { op_status(m); });
   broker().module_subscribe(*this, "live.down");
-}
-
-void Resvc::start() {
   if (!broker().is_root()) return;
   const Json cfg = broker().module_config("resvc");
   cores_per_node_ = cfg.get_int("cores_per_node", 16);
   mem_per_node_gb_ = cfg.get_int("mem_per_node_gb", 32);
-  for (NodeId r = 0; r < broker().size(); ++r) free_.insert(r);
-  if (cfg.get_bool("enumerate", true))
+  graph_ = ResourceGraph::build_center(
+      "session", 1, 1, broker().size(), static_cast<unsigned>(cores_per_node_),
+      static_cast<double>(mem_per_node_gb_));
+  node_of_rank_ = graph_.find("node");  // creation order == rank order
+  pool_ = std::make_unique<ResourcePool>(graph_);
+}
+
+void Resvc::start() {
+  if (broker().is_root() &&
+      broker().module_config("resvc").get_bool("enumerate", true))
     co_spawn(broker().executor(), enumerate(), "resvc.enumerate");
+}
+
+std::vector<NodeId> Resvc::ranks_of(const Allocation& alloc) const {
+  std::vector<NodeId> ranks;
+  ranks.reserve(alloc.nodes.size());
+  for (ResourceId n : alloc.nodes)
+    ranks.push_back(static_cast<NodeId>(
+        std::lower_bound(node_of_rank_.begin(), node_of_rank_.end(), n) -
+        node_of_rank_.begin()));
+  return ranks;
 }
 
 Task<void> Resvc::enumerate() {
@@ -49,33 +66,31 @@ void Resvc::op_alloc(Message& msg) {
     return;
   }
   const std::string jobid = msg.payload().get_string("jobid");
-  const std::int64_t nnodes = msg.payload().get_int("nnodes", 1);
-  if (jobid.empty() || nnodes <= 0) {
+  ResourceRequest req;
+  req.nnodes = msg.payload().get_int("nnodes", 1);
+  if (jobid.empty() || req.nnodes <= 0) {
     respond_error(msg, errc::inval, "resvc.alloc: need jobid and nnodes > 0");
     return;
   }
-  if (allocations_.contains(jobid)) {
+  if (direct_.contains(jobid)) {
     respond_error(msg, errc::exist, "resvc.alloc: jobid already allocated");
     return;
   }
-  if (std::cmp_less(free_.size(), nnodes)) {
+  Expected<Allocation> alloc = pool_->allocate(req);
+  if (!alloc) {
     respond_error(msg, errc::no_spc, "resvc.alloc: insufficient free nodes");
     return;
   }
-  std::vector<NodeId> ranks;
-  ranks.reserve(static_cast<std::size_t>(nnodes));
-  for (auto it = free_.begin(); std::cmp_less(ranks.size(), nnodes);)
-    ranks.push_back(*it), it = free_.erase(it);
-  allocations_.emplace(jobid, ranks);
-  co_spawn(broker().executor(), record_alloc(std::move(msg), jobid, ranks),
+  direct_.emplace(jobid, alloc->id);
+  Json ranks = Json::array();
+  for (NodeId r : ranks_of(*alloc)) ranks.push_back(r);
+  co_spawn(broker().executor(),
+           record_alloc(std::move(msg), jobid, std::move(ranks)),
            "resvc.record");
 }
 
-Task<void> Resvc::record_alloc(Message req, std::string jobid,
-                               std::vector<NodeId> ranks) {
-  Json list = Json::array();
-  for (NodeId r : ranks) list.push_back(r);
-  ObjPtr obj = make_val_object(list);
+Task<void> Resvc::record_alloc(Message req, std::string jobid, Json ranks) {
+  ObjPtr obj = make_val_object(ranks);
   Message put = Message::request(
       "kvs.put", Json::object({{"key", "lwj." + jobid + ".resources"}}));
   put.set_data(std::shared_ptr<const std::string>(obj, &obj->bytes));
@@ -85,7 +100,7 @@ Task<void> Resvc::record_alloc(Message req, std::string jobid,
   if (put_resp.errnum != 0 || commit_resp.errnum != 0)
     log::warn("resvc", "failed to record allocation for ", jobid);
   respond_ok(req, Json::object({{"jobid", std::move(jobid)},
-                                {"ranks", std::move(list)},
+                                {"ranks", std::move(ranks)},
                                 {"cores_per_node", cores_per_node_}}));
 }
 
@@ -95,14 +110,14 @@ void Resvc::op_free(Message& msg) {
     return;
   }
   const std::string jobid = msg.payload().get_string("jobid");
-  auto it = allocations_.find(jobid);
-  if (it == allocations_.end()) {
+  auto it = direct_.find(jobid);
+  if (it == direct_.end()) {
     respond_error(msg, errc::noent, "resvc.free: no such allocation");
     return;
   }
-  for (NodeId r : it->second)
-    if (!down_.contains(r)) free_.insert(r);
-  allocations_.erase(it);
+  (void)pool_->release(it->second);
+  direct_.erase(it);
+  if (on_free_) on_free_();
   respond_ok(msg, Json::object({{"jobid", jobid}}));
 }
 
@@ -111,11 +126,19 @@ void Resvc::op_status(Message& msg) {
     broker().forward_upstream(std::move(msg));
     return;
   }
+  // Every live allocation: direct ones by jobid, scheduler-made ones by
+  // their pool allocation id.
+  std::map<std::uint64_t, std::string> label;
+  for (const auto& [jobid, id] : direct_) label.emplace(id, jobid);
   Json jobs = Json::array();
-  for (const auto& [jobid, ranks] : allocations_) jobs.push_back(jobid);
+  for (const auto& [id, alloc] : pool_->allocations()) {
+    auto it = label.find(id);
+    jobs.push_back(it != label.end() ? it->second
+                                     : "alloc." + std::to_string(id));
+  }
   respond_ok(msg, Json::object({{"total", broker().size()},
-                                {"free", free_.size()},
-                                {"down", down_.size()},
+                                {"free", pool_->free_nodes()},
+                                {"down", pool_->down_nodes()},
                                 {"jobs", std::move(jobs)}}));
 }
 
@@ -123,8 +146,7 @@ void Resvc::handle_event(const Message& msg) {
   if (msg.topic != "live.down" || !broker().is_root()) return;
   const auto rank = static_cast<NodeId>(msg.payload().get_int("rank", -1));
   if (rank >= broker().size()) return;
-  down_.insert(rank);
-  free_.erase(rank);
+  pool_->mark_down(node_of_rank_[rank]);
   co_spawn(broker().executor(), mark_node_state(rank, "down"), "resvc.down");
 }
 

@@ -1,23 +1,32 @@
 // resvc: "Resources are enumerated in the KVS and allocated when the
 // scheduler runs an application." (Table I)
 //
-// The root instance owns the session's node inventory: at startup it
-// enumerates every broker rank into the KVS (resource.nodes.<rank> =
-// {cores, mem_gb, state}) and then serves first-fit node allocations.
-// Allocations are recorded under lwj.<jobid>.resources. live.down events
-// take nodes out of the pool (and update the KVS enumeration).
+// The root instance owns the session's node inventory and is its only
+// allocator: one ResourcePool over a flat rack with one node per broker
+// rank (cores_per_node / mem_per_node_gb from the resvc config), built in
+// the constructor so it exists before any module's start() reads it. The
+// root job-manager schedules directly on this pool (it finds the module
+// through Broker::find_module); resvc.alloc/free serve direct callers from
+// the same pool, and resvc.status reports every live allocation, whoever
+// made it. At startup every rank is enumerated into the KVS
+// (resource.nodes.n<rank> = {cores, mem_gb, state}); a direct allocation is
+// recorded under lwj.<jobid>.resources. live.down marks the node down in
+// the pool (it never returns to the free set) and in the KVS enumeration.
 //
 // This is the *flat* per-session allocator the paper's prototype had; the
 // hierarchical, multi-level scheduling of §III lives above it in src/sched
 // and src/core.
 #pragma once
 
+#include <functional>
 #include <map>
-#include <set>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "broker/module.hpp"
 #include "exec/task.hpp"
+#include "resource/pool.hpp"
 
 namespace flux::modules {
 
@@ -29,22 +38,30 @@ class Resvc final : public ModuleBase {
   void start() override;
   void handle_event(const Message& msg) override;
 
+  /// The session's node pool (root only).
+  [[nodiscard]] ResourcePool& pool() { return *pool_; }
+  /// Broker ranks of an allocation made on pool().
+  [[nodiscard]] std::vector<NodeId> ranks_of(const Allocation& alloc) const;
+  /// Called after resvc.free returns nodes to the pool.
+  void on_free(std::function<void()> fn) { on_free_ = std::move(fn); }
+
  private:
   void op_alloc(Message& msg);
   void op_free(Message& msg);
   void op_status(Message& msg);
 
   Task<void> enumerate();
-  Task<void> record_alloc(Message req, std::string jobid,
-                          std::vector<NodeId> ranks);
+  Task<void> record_alloc(Message req, std::string jobid, Json ranks);
   Task<void> mark_node_state(NodeId rank, std::string state);
 
   // Root-only state.
   std::int64_t cores_per_node_ = 16;
   std::int64_t mem_per_node_gb_ = 32;
-  std::set<NodeId> free_;
-  std::set<NodeId> down_;
-  std::map<std::string, std::vector<NodeId>> allocations_;
+  ResourceGraph graph_;
+  std::unique_ptr<ResourcePool> pool_;
+  std::vector<ResourceId> node_of_rank_;
+  std::map<std::string, std::uint64_t> direct_;  ///< resvc.alloc jobid -> id
+  std::function<void()> on_free_;
 };
 
 }  // namespace flux::modules

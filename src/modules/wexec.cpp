@@ -106,6 +106,7 @@ Wexec::Wexec(Broker& b) : ModuleBase(b) {
   });
   broker().module_subscribe(*this, "wexec.exec");
   broker().module_subscribe(*this, "wexec.signal");
+  broker().module_subscribe(*this, "live.down");
 }
 
 void Wexec::op_run(Message& msg) {
@@ -134,6 +135,9 @@ void Wexec::op_run(Message& msg) {
   }
   Job& job = jobs_[jobid];
   job.ntasks = ntasks;
+  if (ranks.is_array())
+    for (const Json& r : ranks.as_array())
+      if (r.is_int()) job.ranks.push_back(static_cast<NodeId>(r.as_int()));
   job.waiters.push_back(msg);
   broker().publish("wexec.exec",
                    Json::object({{"jobid", jobid},
@@ -178,11 +182,36 @@ void Wexec::handle_event(const Message& msg) {
              "wexec.task");
     return;
   }
+  if (msg.topic == "live.down") {
+    fail_runs_on(static_cast<NodeId>(msg.payload().get_int("rank", -1)));
+    return;
+  }
   if (msg.topic == "wexec.signal") {
     const std::string jobid = msg.payload().get_string("jobid");
     const int signum = static_cast<int>(msg.payload().get_int("signum", 15));
     auto [lo, hi] = procs_.equal_range(jobid);
     for (auto it = lo; it != hi; ++it) it->second.ctx->deliver_signal(signum);
+  }
+}
+
+void Wexec::on_fail() {
+  for (auto& [jobid, proc] : procs_) proc.ctx->deliver_signal(9);
+}
+
+void Wexec::fail_runs_on(NodeId rank) {
+  for (auto it = jobs_.begin(); it != jobs_.end();) {
+    const std::vector<NodeId>& ranks = it->second.ranks;
+    if (!ranks.empty() &&
+        std::find(ranks.begin(), ranks.end(), rank) == ranks.end()) {
+      ++it;
+      continue;
+    }
+    for (const Message& waiter : it->second.waiters)
+      respond_error(waiter, errc::host_down,
+                    "wexec.run: rank " + std::to_string(rank) + " died");
+    broker().publish("wexec.signal",
+                     Json::object({{"jobid", it->first}, {"signum", 9}}));
+    it = jobs_.erase(it);
   }
 }
 
@@ -202,6 +231,11 @@ Task<void> Wexec::run_task(std::string jobid, std::string cmd, Json args,
       ctx->err(std::string("wexec: command crashed: ") + e.what());
       exit_code = 139;  // as if SIGSEGV
     }
+  }
+
+  if (broker().failed()) {  // a dead node captures and reports nothing
+    procs_.erase(proc_it);
+    co_return;
   }
 
   // Standard I/O and exit status are "captured in the KVS" under the
@@ -266,7 +300,8 @@ void Wexec::flush_complete(const std::string& jobid) {
 
   auto job_it = jobs_.find(jobid);
   if (job_it == jobs_.end()) {
-    log::warn("wexec", "completion for unknown job ", jobid);
+    // Expected for a run failed by live.down; its survivors report late.
+    log::debug("wexec", "completion for unknown job ", jobid);
     pending_complete_.erase(it);
     return;
   }

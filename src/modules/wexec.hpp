@@ -15,6 +15,10 @@
 //   wexec.exec  (event, root -> all)       per-rank spawn trigger
 //   wexec.complete {jobid, count, exits}   reduction back to the root
 //   wexec.kill {jobid, signum}             client -> root -> signal event
+//
+// A run that loses a rank ("live.down") fails with errc::host_down, and its
+// surviving tasks are sent SIGKILL: its collective stdio fence can never
+// complete, so nothing would otherwise answer the caller.
 #pragma once
 
 #include <functional>
@@ -97,11 +101,14 @@ class Wexec final : public ModuleBase {
 
   [[nodiscard]] std::string_view name() const override { return "wexec"; }
   void handle_event(const Message& msg) override;
+  /// A crashed node's processes die with it.
+  void on_fail() override;
 
   [[nodiscard]] std::size_t running() const noexcept { return procs_.size(); }
 
  private:
   struct Job {  // root-side coordination state
+    std::vector<NodeId> ranks;  // empty = every rank
     std::int64_t ntasks = 0;
     std::int64_t completed = 0;
     std::map<std::string, std::int64_t> exits;  // exit code -> count
@@ -114,6 +121,7 @@ class Wexec final : public ModuleBase {
   void op_run(Message& msg);
   void op_kill(Message& msg);
   void op_complete(Message& msg);
+  void fail_runs_on(NodeId rank);
   void spawn_task(const std::string& jobid, const std::string& cmd, Json args);
   Task<void> run_task(std::string jobid, std::string cmd, Json args,
                       std::int64_t ntasks);

@@ -43,6 +43,15 @@ std::int64_t ResourcePool::cores_of(ResourceId node) const {
   return static_cast<std::int64_t>(graph_.find("core", node).size());
 }
 
+void ResourcePool::give_back(ResourceId node) {
+  if (!down_.contains(node)) free_.insert(node);
+}
+
+void ResourcePool::mark_down(ResourceId node) {
+  down_.insert(node);
+  free_.erase(node);
+}
+
 bool ResourcePool::feasible(const ResourceRequest& req) const {
   if (req.nnodes <= 0 || std::cmp_greater(req.nnodes, nodes_.size()))
     return false;
@@ -93,7 +102,7 @@ Status ResourcePool::release(std::uint64_t allocation_id) {
   auto it = allocations_.find(allocation_id);
   if (it == allocations_.end())
     return Error(errc::noent, "release: unknown allocation");
-  for (ResourceId n : it->second.nodes) free_.insert(n);
+  for (ResourceId n : it->second.nodes) give_back(n);
   power_used_ -= it->second.power_w;
   io_used_ -= it->second.io_bw_gbs;
   allocations_.erase(it);
@@ -162,7 +171,7 @@ Status ResourcePool::shrink_nodes(std::uint64_t allocation_id,
   }
   for (ResourceId n : nodes) {
     alloc.nodes.erase(std::find(alloc.nodes.begin(), alloc.nodes.end(), n));
-    free_.insert(n);
+    give_back(n);
   }
   alloc.power_w -= power_w;
   alloc.io_bw_gbs -= io_bw_gbs;
@@ -215,7 +224,7 @@ Expected<std::vector<ResourceId>> ResourcePool::shrink(
   for (std::int64_t i = 0; i < delta.nnodes; ++i) {
     freed.push_back(alloc.nodes.back());
     alloc.nodes.pop_back();
-    free_.insert(freed.back());
+    give_back(freed.back());
   }
   alloc.power_w -= delta.power_w;
   alloc.io_bw_gbs -= delta.io_bw_gbs;

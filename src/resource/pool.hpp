@@ -47,6 +47,7 @@ class ResourcePool {
   [[nodiscard]] const ResourceGraph& graph() const noexcept { return graph_; }
   [[nodiscard]] std::size_t total_nodes() const noexcept { return nodes_.size(); }
   [[nodiscard]] std::size_t free_nodes() const noexcept { return free_.size(); }
+  [[nodiscard]] std::size_t down_nodes() const noexcept { return down_.size(); }
   [[nodiscard]] double power_budget() const noexcept { return power_budget_; }
   [[nodiscard]] double power_in_use() const noexcept { return power_used_; }
   [[nodiscard]] double io_bw_budget() const noexcept { return io_budget_; }
@@ -60,6 +61,16 @@ class ResourcePool {
   Expected<Allocation> allocate(const ResourceRequest& req);
   Status release(std::uint64_t allocation_id);
   [[nodiscard]] const Allocation* lookup(std::uint64_t allocation_id) const;
+  [[nodiscard]] const std::map<std::uint64_t, Allocation>& allocations()
+      const noexcept {
+    return allocations_;
+  }
+
+  /// Take a node out of service for good (its host died). A free node
+  /// leaves the free set now; an allocated one stays in its allocation and
+  /// is never handed back to the free set by release() or a shrink.
+  /// feasible() still counts it, so admission does not change.
+  void mark_down(ResourceId node);
 
   /// Grow an existing allocation in place; returns the node ids added.
   Expected<std::vector<ResourceId>> grow(std::uint64_t allocation_id,
@@ -100,10 +111,12 @@ class ResourcePool {
 
  private:
   [[nodiscard]] std::int64_t cores_of(ResourceId node) const;
+  void give_back(ResourceId node);
 
   const ResourceGraph& graph_;
   std::vector<ResourceId> nodes_;
   std::set<ResourceId> free_;
+  std::set<ResourceId> down_;
   double power_budget_ = 0;
   double power_used_ = 0;
   double io_budget_ = 0;

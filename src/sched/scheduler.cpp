@@ -116,7 +116,7 @@ void Scheduler::pass() {
   for (PendingJob& job : to_start) {
     auto alloc = pool_.allocate(job.request);
     if (!alloc) {
-      // Policy raced pool state; requeue at the front to preserve order.
+      // Policy raced pool state; put it back at the front to keep order.
       log::debug("sched", "allocation failed after select for job ", job.jobid);
       queue_.insert(queue_.begin(), std::move(job));
       continue;

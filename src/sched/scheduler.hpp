@@ -82,7 +82,7 @@ class Scheduler {
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
-  /// Mirror the counters above into a StatsRegistry (so module stats RPCs
+  /// Count the stats above in a StatsRegistry too (so module stats RPCs
   /// expose them): creates `<prefix>.{submitted,started,completed,canceled,
   /// passes}` counters and a `<prefix>.wait_ns` queue-wait histogram, all
   /// incremented alongside stats_.
@@ -123,7 +123,7 @@ class Scheduler {
   IdleFn on_idle_;
   Stats stats_;
 
-  // Optional registry mirror (bind_stats); null when unbound.
+  // Optional registry instruments (bind_stats); null when unbound.
   struct BoundStats {
     obs::Counter* submitted = nullptr;
     obs::Counter* started = nullptr;

@@ -147,6 +147,90 @@ TEST(Jobs, PriorityOrdersPendingQueue) {
   ASSERT_EQ(finish_order.size(), 2u);
 }
 
+TEST(Jobs, FullWidthJobsAtEqualPriorityRunInSubmitOrder) {
+  SimSession s(SimSession::default_config(4));
+  auto h = s.attach(2);
+  s.run([](Handle* hd) -> Task<void> {
+    JobHandle first = co_await hd->job().command("hostname").nnodes(4).submit();
+    JobHandle second =
+        co_await hd->job().command("hostname").nnodes(4).submit();
+    JobResult r1 = co_await first.wait();
+    JobResult r2 = co_await second.wait();
+    if (r1.state != JobState::Complete || r2.state != JobState::Complete)
+      throw FluxException(Error(errc::proto, "full-width job did not complete"));
+    auto event_time = [](const Json& log, const std::string& name) {
+      for (const Json& e : log.as_array())
+        if (e.get_string("name") == name) return e.get_int("t");
+      return std::int64_t{-1};
+    };
+    Json log1 = co_await first.events();
+    Json log2 = co_await second.events();
+    // The second needs every node, so it starts only once the first is done.
+    if (event_time(log2, "start") < event_time(log1, "finish"))
+      throw FluxException(Error(errc::proto, "jobs overlapped or reordered"));
+  }(h.get()));
+}
+
+TEST(Jobs, NonzeroExitEndsFailed) {
+  SimSession s(SimSession::default_config(4));
+  auto h = s.attach(1);
+  JobResult r = s.run([](Handle* hd) -> Task<JobResult> {
+    Json args = Json::object({{"code", 9}});
+    JobHandle jh =
+        co_await hd->job().command("exit", std::move(args)).nnodes(2).submit();
+    co_return co_await jh.wait();
+  }(h.get()));
+  EXPECT_EQ(r.state, JobState::Failed);
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.exits.get_int("9"), 2);
+}
+
+TEST(Jobs, FirstFitRunsManyConcurrentSmallJobs) {
+  SessionConfig cfg = SimSession::default_config(8);
+  cfg.module_config = Json::object(
+      {{"job-manager", Json::object({{"policy", "firstfit"}})}});
+  SimSession s(cfg);
+  auto h = s.attach(0);
+  const int completed = s.run([](Handle* hd) -> Task<int> {
+    std::vector<JobHandle> jobs;
+    for (int i = 0; i < 12; ++i)
+      jobs.push_back(co_await hd->job()
+                         .command("hostname")
+                         .nnodes(2)
+                         .walltime(std::chrono::milliseconds(2))
+                         .submit());
+    int n = 0;
+    for (JobHandle& jh : jobs)
+      if ((co_await jh.wait()).state == JobState::Complete) ++n;
+    co_return n;
+  }(h.get()));
+  EXPECT_EQ(completed, 12);
+}
+
+TEST(Jobs, DirectAllocationDelaysJobUntilFreed) {
+  // resvc and the job-manager allocate from one pool: nodes held by a
+  // direct resvc.alloc keep a job pending, and resvc.free starts it.
+  SimSession s(SimSession::default_config(4));
+  auto h = s.attach(3);
+  JobResult r = s.run([](Handle* hd) -> Task<JobResult> {
+    Json take = Json::object({{"jobid", "direct"}, {"nnodes", 4}});
+    (void)co_await hd->request("resvc.alloc").payload(std::move(take)).call();
+    JobHandle jh = co_await hd->job().nnodes(4).submit();
+    co_await hd->sleep(std::chrono::milliseconds(5));
+    if (co_await jh.state() != JobState::Pending)
+      throw FluxException(Error(errc::proto, "job did not wait for nodes"));
+    Json give = Json::object({{"jobid", "direct"}});
+    (void)co_await hd->request("resvc.free").payload(std::move(give)).call();
+    for (int i = 0; i < 50 && co_await jh.state() == JobState::Pending; ++i)
+      co_await hd->sleep(std::chrono::microseconds(100));
+    if (co_await jh.state() == JobState::Pending)
+      throw FluxException(Error(errc::proto, "freed nodes did not start job"));
+    co_return co_await jh.wait();
+  }(h.get()));
+  EXPECT_EQ(r.state, JobState::Complete);
+  EXPECT_TRUE(r.success);
+}
+
 TEST(Jobs, AdmissionControlRejectsWhenQueueFull) {
   SessionConfig cfg = SimSession::default_config(2);
   cfg.module_config =
@@ -246,8 +330,9 @@ TEST(Jobs, StatsExposedThroughRegistry) {
 
 TEST(Jobs, BrokerCrashMidJobNeverOrphansAllocation) {
   // The chaos acceptance scenario: a broker dies while its rank runs job
-  // tasks. The job must end Failed (or re-queued then terminal), the
-  // allocation must return to resvc, and the event log must say why.
+  // tasks. The job must end Failed, its nodes must return to the pool
+  // except the dead one, the event log must say why, and the abandoned run
+  // must settle at once rather than at its backstop deadline.
   SessionConfig cfg = SimSession::default_config(8);
   cfg.module_config =
       Json::object({{"hb", Json::object({{"period_us", 100}})},
@@ -278,6 +363,7 @@ TEST(Jobs, BrokerCrashMidJobNeverOrphansAllocation) {
     co_return co_await j.wait();  // node_down detection must unpark this
   }(&s, h.get(), &jh));
   EXPECT_EQ(r.state, JobState::Failed);
+  EXPECT_LT(s.ex().now(), TimePoint{std::chrono::milliseconds(10)});
 
   // Allocation returned: everything except the dead node is free again.
   s.run([](Handle* hd, JobHandle j) -> Task<void> {
@@ -295,11 +381,13 @@ TEST(Jobs, BrokerCrashMidJobNeverOrphansAllocation) {
     if (!node_down)
       throw FluxException(
           Error(errc::proto, "no node_down event in " + log.dump()));
-    // And the session still runs new jobs on the surviving nodes.
-    JobHandle next = co_await hd->job().nnodes(2).submit();
+    // And the session still runs new jobs on exactly the surviving nodes.
+    JobHandle next = co_await hd->job().nnodes(7).submit();
     JobResult nr = co_await next.wait();
     if (nr.state != JobState::Complete)
       throw FluxException(Error(errc::proto, "session wedged after crash"));
+    if (nr.ntasks != 7)
+      throw FluxException(Error(errc::proto, "survivor job ran short"));
   }(h.get(), jh));
 }
 

@@ -1,6 +1,8 @@
 // Generalized resource model and pools (paper §III).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "resource/pool.hpp"
 #include "resource/resource.hpp"
 
@@ -196,6 +198,60 @@ TEST(Pool, CoreConstraintSelectsWideNodes) {
   ResourceRequest one_more = req;
   one_more.nnodes = 1;
   EXPECT_FALSE(pool.allocate(one_more).has_value());
+}
+
+TEST(Pool, FreeNodeMarkedDownIsNeverAllocated) {
+  ResourceGraph g = small_center();
+  ResourcePool pool(g);
+  const ResourceId dead = g.find("node").front();
+  pool.mark_down(dead);
+  EXPECT_EQ(pool.free_nodes(), 15u);
+  EXPECT_EQ(pool.down_nodes(), 1u);
+  ResourceRequest all_up;
+  all_up.nnodes = 15;
+  auto alloc = pool.allocate(all_up);
+  ASSERT_TRUE(alloc.has_value());
+  EXPECT_EQ(std::count(alloc->nodes.begin(), alloc->nodes.end(), dead), 0);
+  ResourceRequest one;
+  EXPECT_FALSE(pool.allocate(one).has_value());
+  // Admission still counts the down node.
+  ResourceRequest full;
+  full.nnodes = 16;
+  EXPECT_TRUE(pool.feasible(full));
+  EXPECT_FALSE(pool.fits_now(full));
+}
+
+TEST(Pool, AllocatedNodeMarkedDownStaysOutAfterRelease) {
+  ResourceGraph g = small_center();
+  ResourcePool pool(g);
+  ResourceRequest three;
+  three.nnodes = 3;
+  ResourceRequest two;
+  two.nnodes = 2;
+  auto victim = pool.allocate(three);
+  auto other = pool.allocate(two);
+  ASSERT_TRUE(victim.has_value() && other.has_value());
+  const std::vector<ResourceId> other_nodes = other->nodes;
+  const ResourceId dead = victim->nodes[1];
+
+  pool.mark_down(dead);
+  // Nothing else moves: the free count, and the other allocation's id and
+  // nodes.
+  EXPECT_EQ(pool.free_nodes(), 11u);
+  ASSERT_NE(pool.lookup(other->id), nullptr);
+  EXPECT_EQ(pool.lookup(other->id)->nodes, other_nodes);
+
+  ASSERT_TRUE(pool.release(victim->id).has_value());
+  EXPECT_EQ(pool.free_nodes(), 13u);
+  EXPECT_EQ(pool.lookup(other->id)->nodes, other_nodes);
+  ResourceRequest rest;
+  rest.nnodes = 13;
+  auto again = pool.allocate(rest);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(std::count(again->nodes.begin(), again->nodes.end(), dead), 0);
+  EXPECT_NE(again->id, other->id);
+  ASSERT_TRUE(pool.release(other->id).has_value());
+  EXPECT_EQ(pool.free_nodes(), 2u);
 }
 
 }  // namespace
