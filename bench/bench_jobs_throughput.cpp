@@ -9,11 +9,18 @@
 // scheduling loop, not the tree fan-out) and rising with window depth until
 // the scheduler pass dominates.
 //
+// A last, long-session cell runs 50k jobs (5k under --quick) through one
+// session and reports the root KVS store bytes each job adds over the first
+// and the last 1k jobs. Every job's keys sit under a fixed-fanout
+// job_kvs_path, so a job's commits rewrite a bounded path, not a directory
+// of every job run so far; scripts/bench_gate.py limits the last/first
+// ratio (store_bytes_growth).
+//
 //   $ ./bench_jobs_throughput [--quick]
 //
 // Time is virtual (discrete-event sim): jobs/sec is jobs over the virtual
 // makespan from first submit to last completion. host_seconds records the
-// real cost of simulating each cell.
+// real cost of simulating each cell. Store bytes are deterministic.
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -99,6 +106,62 @@ Cell run_cell(std::uint32_t nodes, int depth, int total_jobs) {
   return cell;
 }
 
+Task<void> root_store_bytes(Handle* h, std::int64_t* out) {
+  Message resp = co_await h->request("kvs.stats").to(0).call();
+  *out = resp.payload().get_int("store_bytes");
+}
+
+struct LongSession {
+  double first_bytes_per_job = 0;  ///< root store bytes/job, first 1k jobs
+  double last_bytes_per_job = 0;   ///< root store bytes/job, last 1k jobs
+  std::int64_t completed = 0;
+  double host_seconds = 0;
+};
+
+LongSession run_long_session(std::uint32_t nodes, int window, int total_jobs) {
+  constexpr int kEdgeJobs = 1000;
+  const auto host_start = std::chrono::steady_clock::now();
+  SimExecutor ex;
+  SessionConfig cfg;
+  cfg.size = nodes;
+  auto session = Session::create_sim(ex, cfg);
+  session->run_until_online();
+  std::vector<std::unique_ptr<Handle>> handles;
+  for (int w = 0; w < window; ++w)
+    handles.push_back(session->attach(
+        static_cast<NodeId>(1 + static_cast<std::uint32_t>(w) % (nodes - 1))));
+  auto probe = session->attach(0);
+
+  LongSession out;
+  int completed = 0;
+  // Run `jobs` more jobs to quiescence; return the root store's bytes.
+  auto run_phase = [&](int jobs) {
+    for (int w = 0; w < window; ++w)
+      co_spawn(ex,
+               submitter(handles[static_cast<std::size_t>(w)].get(),
+                         jobs / window + (w < jobs % window ? 1 : 0),
+                         &completed),
+               "bench-submitter");
+    ex.run();
+    std::int64_t bytes = 0;
+    co_spawn(ex, root_store_bytes(probe.get(), &bytes), "bench-stats");
+    ex.run();
+    return static_cast<double>(bytes);
+  };
+  const double b0 = run_phase(0);
+  const double b1 = run_phase(kEdgeJobs);
+  const double b2 = run_phase(total_jobs - 2 * kEdgeJobs);
+  const double b3 = run_phase(kEdgeJobs);
+  out.first_bytes_per_job = (b1 - b0) / kEdgeJobs;
+  out.last_bytes_per_job = (b3 - b2) / kEdgeJobs;
+  out.completed = completed;
+  out.host_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    host_start)
+          .count();
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -143,5 +206,33 @@ int main(int argc, char** argv) {
       metrics_add(std::move(row));
     }
   }
+
+  // Long session: per-job root store growth must not depend on history.
+  const std::uint32_t long_nodes = 64;
+  const int long_window = 32;
+  const int long_jobs = quick_mode() ? 5000 : 50000;
+  const LongSession ls = run_long_session(long_nodes, long_window, long_jobs);
+  const double growth = ls.first_bytes_per_job > 0
+                            ? ls.last_bytes_per_job / ls.first_bytes_per_job
+                            : 0;
+  std::printf("\nlong session: %u brokers, window %d, %d jobs in one session\n",
+              long_nodes, long_window, long_jobs);
+  std::printf("%10s %22s %22s %10s %10s\n", "jobs", "store_B/job first 1k",
+              "store_B/job last 1k", "last/first", "host_s");
+  std::printf("%10lld %22.0f %22.0f %10.3f %10.2f\n",
+              static_cast<long long>(ls.completed), ls.first_bytes_per_job,
+              ls.last_bytes_per_job, growth, ls.host_seconds);
+  if (ls.completed != long_jobs)
+    std::printf("  WARNING: only %lld/%d jobs completed\n",
+                static_cast<long long>(ls.completed), long_jobs);
+  metrics_add(Json::object(
+      {{"brokers", static_cast<std::int64_t>(long_nodes)},
+       {"window", static_cast<std::int64_t>(long_window)},
+       {"jobs", static_cast<std::int64_t>(long_jobs)},
+       {"completed", ls.completed},
+       {"store_bytes_per_job_first_1k", ls.first_bytes_per_job},
+       {"store_bytes_per_job_last_1k", ls.last_bytes_per_job},
+       {"store_bytes_growth", growth},
+       {"host_seconds", ls.host_seconds}}));
   return 0;
 }

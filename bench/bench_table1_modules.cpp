@@ -123,6 +123,7 @@ int main() {
   timed("wexec", "bulk remote processes with stdio captured in the KVS",
         "wexec.run(hostname)", [](Handle* hd) -> Task<void> {
           Json payload = Json::object({{"jobid", "t1"},
+                                       {"kvs_dir", "lwj.t1"},
                                        {"cmd", "hostname"},
                                        {"args", Json::object()},
                                        {"ranks", Json()}});

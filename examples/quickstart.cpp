@@ -46,8 +46,9 @@ Task<void> demo(Handle* h, std::uint32_t size) {
               static_cast<unsigned long long>(jh.id()),
               static_cast<long long>(r.ntasks), r.success ? "true" : "false");
 
-  // Each task's output landed in the KVS under lwj.<jobid>.<rank>.stdout.
-  const std::string out_key = "lwj." + std::to_string(jh.id()) + ".0.stdout";
+  // Each task's output landed in the KVS under the job's directory, at
+  // <kvs_dir>.stdio.<rank>.stdout.
+  const std::string out_key = jh.kvs_dir() + ".stdio.0.stdout";
   Json out0 = co_await kvs.get(out_key);
   std::printf("%s[0] = \"%s\"\n", out_key.c_str(),
               out0.as_array().at(0).as_string().c_str());

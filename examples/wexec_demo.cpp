@@ -1,8 +1,8 @@
 // The job lifecycle pipeline end to end (paper §III + Table I): jobs are
 // submitted with the fluent h.job() builder, validated by job-ingest,
 // queued and scheduled by job-manager, executed in bulk through wexec with
-// standard I/O captured in the KVS, and their status folded back under
-// job.<id>. for anyone to watch.
+// standard I/O captured in the KVS, and their status folded back under the
+// job's directory, job_kvs_path(id), for anyone to watch.
 //
 //   $ ./wexec_demo [nnodes]
 #include <cstdio>
@@ -32,7 +32,7 @@ Task<void> demo(Handle* h, std::uint32_t nnodes) {
                 static_cast<unsigned long long>(jh.id()),
                 static_cast<long long>(r.ntasks),
                 std::string(job_state_name(r.state)).c_str());
-    const std::string base = "lwj." + std::to_string(jh.id()) + ".";
+    const std::string base = jh.kvs_dir() + ".stdio.";
     for (std::uint32_t rank = 0; rank < std::min(nnodes, 4u); ++rank) {
       Json out = co_await kvs.get(base + std::to_string(rank) + ".stdout");
       std::printf("  rank %u stdout: %s\n", rank,

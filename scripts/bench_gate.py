@@ -14,8 +14,10 @@ one-line verdict per bench. Two formats are understood:
 Tolerances are per-metric-class, not per-bench: virtual-time metrics are
 deterministic (discrete-event sim) and get a tight band; host wall-clock
 metrics are noisy on shared CI hardware and get a loose one. Improvements
-always pass. Exit status is non-zero iff any metric regresses past its
-band — the gate fails loudly, it does not average away a regression.
+always pass. A few metrics also have an absolute limit (LIMITS) that every
+fresh row must meet, with or without a baseline row. Exit status is non-zero
+iff any metric regresses past its band or limit — the gate fails loudly, it
+does not average away a regression.
 """
 import json
 import math
@@ -53,6 +55,15 @@ METRICS = {
 }
 MICRO_TOL = 2.0  # google-benchmark cpu_time band (host time)
 
+# metric field -> largest allowed value, checked on every fresh row.
+LIMITS = {
+    # bench_jobs_throughput long session: root KVS store bytes per job over
+    # the last 1k jobs / over the first 1k. Deterministic, so a tight limit;
+    # a job namespace whose commits rewrite a directory of every job run so
+    # far reads far above it.
+    "store_bytes_growth": 1.10,
+}
+
 
 # Config knobs that identify a grid cell. Everything else in a row is a
 # measurement (possibly an integer one, like cache_hits) and must not
@@ -74,6 +85,26 @@ def load(path):
         return json.load(f)
 
 
+def row_label(row):
+    return ",".join("%s=%s" % (k, v) for k, v in identity(row)
+                    if k not in ("bench", "quick"))
+
+
+def check_limits(fresh):
+    """Absolute limits on fresh rows; returns (checked, failures)."""
+    checked, fails = 0, []
+    for row in fresh.get("rows", []):
+        for field, limit in LIMITS.items():
+            if field not in row:
+                continue
+            checked += 1
+            value = float(row[field])
+            if not (math.isfinite(value) and 0 < value <= limit):
+                fails.append("%s %.3f @%s (limit %.2f)"
+                             % (field, value, row_label(row), limit))
+    return checked, fails
+
+
 def compare_sidecar(name, base, fresh):
     base_rows = {identity(r): r for r in base.get("rows", [])}
     fails, worst = [], (0.0, "")
@@ -91,10 +122,7 @@ def compare_sidecar(name, base, fresh):
             compared += 1
             ratio = fv / bv if direction == "lower" else bv / fv
             delta = (fv / bv - 1.0) * 100.0
-            label = "%s %+.0f%% @%s" % (
-                field, delta,
-                ",".join("%s=%s" % (k, v) for k, v in identity(row)
-                         if k not in ("bench", "quick")))
+            label = "%s %+.0f%% @%s" % (field, delta, row_label(row))
             if ratio > worst[0]:
                 worst = (ratio, label)
             if ratio > tol:
@@ -141,15 +169,18 @@ def main():
         return 2
     for fname in names:
         name = fname[len("BENCH_"):-len(".json")]
+        fresh = load(os.path.join(fresh_dir, fname))
+        compared, fails = check_limits(fresh)
+        worst = (0.0, "limits")
         base_path = os.path.join(base_dir, fname)
-        if not os.path.exists(base_path):
+        if os.path.exists(base_path):
+            compare = compare_micro if "benchmarks" in fresh else compare_sidecar
+            n, more, worst = compare(name, load(base_path), fresh)
+            compared += n
+            fails += more
+        elif not fails:
             print("gate: %-22s SKIP (no baseline)" % name)
             continue
-        base, fresh = load(base_path), load(os.path.join(fresh_dir, fname))
-        if "benchmarks" in fresh:
-            compared, fails, worst = compare_micro(name, base, fresh)
-        else:
-            compared, fails, worst = compare_sidecar(name, base, fresh)
         if fails:
             failed = True
             print("gate: %-22s FAIL  %s" % (name, "; ".join(fails)))

@@ -6,9 +6,7 @@ namespace flux {
 
 JobBuilder Handle::job() { return JobBuilder(*this); }
 
-std::string JobHandle::kvs_dir() const {
-  return "job." + std::to_string(id_);
-}
+std::string JobHandle::kvs_dir() const { return job_kvs_path(id_); }
 
 Task<JobHandle> JobBuilder::submit() {
   const Json payload = Json::object({{"jobspec", spec_.to_json()}});

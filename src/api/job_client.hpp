@@ -43,7 +43,8 @@ class JobHandle {
 
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
   [[nodiscard]] bool valid() const noexcept { return h_ != nullptr && id_ != 0; }
-  /// The job's KVS directory ("job.<id>").
+  /// The job's KVS directory, job_kvs_path(id) ("job.00.00.04.00" for job
+  /// 1024): jobspec, state, eventlog, ranks, result and stdio.<rank>.*.
   [[nodiscard]] std::string kvs_dir() const;
 
   /// Park until the job reaches a terminal state; returns the result.

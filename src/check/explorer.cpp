@@ -177,8 +177,8 @@ Task<void> jobs_dst_client(Handle* h, int id, int rounds,
   ++*done;
 }
 
-/// Post-run job oracles, evaluated against the committed KVS record and the
-/// live resvc, not against client-side bookkeeping.
+}  // namespace
+
 Task<void> jobs_post_check(Handle* h, const std::vector<std::uint64_t>* ids,
                            std::vector<std::string>* out) {
   KvsClient kvs(*h);
@@ -188,14 +188,18 @@ Task<void> jobs_post_check(Handle* h, const std::vector<std::uint64_t>* ids,
   // double-allocation, never a release-in-flight artifact.
   std::map<std::int64_t, std::vector<std::pair<std::int64_t, std::int64_t>>>
       busy;
+  // A job can legitimately lose its record to a fault, but if no acked job
+  // could be read the oracles below checked nothing (a stale path, say).
+  std::size_t read = 0;
   for (const std::uint64_t id : *ids) {
-    const std::string base = "job." + std::to_string(id) + ".";
+    const std::string base = job_kvs_path(id) + ".";
     Json log;
     try {
       log = co_await kvs.get(base + "eventlog");
     } catch (const FluxException&) {
       continue;  // submission raced a fault before the first commit
     }
+    ++read;
     std::int64_t t_alloc = -1, t_finish = -1;
     for (const Json& e : log.as_array()) {
       const std::string name = e.get_string("name");
@@ -219,6 +223,10 @@ Task<void> jobs_post_check(Handle* h, const std::vector<std::uint64_t>* ids,
     } catch (const FluxException&) {
     }
   }
+  if (!ids->empty() && read == 0)
+    out->push_back("no eventlog of the " + std::to_string(ids->size()) +
+                   " acked jobs could be read (first: " +
+                   job_kvs_path(ids->front()) + ".eventlog)");
   for (auto& [rank, iv] : busy) {
     std::sort(iv.begin(), iv.end());
     for (std::size_t i = 1; i < iv.size(); ++i)
@@ -251,6 +259,8 @@ Task<void> jobs_post_check(Handle* h, const std::vector<std::uint64_t>* ids,
     // oracles above already ran.
   }
 }
+
+namespace {
 
 /// Resolve `key` under `root` in a recovered store by walking directory
 /// objects, exactly as the KVS master would. nullopt = not reachable.

@@ -18,10 +18,16 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "check/oracle.hpp"
 #include "exec/executor.hpp"
+#include "exec/task.hpp"
 #include "json/json.hpp"
+
+namespace flux {
+class Handle;
+}  // namespace flux
 
 namespace flux::check {
 
@@ -95,6 +101,14 @@ struct DstResult {
            !job_violations.empty() || !durability_violations.empty();
   }
 };
+
+/// The post-run job oracles (DstOptions::jobs), read through `h` from the
+/// committed KVS record and the live resvc, not from client bookkeeping:
+/// every acked job in `ids` that can be read ended terminal, no rank was
+/// busy for two jobs at once, resvc holds no allocation, and at least one
+/// acked job could be read at all. Appends each violation to `out`.
+Task<void> jobs_post_check(Handle* h, const std::vector<std::uint64_t>* ids,
+                           std::vector<std::string>* out);
 
 /// Run one schedule under `seed` (jitter stream + synthesized fault plan +
 /// workload all derive from it).

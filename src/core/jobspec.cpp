@@ -1,5 +1,7 @@
 #include "core/jobspec.hpp"
 
+#include <cstdio>
+
 namespace flux {
 
 std::string_view job_state_name(JobState s) noexcept {
@@ -19,6 +21,16 @@ JobState job_state_from_name(std::string_view name) noexcept {
   if (name == "canceled") return JobState::Canceled;
   if (name == "failed") return JobState::Failed;
   return JobState::Pending;
+}
+
+std::string job_kvs_path(std::uint64_t id) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "job.%02llx.%02x.%02x.%02x",
+                static_cast<unsigned long long>(id >> 24),
+                static_cast<unsigned>((id >> 16) & 0xff),
+                static_cast<unsigned>((id >> 8) & 0xff),
+                static_cast<unsigned>(id & 0xff));
+  return buf;
 }
 
 Json JobSpec::to_json() const {

@@ -7,6 +7,7 @@
 // Instance (a child Flux instance with its own policy and workload).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,13 @@ enum class JobState { Pending, Running, Complete, Canceled, Failed };
 std::string_view job_state_name(JobState s) noexcept;
 /// Inverse of job_state_name (unknown strings map to Pending).
 JobState job_state_from_name(std::string_view name) noexcept;
+
+/// The job's KVS directory: a fixed four-level path of 8-bit hex groups of
+/// the id, most significant first ("job.00.00.04.00" for job 1024). Ids are
+/// sequential, so below 2^32 jobs no directory on the path has more than 256
+/// entries and a commit rewrites a bounded path instead of a directory of
+/// every job run so far. The top group holds id >> 24 and widens past 2^32.
+std::string job_kvs_path(std::uint64_t id);
 
 struct JobSpec {
   std::string name;

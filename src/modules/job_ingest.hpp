@@ -6,7 +6,8 @@
 // then the validated request routes upstream to the session root, which
 // assigns the session-wide monotonically increasing jobid and hands the job
 // to the root's job-manager (queueing, scheduling, dispatch, KVS fold-back
-// all live there; the job.<id>.* KVS namespace has exactly one writer).
+// all live there; the job's KVS directory, job_kvs_path(id), has exactly
+// one writer).
 //
 // Protocol:
 //   job.submit {jobspec}            client -> local validation -> root

@@ -17,7 +17,7 @@ namespace {
 constexpr std::size_t kTerminalKeep = 1024;
 
 std::string job_key(std::uint64_t id, std::string_view leaf) {
-  return "job." + std::to_string(id) + "." + std::string(leaf);
+  return job_kvs_path(id) + "." + std::string(leaf);
 }
 
 bool ended(JobState s) {
@@ -199,6 +199,7 @@ Task<void> JobManager::run(std::uint64_t id, Json ranks) {
                   ? Json::object({{"us", rec->spec.walltime.count() / 1000}})
                   : rec->spec.args;
   const Json run_req = Json::object({{"jobid", std::to_string(id)},
+                                     {"kvs_dir", job_key(id, "stdio")},
                                      {"cmd", cmd},
                                      {"args", std::move(args)},
                                      {"ranks", std::move(ranks)}});
@@ -262,9 +263,6 @@ void JobManager::finalize(JobRecord& rec, JobState terminal, Json exits,
                       {"why", std::string(why)}}));
   stage_state(rec);
   kvs_->txn().put(job_key(rec.id, "result"), rec.result);
-  if (!rec.ranks.empty())
-    kvs_->txn().put(job_key(rec.id, "stdio"),
-                    "lwj." + std::to_string(rec.id));
   schedule_flush();
 
   switch (terminal) {

@@ -11,13 +11,17 @@
 //   - the dispatch path: schedule -> wexec.run -> finish,
 //   - the JobState machine Pending -> Running -> Complete/Failed/Canceled,
 //     with every transition appended to a KVS event log,
-//   - the job.<id>.* KVS namespace (single writer):
-//       job.<id>.jobspec    submitted JobSpec (JSON)
-//       job.<id>.state      current state name ("pending", "running", ...)
-//       job.<id>.eventlog   array of {t, name, ...context} entries
-//       job.<id>.ranks      allocated broker ranks (once Running)
-//       job.<id>.result     {id, state, success, exits, ntasks} (terminal)
-//       job.<id>.stdio      ref to the wexec capture dir ("lwj.<id>")
+//   - the job KVS namespace, one directory per job at <dir> =
+//     job_kvs_path(id) (core/jobspec.hpp: job.00.00.04.00 for 1024), with
+//     this module its only writer apart from wexec's capture under stdio:
+//       <dir>.jobspec       submitted JobSpec (JSON)
+//       <dir>.state         current state name ("pending", "running", ...)
+//       <dir>.eventlog      array of {t, name, ...context} entries
+//       <dir>.ranks         allocated broker ranks (once Running)
+//       <dir>.result        {id, state, success, exits, ntasks} (terminal)
+//       <dir>.stdio.<rank>  wexec's capture: stdout, stderr, exitcode
+//     Fixed-fanout paths keep every directory a commit rewrites at <= 256
+//     entries, so per-job KVS cost does not grow with the jobs run so far.
 //   KVS writes coalesce: transitions stage into the client txn and a single
 //   in-flight commit coroutine flushes them (the KVS watch-refresh pattern).
 //

@@ -117,8 +117,9 @@ void Wexec::op_run(Message& msg) {
   }
   const std::string jobid = msg.payload().get_string("jobid");
   const std::string cmd = msg.payload().get_string("cmd");
-  if (jobid.empty() || cmd.empty()) {
-    respond_error(msg, errc::inval, "wexec.run: need jobid and cmd");
+  const std::string kvs_dir = msg.payload().get_string("kvs_dir");
+  if (jobid.empty() || cmd.empty() || kvs_dir.empty()) {
+    respond_error(msg, errc::inval, "wexec.run: need jobid, cmd and kvs_dir");
     return;
   }
   if (jobs_.contains(jobid)) {
@@ -141,6 +142,7 @@ void Wexec::op_run(Message& msg) {
   job.waiters.push_back(msg);
   broker().publish("wexec.exec",
                    Json::object({{"jobid", jobid},
+                                 {"kvs_dir", kvs_dir},
                                  {"cmd", cmd},
                                  {"args", msg.payload().at("args")},
                                  {"ranks", std::move(ranks)},
@@ -177,6 +179,7 @@ void Wexec::handle_event(const Message& msg) {
     if (!mine) return;
     co_spawn(broker().executor(),
              run_task(msg.payload().get_string("jobid"),
+                      msg.payload().get_string("kvs_dir"),
                       msg.payload().get_string("cmd"), msg.payload().at("args"),
                       msg.payload().get_int("ntasks", 1)),
              "wexec.task");
@@ -215,8 +218,8 @@ void Wexec::fail_runs_on(NodeId rank) {
   }
 }
 
-Task<void> Wexec::run_task(std::string jobid, std::string cmd, Json args,
-                           std::int64_t ntasks) {
+Task<void> Wexec::run_task(std::string jobid, std::string kvs_dir,
+                           std::string cmd, Json args, std::int64_t ntasks) {
   auto ctx = std::make_shared<ProcessCtx>(broker(), jobid, std::move(args));
   auto proc_it = procs_.emplace(jobid, Proc{ctx});
 
@@ -239,10 +242,9 @@ Task<void> Wexec::run_task(std::string jobid, std::string cmd, Json args,
   }
 
   // Standard I/O and exit status are "captured in the KVS" under the
-  // light-weight job (lwj) directory, committed collectively so the whole
-  // job becomes visible in one root update.
-  const std::string base =
-      "lwj." + jobid + "." + std::to_string(broker().rank());
+  // caller's capture directory, committed collectively so the whole job
+  // becomes visible in one root update.
+  const std::string base = kvs_dir + "." + std::to_string(broker().rank());
   Json out_lines = Json::array(), err_lines = Json::array();
   for (const auto& line : ctx->captured_stdout()) out_lines.push_back(line);
   for (const auto& line : ctx->captured_stderr()) err_lines.push_back(line);

@@ -4,14 +4,20 @@
 // Substitution (see DESIGN.md): instead of fork/exec of Linux binaries,
 // processes are coroutine tasks looked up in a CommandRegistry — the same
 // code path (root fans the launch out, per-rank spawn, stdio capture into
-// lwj.<jobid>.<rank>.*, signal delivery, exit-status reduction) without OS
-// process management. Built-in commands: hostname, echo, sleep, spin, exit,
-// kvsput.
+// <kvs_dir>.<rank>.{stdout,stderr,exitcode}, signal delivery, exit-status
+// reduction) without OS process management. Built-in commands: hostname,
+// echo, sleep, spin, exit, kvsput.
 //
 // Protocol:
-//   wexec.run  {jobid, cmd, args, ranks?}  client -> root; responds when all
+//   wexec.run  {jobid, kvs_dir, cmd, args, ranks?}
+//                                          client -> root; responds when all
 //                                          tasks have exited and their output
 //                                          has been committed to the KVS.
+//                                          kvs_dir (required) is the capture
+//                                          directory: job-manager passes
+//                                          job_kvs_path(id) + ".stdio", so a
+//                                          job's capture lives in its own
+//                                          bounded directory.
 //   wexec.exec  (event, root -> all)       per-rank spawn trigger
 //   wexec.complete {jobid, count, exits}   reduction back to the root
 //   wexec.kill {jobid, signum}             client -> root -> signal event
@@ -122,9 +128,8 @@ class Wexec final : public ModuleBase {
   void op_kill(Message& msg);
   void op_complete(Message& msg);
   void fail_runs_on(NodeId rank);
-  void spawn_task(const std::string& jobid, const std::string& cmd, Json args);
-  Task<void> run_task(std::string jobid, std::string cmd, Json args,
-                      std::int64_t ntasks);
+  Task<void> run_task(std::string jobid, std::string kvs_dir,
+                      std::string cmd, Json args, std::int64_t ntasks);
   void report_complete(const std::string& jobid, int exit_code);
   void flush_complete(const std::string& jobid);
 

@@ -21,9 +21,12 @@
 #include <string>
 #include <vector>
 
+#include "api/job_client.hpp"
+#include "broker/session.hpp"
 #include "check/explorer.hpp"
 #include "check/mutation.hpp"
 #include "check/shrink.hpp"
+#include "exec/sim_executor.hpp"
 #include "test_seed.hpp"
 
 namespace flux::check {
@@ -170,6 +173,40 @@ TEST(DstMutation, SkippedVersionBumpIsCaughtAsSetrootSequence) {
 
 TEST(DstMutation, WatchRefireIsCaughtAsWatchOrder) {
   expect_mutation_caught("kvs.watch_refire", "watch-order", DstOptions{});
+}
+
+TEST(DstJobsOracle, AckedJobsWithNoRecordsAreAViolation) {
+  // A job may lose its record to a fault, so the oracle skips an unreadable
+  // one; but if no acked job can be read, the oracles checked nothing (a
+  // stale job path would look exactly like this) and the run must fail.
+  SimExecutor ex;
+  SessionConfig cfg;
+  cfg.size = 4;
+  auto session = Session::create_sim(ex, cfg);
+  session->run_until_online();
+  auto h = session->attach(0);
+  std::vector<std::uint64_t> real;
+  co_spawn(ex, [](Handle* hd, std::vector<std::uint64_t>* out) -> Task<void> {
+    JobHandle jh = co_await hd->job().nnodes(2).submit();
+    (void)co_await jh.wait();
+    out->push_back(jh.id());
+  }(h.get(), &real));
+  ex.run();
+  ASSERT_EQ(real.size(), 1u);
+
+  std::vector<std::string> clean;
+  co_spawn(ex, jobs_post_check(h.get(), &real, &clean));
+  ex.run();
+  EXPECT_EQ(clean, std::vector<std::string>{});
+
+  const std::vector<std::uint64_t> ghosts{real[0] + 1000, real[0] + 1001};
+  std::vector<std::string> violations;
+  co_spawn(ex, jobs_post_check(h.get(), &ghosts, &violations));
+  ex.run();
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].find("no eventlog of the 2 acked jobs"),
+            std::string::npos)
+      << violations[0];
 }
 
 // -- 3. shrinker + committed repros ------------------------------------------

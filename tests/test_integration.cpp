@@ -81,9 +81,9 @@ TEST(Integration, FullStackConcurrentWorkloads) {
   auto check = s.attach(0);
   s.run([](Handle* h, std::uint64_t jobid) -> Task<void> {
     KvsClient kvs(*h);
-    const std::string base = "lwj." + std::to_string(jobid);
-    (void)co_await kvs.get(base + ".31.stdout");        // wexec capture
-    Json st = co_await kvs.get("job." + std::to_string(jobid) + ".state");
+    const std::string base = job_kvs_path(jobid);
+    (void)co_await kvs.get(base + ".stdio.31.stdout");  // wexec capture
+    Json st = co_await kvs.get(base + ".state");
     if (st != Json("complete"))
       throw FluxException(Error(errc::proto, "job state not folded back"));
     auto mon = co_await kvs.list_dir("mon.data.load");  // mon aggregates
@@ -170,14 +170,15 @@ TEST(Integration, CenterScaleKvsSweep) {
 }
 
 TEST(Integration, WatchDrivenToolReactsToJobCompletion) {
-  // A "tool" watches the lwj directory; launching a job must wake it
-  // (hash-tree property: a directory changes when anything below changes).
+  // A "tool" watches the job directory; launching a job must wake it
+  // (hash-tree property: a directory changes when anything below changes,
+  // here four levels below, where job_kvs_path puts the job).
   SimSession s(SimSession::default_config(8));
   auto tool = s.attach(5);
   KvsClient tool_kvs(*tool);
   int wakes = 0;
   WatchHandle watch =
-      tool_kvs.watch("lwj", [&](const std::optional<Json>&) { ++wakes; });
+      tool_kvs.watch("job", [&](const std::optional<Json>&) { ++wakes; });
   s.ex().run();
   EXPECT_EQ(wakes, 1);  // initial (absent)
 
@@ -188,7 +189,7 @@ TEST(Integration, WatchDrivenToolReactsToJobCompletion) {
     (void)co_await jh.wait();
   }(launcher.get()));
   s.ex().run();
-  EXPECT_GE(wakes, 2);  // job stdio/exit commit changed the lwj dir
+  EXPECT_GE(wakes, 2);  // the job's commits changed the job dir
 }
 
 }  // namespace

@@ -3,6 +3,10 @@
 // h.job() client API (ctest -L jobs).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "api/job_client.hpp"
 #include "sim_fixture.hpp"
 
@@ -10,6 +14,34 @@ namespace flux {
 namespace {
 
 using testing::SimSession;
+
+TEST(JobKvsPath, FourEightBitGroupsMostSignificantFirst) {
+  EXPECT_EQ(job_kvs_path(1), "job.00.00.00.01");
+  EXPECT_EQ(job_kvs_path(255), "job.00.00.00.ff");
+  EXPECT_EQ(job_kvs_path(256), "job.00.00.01.00");
+  EXPECT_EQ(job_kvs_path(1024), "job.00.00.04.00");
+  EXPECT_EQ(job_kvs_path(65535), "job.00.00.ff.ff");
+  EXPECT_EQ(job_kvs_path(65536), "job.00.01.00.00");
+  // The top group holds id >> 24 and widens past 2^32.
+  EXPECT_EQ(job_kvs_path(std::uint64_t{1} << 32), "job.100.00.00.00");
+  EXPECT_EQ(job_kvs_path(std::numeric_limits<std::uint64_t>::max()),
+            "job.ffffffffff.ff.ff.ff");
+}
+
+TEST(JobKvsPath, DistinctIdsGiveDistinctPrefixFreePaths) {
+  const std::vector<std::uint64_t> ids{
+      1,     255,   256, 65535, 65536, std::uint64_t{1} << 32,
+      std::numeric_limits<std::uint64_t>::max()};
+  for (const std::uint64_t a : ids) {
+    for (const std::uint64_t b : ids) {
+      if (a == b) continue;
+      const std::string pa = job_kvs_path(a), pb = job_kvs_path(b);
+      EXPECT_NE(pa, pb) << a << " vs " << b;
+      // No job directory may contain another's: "<pa>." never starts <pb>.
+      EXPECT_NE(pb.rfind(pa + ".", 0), 0u) << pa << " is a prefix of " << pb;
+    }
+  }
+}
 
 TEST(Jobs, SubmitWaitComplete) {
   SimSession s(SimSession::default_config(8));
@@ -38,8 +70,9 @@ TEST(Jobs, LifecycleFoldedIntoKvs) {
   s.run([](Handle* hd) -> Task<void> {
     JobHandle jh = co_await hd->job().nnodes(2).submit();
     (void)co_await jh.wait();
-    // Everything under job.<id>.: jobspec, state, ranks, result, stdio ref,
-    // and the event log recording every transition in order.
+    // Everything under the job's directory: jobspec, state, ranks, result,
+    // the stdio capture, and the event log recording every transition in
+    // order.
     KvsClient kvs(*hd);
     const std::string base = jh.kvs_dir();
     Json spec = co_await kvs.get(base + ".jobspec");
@@ -54,8 +87,9 @@ TEST(Jobs, LifecycleFoldedIntoKvs) {
     Json result = co_await kvs.get(base + ".result");
     if (!result.get_bool("success"))
       throw FluxException(Error(errc::proto, "result not folded back"));
-    Json stdio = co_await kvs.get(base + ".stdio");
-    (void)co_await kvs.get(stdio.as_string() + ".0.exitcode");
+    for (const Json& rk : ranks.as_array())
+      (void)co_await kvs.get(base + ".stdio." + std::to_string(rk.as_int()) +
+                             ".exitcode");
 
     Json log = co_await jh.events();
     std::vector<std::string> names;
@@ -326,6 +360,75 @@ TEST(Jobs, StatsExposedThroughRegistry) {
   EXPECT_EQ(hists.at("job-manager.alloc_ns").get_int("count"), 3);
   EXPECT_EQ(stats.get_int("queue_depth", -1), 0);
   EXPECT_EQ(stats.get_int("running", -1), 0);
+}
+
+/// Count the entries under `dir`, `depth` directory levels down, and fail
+/// if any directory on the way holds more than 256.
+Task<std::size_t> walk_bounded(KvsClient* kvs, std::string dir, int depth) {
+  const std::vector<std::string> names = co_await kvs->list_dir(dir);
+  if (names.size() > 256)
+    throw FluxException(Error(errc::proto, dir + " has " +
+                                               std::to_string(names.size()) +
+                                               " entries"));
+  if (depth == 0) co_return names.size();
+  std::size_t leaves = 0;
+  for (const std::string& n : names)
+    leaves += co_await walk_bounded(kvs, dir + "." + n, depth - 1);
+  co_return leaves;
+}
+
+TEST(Jobs, LongSessionJobDirectoriesStayBounded) {
+  // 640 jobs in one session fill job.00.00.00 and job.00.00.01 (256 entries
+  // each) and start job.00.00.02; no directory under "job" may grow past
+  // 256 entries, and every
+  // job's record and capture must be reachable from its kvs_dir().
+  constexpr int kSubmitters = 16;
+  constexpr int kPerSubmitter = 40;
+  SimSession s(SimSession::default_config(8));
+  std::vector<std::unique_ptr<Handle>> handles;
+  std::vector<JobHandle> jobs;
+  int done = 0;
+  for (int w = 0; w < kSubmitters; ++w) {
+    handles.push_back(s.attach(static_cast<NodeId>(w % 8)));
+    co_spawn(s.ex(),
+             [](Handle* hd, std::vector<JobHandle>* out, int* fin) -> Task<void> {
+               for (int i = 0; i < kPerSubmitter; ++i) {
+                 JobHandle jh = co_await hd->job()
+                                    .walltime(std::chrono::microseconds(100))
+                                    .submit();
+                 (void)co_await jh.wait();
+                 out->push_back(jh);
+               }
+               ++*fin;
+             }(handles.back().get(), &jobs, &done),
+             "submitter");
+  }
+  s.ex().run();
+  ASSERT_EQ(done, kSubmitters);
+  ASSERT_EQ(jobs.size(), std::size_t{kSubmitters * kPerSubmitter});
+
+  auto h = s.attach(0);
+  const std::size_t leaves = s.run(
+      [](Handle* hd, const std::vector<JobHandle>* all) -> Task<std::size_t> {
+        KvsClient kvs(*hd);
+        // job / <id>>24 / <id>>16 / <id>>8 / <id> / {eventlog, result, ...}
+        const std::size_t n = co_await walk_bounded(&kvs, "job", 4);
+        for (const JobHandle& jh : *all) {
+          const std::string dir = jh.kvs_dir();
+          (void)co_await kvs.get(dir + ".eventlog");
+          Json result = co_await kvs.get(dir + ".result");
+          if (!result.get_bool("success"))
+            throw FluxException(Error(errc::proto, dir + " did not succeed"));
+          Json ranks = co_await kvs.get(dir + ".ranks");
+          for (const Json& rk : ranks.as_array())
+            (void)co_await kvs.get(dir + ".stdio." +
+                                   std::to_string(rk.as_int()) + ".exitcode");
+        }
+        co_return n;
+      }(h.get(), &jobs));
+  // Each job directory holds six keys: jobspec, state, eventlog, ranks,
+  // result and stdio.
+  EXPECT_EQ(leaves, jobs.size() * 6);
 }
 
 TEST(Jobs, BrokerCrashMidJobNeverOrphansAllocation) {

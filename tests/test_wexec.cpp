@@ -37,7 +37,7 @@ TEST(Wexec, StdioCapturedInKvs) {
   auto h = s.attach(1);
   JobResult r = s.run(run_job(h.get(), "hostname", Json::object(), 4));
   ASSERT_TRUE(r.success);
-  const std::string base = "lwj." + std::to_string(r.id) + ".";
+  const std::string base = job_kvs_path(r.id) + ".stdio.";
   s.run([](Handle* hd, std::string prefix) -> Task<void> {
     KvsClient kvs(*hd);
     for (int rk = 0; rk < 4; ++rk) {
@@ -53,17 +53,18 @@ TEST(Wexec, StdioCapturedInKvs) {
 
 TEST(Wexec, AllocatedSubsetGetsTasks) {
   // A 3-node job on an 8-broker session: exactly the allocated ranks (from
-  // job.<id>.ranks) run tasks; non-allocated ranks have no stdio entries.
+  // the job's ranks key) run tasks; non-allocated ranks have no stdio
+  // entries.
   SimSession s(SimSession::default_config(8));
   auto h = s.attach(0);
   JobResult r = s.run(run_job(h.get(), "hostname", Json::object(), 3));
   EXPECT_EQ(r.ntasks, 3);
   s.run([](Handle* hd, std::uint64_t id) -> Task<void> {
     KvsClient kvs(*hd);
-    Json ranks = co_await kvs.get("job." + std::to_string(id) + ".ranks");
+    Json ranks = co_await kvs.get(job_kvs_path(id) + ".ranks");
     if (ranks.size() != 3)
       throw FluxException(Error(errc::proto, "wrong allocation width"));
-    const std::string base = "lwj." + std::to_string(id) + ".";
+    const std::string base = job_kvs_path(id) + ".stdio.";
     for (const Json& rk : ranks.as_array())
       (void)co_await kvs.get(base + std::to_string(rk.as_int()) + ".stdout");
     // Find a rank outside the allocation; it must have no capture.
@@ -102,7 +103,7 @@ TEST(Wexec, UnknownCommandIs127) {
   // stderr explains the failure.
   s.run([](Handle* hd, std::uint64_t id) -> Task<void> {
     KvsClient kvs(*hd);
-    Json err = co_await kvs.get("lwj." + std::to_string(id) + ".0.stderr");
+    Json err = co_await kvs.get(job_kvs_path(id) + ".stdio.0.stderr");
     if (err.as_array().empty())
       throw FluxException(Error(errc::proto, "no stderr captured"));
   }(h.get(), r.id));
@@ -169,7 +170,7 @@ TEST(Wexec, CustomRegisteredCommand) {
   EXPECT_TRUE(r.success);
   s.run([](Handle* hd, std::uint64_t id) -> Task<void> {
     KvsClient kvs(*hd);
-    Json out = co_await kvs.get("lwj." + std::to_string(id) + ".1.stdout");
+    Json out = co_await kvs.get(job_kvs_path(id) + ".stdio.1.stdout");
     if (out.as_array().at(0) != Json("42"))
       throw FluxException(Error(errc::proto, "custom command output wrong"));
   }(h.get(), r.id));
