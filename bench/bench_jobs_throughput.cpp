@@ -107,7 +107,7 @@ Cell run_cell(std::uint32_t nodes, int depth, int total_jobs) {
 }
 
 Task<void> root_store_bytes(Handle* h, std::int64_t* out) {
-  Message resp = co_await h->request("kvs.stats").to(0).call();
+  Message resp = co_await h->request("kvs.stats.get").to(0).call();
   *out = resp.payload().get_int("store_bytes");
 }
 

@@ -130,7 +130,8 @@ Cell run_cell(int commits) {
 
   {  // -- offline: recover, one GC pass, compaction ------------------------
     ContentStore store;
-    FileLogBackend backend(path);
+    obs::StatsRegistry log_stats;
+    FileLogBackend backend(path, &log_stats);
     const auto t_rec = HostClock::now();
     const ContentBackend::Recovered rec = backend.recover(store);
     cell.recover_ms = host_ms(t_rec);
@@ -148,7 +149,7 @@ Cell run_cell(int commits) {
     backend.compact(store, rec.roots, rec.versions);
     cell.compact_ms = host_ms(t_cp);
     cell.compacted_mb =
-        static_cast<double>(backend.stats().compacted_bytes) / 1e6;
+        static_cast<double>(log_stats.counter_value("log.compacted_bytes")) / 1e6;
     backend.close();
   }
 

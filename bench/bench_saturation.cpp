@@ -53,6 +53,17 @@ struct Cell {
   double announce_batch_mean = 0;
 };
 
+// Master-side apply/announce coalescing from a kvs.stats.get reply: each is
+// a histogram of fences per batch (count = batches, mean = fences/batch).
+void read_batching(const Json& stats, Cell* out) {
+  const Json& apply = stats.at("histograms").at("kvs.apply.batch_size");
+  const Json& announce = stats.at("histograms").at("kvs.announce.batch_size");
+  out->apply_batches = apply.get_int("count", 0);
+  out->apply_batch_mean = apply.get_double("mean", 0.0);
+  out->announces = announce.get_int("count", 0);
+  out->announce_batch_mean = announce.get_double("mean", 0.0);
+}
+
 // One client: `rounds` iterations of the mixed op sequence. Four ops per
 // round — a staged put, the commit that ships it, and two gets (own key is
 // the RYW read, the shared key is the hot-directory read every client hits).
@@ -126,12 +137,8 @@ Cell run_sim_cell(std::uint32_t nodes, int clients, int rounds) {
 
   // Master-side apply coalescing (0 for builds without apply-batching).
   co_spawn(ex, [](Handle* h, Cell* out) -> Task<void> {
-    Message resp = co_await h->request("kvs.stats").call();
-    out->apply_batches = resp.payload().get_int("apply_batches", 0);
-    out->apply_batch_mean = resp.payload().get_double("apply_batch_mean", 0.0);
-    out->announces = resp.payload().get_int("announces", 0);
-    out->announce_batch_mean =
-        resp.payload().get_double("announce_batch_mean", 0.0);
+    Message resp = co_await h->request("kvs.stats.get").call();
+    read_batching(resp.payload(), out);
   }(handles[0].get(), &cell), "sat-stats");
   ex.run();
   return cell;
@@ -185,12 +192,7 @@ Cell run_threaded_cell(std::uint32_t nodes, int clients, int rounds) {
   cell.ops_per_sec_host =
       host_seconds > 0 ? static_cast<double>(cell.ops) / host_seconds : 0;
   SyncHandle probe(*session, 0);
-  Message stats = probe.request("kvs.stats").call();
-  cell.apply_batches = stats.payload().get_int("apply_batches", 0);
-  cell.apply_batch_mean = stats.payload().get_double("apply_batch_mean", 0.0);
-  cell.announces = stats.payload().get_int("announces", 0);
-  cell.announce_batch_mean =
-      stats.payload().get_double("announce_batch_mean", 0.0);
+  read_batching(probe.request("kvs.stats.get").call().payload(), &cell);
   return cell;
 }
 

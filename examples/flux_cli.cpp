@@ -190,7 +190,7 @@ const std::map<std::string, Command>& commands() {
       {"kvs-stats",
        {"kvs-stats [rank]", "kvs module statistics",
         [](Cli& c, const Args& a) {
-          auto req = c.h->request("kvs.stats");
+          auto req = c.h->request("kvs.stats.get");
           if (!a.empty()) req.to(static_cast<NodeId>(std::stoul(a[0])));
           Message r = req.get();
           std::printf("%s\n", r.payload().dump_pretty().c_str());

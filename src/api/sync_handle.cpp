@@ -93,11 +93,8 @@ Json SyncHandle::ping(NodeId target) {
 }
 
 Json SyncHandle::stats(std::string service, bool all) {
-  return run<Json>(
-      [this, service = std::move(service), all]() mutable -> Task<Json> {
-    obs::FluxStats fs(*handle_);
-    Json merged = co_await fs.aggregate(std::move(service), all);
-    co_return merged;
+  return run<Json>([this, service = std::move(service), all]() mutable {
+    return obs::aggregate_stats(*handle_, std::move(service), all);
   });
 }
 

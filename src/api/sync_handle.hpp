@@ -96,7 +96,7 @@ class SyncHandle {
   /// Deprecated: thin wrapper over request(topic).payload(p).get().
   Message rpc(std::string topic, Json payload = Json::object());
   Json ping(NodeId target);
-  /// Session-wide merged stats snapshot (obs::FluxStats::aggregate).
+  /// Session-wide merged stats snapshot (obs::aggregate_stats).
   Json stats(std::string service, bool all = false);
   void barrier(std::string name, std::int64_t nprocs);
   void publish(std::string topic, Json payload = Json::object());

@@ -16,12 +16,7 @@ constexpr Duration kRejoinRetry = std::chrono::milliseconds(1);
 }  // namespace
 
 Broker::Broker(Session& session, NodeId rank, Executor& ex)
-    : session_(session), rank_(rank), ex_(ex), topo_(session.topology()) {
-  net_rx_msgs_ = &registry_.counter("cmb.net.rx_msgs");
-  net_rx_bytes_ = &registry_.counter("cmb.net.rx_bytes");
-  net_tx_msgs_ = &registry_.counter("cmb.net.tx_msgs");
-  net_tx_bytes_ = &registry_.counter("cmb.net.tx_bytes");
-}
+    : session_(session), rank_(rank), ex_(ex), topo_(session.topology()) {}
 
 Broker::~Broker() {
   // Modules may own client Handles (e.g. job-manager's KVS connection) whose
@@ -126,8 +121,8 @@ void Broker::unsubscribe(std::uint64_t endpoint, std::string_view topic_prefix) 
 
 void Broker::receive(Message msg) {
   if (failed_) return;
-  net_rx_msgs_->inc();
-  net_rx_bytes_->inc(static_cast<std::uint64_t>(msg.wire_size()));
+  net_rx_msgs_.inc();
+  net_rx_bytes_.inc(static_cast<std::uint64_t>(msg.wire_size()));
   if (msg.traced()) {
     // Stamp the hop. The plane is inferred from how the message got here:
     // the first stamp on a request is the node-local client hop; after that,
@@ -222,8 +217,7 @@ void Broker::arm_rpc_timeout(std::uint32_t tag, Duration timeout,
         if (it == pending_.end()) return;
         auto promise = it->second.promise;
         pending_.erase(it);
-        ++stats_.rpc_timeouts;
-        registry_.counter("cmb.rpc_timeouts").inc();
+        rpc_timeouts_.inc();
         promise.set_error(Error(errc::timeout, "rpc timeout: " + topic));
       });
 }
@@ -258,7 +252,7 @@ void Broker::route_request(Message msg) {
       }
       return;
     }
-    ++stats_.ring_forwarded;
+    ring_forwarded_.inc();
     send(topology().ring_next(rank_), std::move(msg));
     return;
   }
@@ -282,18 +276,18 @@ void Broker::route_request(Message msg) {
         errc::nosys, "no service matched '" + msg.topic + "'"));
     return;
   }
-  ++stats_.requests_forwarded;
+  requests_forwarded_.inc();
   msg.route.push_back(RouteHop{RouteHop::Kind::Broker, rank_, 0});
   send(*up, std::move(msg));
 }
 
 void Broker::dispatch_local(Message msg, Module& m) {
-  ++stats_.requests_dispatched;
+  requests_dispatched_.inc();
   m.handle_request(std::move(msg));
 }
 
 void Broker::route_response(Message msg) {
-  ++stats_.responses_routed;
+  responses_routed_.inc();
   while (!msg.route.empty()) {
     const RouteHop hop = msg.route.back();
     if (hop.kind == RouteHop::Kind::Broker) {
@@ -317,14 +311,13 @@ void Broker::route_response(Message msg) {
     auto pending = pending_.find(msg.matchtag);
     if (pending != pending_.end()) {
       auto promise = pending->second.promise;
-      registry_.histogram("cmb.rpc_ns").record(ex_.now() - pending->second.start);
+      rpc_ns_.record(ex_.now() - pending->second.start);
       ex_.cancel(pending->second.timer);
       pending_.erase(pending);
       promise.set_value(std::move(msg));
     } else {
       // Late response: the matchtag was already settled (rpc timeout fired).
-      ++stats_.responses_dropped;
-      registry_.counter("cmb.responses_dropped").inc();
+      responses_dropped_.inc();
       log::debug("broker", "rank ", rank_, ": dropped response tag ",
                  msg.matchtag, " topic ", msg.topic);
     }
@@ -349,7 +342,7 @@ void Broker::forward_upstream(Message req) {
                ": forward_upstream with no parent, dropping ", req.topic);
     return;
   }
-  ++stats_.requests_forwarded;
+  requests_forwarded_.inc();
   req.nodeid = kNodeAny;
   req.route.push_back(RouteHop{RouteHop::Kind::Broker, rank_, 0});
   send(*up, std::move(req));
@@ -412,7 +405,7 @@ void Broker::forward_direct(NodeId to, Message req) {
     route_request(std::move(req));
     return;
   }
-  ++stats_.requests_forwarded;
+  requests_forwarded_.inc();
   send(to, std::move(req));
 }
 
@@ -426,7 +419,7 @@ void Broker::module_subscribe(Module& m, std::string topic_prefix) {
 
 void Broker::publish(Message ev) {
   assert(ev.is_event());
-  ++stats_.events_published;
+  events_published_.inc();
   if (!is_root()) {
     ev.seq = 0;  // unsequenced until the root stamps it
     const auto up = parent();
@@ -454,7 +447,7 @@ void Broker::on_event_from_below(Message msg) {
 void Broker::deliver_event(const Message& msg) {
   if (msg.seq <= last_event_seq_) return;  // duplicate suppression
   last_event_seq_ = msg.seq;
-  ++stats_.events_delivered;
+  events_delivered_.inc();
   if (msg.topic == "cmb.online")
     online_.store(true, std::memory_order_release);
   if (msg.topic == "cmb.rejoin") {
@@ -610,17 +603,6 @@ void Broker::handle_cmb_request(Message msg) {
 Json Broker::stats_json(bool all) const {
   Json out = all ? registry_.snapshot() : registry_.snapshot("cmb");
   out["rank"] = rank_;
-  // Fold the core routing counters in under the registry's naming scheme so
-  // aggregation code sees one uniform counter map.
-  Json& counters = out["counters"];
-  counters["cmb.requests_dispatched"] = stats_.requests_dispatched;
-  counters["cmb.requests_forwarded"] = stats_.requests_forwarded;
-  counters["cmb.responses_routed"] = stats_.responses_routed;
-  counters["cmb.events_published"] = stats_.events_published;
-  counters["cmb.events_delivered"] = stats_.events_delivered;
-  counters["cmb.ring_forwarded"] = stats_.ring_forwarded;
-  counters["cmb.rpc_timeouts"] = stats_.rpc_timeouts;
-  counters["cmb.responses_dropped"] = stats_.responses_dropped;
   return out;
 }
 
@@ -643,8 +625,8 @@ void Broker::maybe_complete_hello() {
 // ---------------------------------------------------------------------------
 
 void Broker::send(NodeId to, Message msg) {
-  net_tx_msgs_->inc();
-  net_tx_bytes_->inc(static_cast<std::uint64_t>(msg.wire_size()));
+  net_tx_msgs_.inc();
+  net_tx_bytes_.inc(static_cast<std::uint64_t>(msg.wire_size()));
   session_.send(rank_, to, std::move(msg));
 }
 

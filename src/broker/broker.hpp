@@ -139,17 +139,16 @@ class Broker {
     return online_.load(std::memory_order_acquire);
   }
 
+  // Read by hostbench only; goes when hostbench reads a registry dump.
   struct Stats {
-    std::uint64_t requests_dispatched = 0;
-    std::uint64_t requests_forwarded = 0;
-    std::uint64_t responses_routed = 0;
-    std::uint64_t events_published = 0;
-    std::uint64_t events_delivered = 0;
-    std::uint64_t ring_forwarded = 0;
-    std::uint64_t rpc_timeouts = 0;        ///< local RPCs resolved ETIMEDOUT
-    std::uint64_t responses_dropped = 0;   ///< late/unmatched responses
+    std::uint64_t requests_forwarded, ring_forwarded, events_delivered,
+        rpc_timeouts, responses_dropped;
   };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  [[nodiscard]] Stats stats() const noexcept {
+    return {requests_forwarded_.value(), ring_forwarded_.value(),
+            events_delivered_.value(), rpc_timeouts_.value(),
+            responses_dropped_.value()};
+  }
 
   /// This broker's observability registry. Reactor-confined: only touch it
   /// from this broker's executor (see obs/stats.hpp).
@@ -158,8 +157,8 @@ class Broker {
     return registry_;
   }
 
-  /// The "cmb" service's stats.get payload: core routing counters plus the
-  /// registry's cmb.* instruments (all registry services with all=true).
+  /// The "cmb" service's stats.get payload: the registry's cmb.* slice (the
+  /// whole registry with all=true) plus {"rank"}.
   [[nodiscard]] Json stats_json(bool all = false) const;
 
  private:
@@ -229,14 +228,24 @@ class Broker {
   std::uint32_t hello_count_ = 0;  // descendants reported (excluding self)
   bool hello_sent_ = false;
 
-  Stats stats_;
   obs::StatsRegistry registry_;
-  // Net traffic counters, resolved once in the constructor (receive/send are
-  // the hottest broker paths; no per-message registry lookup).
-  obs::Counter* net_rx_msgs_ = nullptr;
-  obs::Counter* net_rx_bytes_ = nullptr;
-  obs::Counter* net_tx_msgs_ = nullptr;
-  obs::Counter* net_tx_bytes_ = nullptr;
+  // Core routing and traffic instruments, resolved once at construction:
+  // receive/send are the hottest broker paths.
+  obs::Counter& requests_dispatched_ = registry_.counter("cmb.requests_dispatched");
+  obs::Counter& requests_forwarded_ = registry_.counter("cmb.requests_forwarded");
+  obs::Counter& responses_routed_ = registry_.counter("cmb.responses_routed");
+  obs::Counter& events_published_ = registry_.counter("cmb.events_published");
+  obs::Counter& events_delivered_ = registry_.counter("cmb.events_delivered");
+  obs::Counter& ring_forwarded_ = registry_.counter("cmb.ring_forwarded");
+  /// Local RPCs resolved ETIMEDOUT, and late/unmatched responses.
+  obs::Counter& rpc_timeouts_ = registry_.counter("cmb.rpc_timeouts");
+  obs::Counter& responses_dropped_ = registry_.counter("cmb.responses_dropped");
+  /// Local RPC issue-to-response latency.
+  obs::Histogram& rpc_ns_ = registry_.histogram("cmb.rpc_ns");
+  obs::Counter& net_rx_msgs_ = registry_.counter("cmb.net.rx_msgs");
+  obs::Counter& net_rx_bytes_ = registry_.counter("cmb.net.rx_bytes");
+  obs::Counter& net_tx_msgs_ = registry_.counter("cmb.net.tx_msgs");
+  obs::Counter& net_tx_bytes_ = registry_.counter("cmb.net.tx_bytes");
 };
 
 }  // namespace flux

@@ -6,8 +6,7 @@ namespace flux {
 
 void ModuleBase::handle_request(Message msg) {
   if (requests_counter_ == nullptr) {
-    requests_counter_ =
-        &broker().stats_registry().counter(std::string(name()) + ".requests");
+    requests_counter_ = &stats_registry().counter(std::string(name()) + ".requests");
   }
   requests_counter_->inc();
   const auto method = msg.method();
@@ -29,6 +28,10 @@ Json ModuleBase::stats_json() const {
   Json out = broker().stats_registry().snapshot(name());
   out["rank"] = broker().rank();
   return out;
+}
+
+obs::StatsRegistry& ModuleBase::stats_registry() noexcept {
+  return broker().stats_registry();
 }
 
 void ModuleBase::respond_error(const Message& req, errc code,

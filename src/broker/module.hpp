@@ -85,6 +85,9 @@ class ModuleBase : public Module {
   void respond_error(const Message& req, errc code, std::string_view what = {});
   /// Respond with payload.
   void respond_ok(const Message& req, Json payload = Json::object());
+  /// The broker's registry. Modules resolve their instruments in it once,
+  /// in member initializers, which cannot see Broker's definition.
+  [[nodiscard]] obs::StatsRegistry& stats_registry() noexcept;
 
  private:
   std::map<std::string, Handler, std::less<>> handlers_;

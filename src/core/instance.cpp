@@ -14,7 +14,7 @@ FluxInstance::FluxInstance(Executor& ex, std::string name,
       graph_(graph),
       cost_(cost),
       pool_(graph),
-      sched_(ex, pool_, make_policy(policy), cost) {
+      sched_(ex, pool_, make_policy(policy), registry_, "sched", cost) {
   sched_.on_start([this](std::uint64_t id, const Allocation& a) {
     job_started(id, a);
   });
@@ -37,7 +37,7 @@ FluxInstance::FluxInstance(Executor& ex, std::string name,
       level_(parent ? parent->level_ + 1 : 0),
       cost_(cost),
       pool_(graph, std::move(nodes), power_budget_w, io_bw_budget_gbs),
-      sched_(ex, pool_, make_policy(policy), cost) {
+      sched_(ex, pool_, make_policy(policy), registry_, "sched", cost) {
   sched_.on_start([this](std::uint64_t id, const Allocation& a) {
     job_started(id, a);
   });
@@ -223,9 +223,12 @@ std::vector<FluxInstance*> FluxInstance::children() const {
 FluxInstance::TreeStats FluxInstance::tree_stats() const {
   TreeStats out;
   out.instances = 1 + retired_.instances;
-  out.jobs_completed = sched_.stats().completed + retired_.jobs_completed;
-  out.sched_busy = sched_.stats().sched_busy + retired_.sched_busy;
-  out.sched_passes = sched_.stats().passes + retired_.sched_passes;
+  out.jobs_completed =
+      registry_.counter_value("sched.completed") + retired_.jobs_completed;
+  out.sched_busy = Duration(static_cast<Duration::rep>(
+                       registry_.counter_value("sched.busy_ns"))) +
+                   retired_.sched_busy;
+  out.sched_passes = registry_.counter_value("sched.passes") + retired_.sched_passes;
   for (const auto& [key, child] : children_) {
     const TreeStats c = child->tree_stats();
     out.instances += c.instances;

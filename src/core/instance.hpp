@@ -116,6 +116,9 @@ class FluxInstance {
   unsigned level_ = 0;
   Scheduler::CostModel cost_;  ///< inherited by child instances
   ResourcePool pool_;
+  /// This instance's scheduler counters ("sched.*"); a model-only instance
+  /// has no broker whose registry could hold them.
+  obs::StatsRegistry registry_;
   Scheduler sched_;
   /// Allocation id in the *parent's* pool backing this instance (0 = root
   /// or externally-managed child).

@@ -8,7 +8,6 @@
 #include "base/rng.hpp"
 #include "broker/session.hpp"
 #include "kvs/kvs_client.hpp"
-#include "kvs/kvs_module.hpp"
 
 namespace flux::kap {
 
@@ -178,11 +177,10 @@ KapResult run_kap(const KapConfig& cfg) {
   result.net_messages = session->simnet()->stats().messages;
   result.net_bytes = session->simnet()->stats().bytes;
   for (NodeId r = 0; r < cfg.nnodes; ++r) {
-    auto* kvs = dynamic_cast<KvsModule*>(session->broker(r).find_module("kvs"));
-    if (kvs == nullptr) continue;
-    result.cache_hits += kvs->cache().stats().hits;
-    result.cache_misses += kvs->cache().stats().misses;
-    result.faults_issued += kvs->op_stats().faults_issued;
+    const obs::StatsRegistry& reg = session->broker(r).stats_registry();
+    result.cache_hits += reg.counter_value("kvs.cache.hits");
+    result.cache_misses += reg.counter_value("kvs.cache.misses");
+    result.faults_issued += reg.counter_value("kvs.faults_issued");
   }
   result.sim_events = ex.executed();
   result.host_seconds =

@@ -86,7 +86,18 @@ std::string checkpoint_payload(const std::vector<Sha1>& rootrefs,
 
 using contentlog::RecordType;
 
-FileLogBackend::FileLogBackend(std::string path) : path_(std::move(path)) {}
+FileLogBackend::FileLogBackend(std::string path, obs::StatsRegistry* registry,
+                               std::string_view prefix)
+    : own_registry_(registry ? nullptr : std::make_unique<obs::StatsRegistry>()),
+      registry_(registry ? *registry : *own_registry_),
+      path_(std::move(path)),
+      objects_appended_(registry_.counter(std::string(prefix) + ".objects_appended")),
+      roots_appended_(registry_.counter(std::string(prefix) + ".roots_appended")),
+      checkpoints_(registry_.counter(std::string(prefix) + ".checkpoints")),
+      syncs_(registry_.counter(std::string(prefix) + ".syncs")),
+      synced_bytes_(registry_.counter(std::string(prefix) + ".synced_bytes")),
+      compactions_(registry_.counter(std::string(prefix) + ".compactions")),
+      compacted_bytes_(registry_.counter(std::string(prefix) + ".compacted_bytes")) {}
 
 FileLogBackend::~FileLogBackend() {
   // Destruction without close() is the crash path (Broker::restart destroys
@@ -243,13 +254,13 @@ void FileLogBackend::write_durable(std::string_view bytes) {
     throw FluxException(
         Error(errc::io, "content backend: write failed on " + path_));
   durable_bytes_ += bytes.size();
-  stats_.synced_bytes += bytes.size();
+  synced_bytes_.inc(bytes.size());
 }
 
 void FileLogBackend::append_object(const StoredObject& obj) {
   if (!open_) return;
   buffer(contentlog::frame(RecordType::object, obj.bytes));
-  ++stats_.objects_appended;
+  objects_appended_.inc();
 }
 
 void FileLogBackend::append_root(std::uint32_t shard, std::uint64_t version,
@@ -257,7 +268,7 @@ void FileLogBackend::append_root(std::uint32_t shard, std::uint64_t version,
   if (!open_) return;
   buffer(contentlog::frame(RecordType::root,
                            contentlog::root_payload(shard, version, rootref)));
-  ++stats_.roots_appended;
+  roots_appended_.inc();
 }
 
 void FileLogBackend::append_checkpoint(const std::vector<Sha1>& rootrefs,
@@ -265,17 +276,17 @@ void FileLogBackend::append_checkpoint(const std::vector<Sha1>& rootrefs,
   if (!open_) return;
   buffer(contentlog::frame(RecordType::checkpoint,
                            contentlog::checkpoint_payload(rootrefs, vv)));
-  ++stats_.checkpoints;
+  checkpoints_.inc();
 }
 
 void FileLogBackend::sync() {
   if (!open_ || pending_.empty()) {
-    if (open_) ++stats_.syncs;
+    if (open_) syncs_.inc();
     return;
   }
   write_durable(pending_);
   pending_.clear();
-  ++stats_.syncs;
+  syncs_.inc();
 }
 
 void FileLogBackend::crash(std::uint64_t keep_unsynced_bytes) {
@@ -325,11 +336,11 @@ void FileLogBackend::compact(const ContentStore& live,
     throw FluxException(
         Error(errc::io, "content backend: rename failed on " + path_));
 
-  ++stats_.compactions;
+  compactions_.inc();
   if (durable_bytes_ > fresh.size())
-    stats_.compacted_bytes += durable_bytes_ - fresh.size();
+    compacted_bytes_.inc(durable_bytes_ - fresh.size());
   durable_bytes_ = fresh.size();
-  ++stats_.checkpoints;
+  checkpoints_.inc();
 }
 
 }  // namespace flux

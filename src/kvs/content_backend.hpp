@@ -43,6 +43,7 @@
 
 #include "hash/sha1.hpp"
 #include "kvs/content_store.hpp"
+#include "obs/stats.hpp"
 
 namespace flux {
 
@@ -74,17 +75,6 @@ enum class RecordType : std::uint8_t { object = 1, root = 2, checkpoint = 3 };
     const std::vector<Sha1>& rootrefs, const std::vector<std::uint64_t>& vv);
 
 }  // namespace contentlog
-
-/// Durability counters surfaced through kvs.stats.
-struct BackendStats {
-  std::uint64_t objects_appended = 0;
-  std::uint64_t roots_appended = 0;
-  std::uint64_t checkpoints = 0;
-  std::uint64_t syncs = 0;
-  std::uint64_t synced_bytes = 0;
-  std::uint64_t compactions = 0;
-  std::uint64_t compacted_bytes = 0;  ///< bytes reclaimed by compaction
-};
 
 /// Abstract persistence backend a KVS master attaches to its ContentStore.
 ///
@@ -135,14 +125,18 @@ class ContentBackend {
   virtual void compact(const ContentStore& live,
                        const std::vector<Sha1>& rootrefs,
                        const std::vector<std::uint64_t>& vv) = 0;
-
-  [[nodiscard]] virtual const BackendStats& stats() const = 0;
 };
 
 /// The single-file log-structured backend described in the header comment.
 class FileLogBackend final : public ContentBackend {
  public:
-  explicit FileLogBackend(std::string path);
+  /// Durability counters go to `registry` as `<prefix>.{objects_appended,
+  /// roots_appended,checkpoints,syncs,synced_bytes,compactions,
+  /// compacted_bytes}`; a KVS master passes its broker's registry and
+  /// "kvs.persist", so they surface in kvs.stats.get. An offline reader (a
+  /// recovery audit or timing) passes none: a registry of its own counts.
+  explicit FileLogBackend(std::string path, obs::StatsRegistry* registry = nullptr,
+                          std::string_view prefix = "log");
   ~FileLogBackend() override;
 
   Recovered recover(ContentStore& into) override;
@@ -159,8 +153,6 @@ class FileLogBackend final : public ContentBackend {
   void close() override;
   void compact(const ContentStore& live, const std::vector<Sha1>& rootrefs,
                const std::vector<std::uint64_t>& vv) override;
-  [[nodiscard]] const BackendStats& stats() const override { return stats_; }
-
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
   [[nodiscard]] std::uint64_t durable_bytes() const noexcept {
     return durable_bytes_;
@@ -171,11 +163,19 @@ class FileLogBackend final : public ContentBackend {
   /// Append `bytes` to the file and fflush (durability point).
   void write_durable(std::string_view bytes);
 
+  std::unique_ptr<obs::StatsRegistry> own_registry_;  ///< when none is passed
+  obs::StatsRegistry& registry_;
   std::string path_;
   std::string pending_;  ///< appended but not yet synced
   std::uint64_t durable_bytes_ = 0;
   bool open_ = false;    ///< recover() succeeded and no crash()/close() yet
-  BackendStats stats_;
+  obs::Counter& objects_appended_;
+  obs::Counter& roots_appended_;
+  obs::Counter& checkpoints_;
+  obs::Counter& syncs_;
+  obs::Counter& synced_bytes_;
+  obs::Counter& compactions_;
+  obs::Counter& compacted_bytes_;  ///< bytes reclaimed by compaction
 };
 
 }  // namespace flux

@@ -51,6 +51,12 @@ void ContentStore::for_each(
 // ObjectCache
 // ---------------------------------------------------------------------------
 
+ObjectCache::ObjectCache(obs::StatsRegistry& registry, std::string_view prefix)
+    : hits_(registry.counter(std::string(prefix) + ".hits")),
+      misses_(registry.counter(std::string(prefix) + ".misses")),
+      evictions_(registry.counter(std::string(prefix) + ".evictions")),
+      expire_scanned_(registry.counter(std::string(prefix) + ".expire_scanned")) {}
+
 void ObjectCache::touch(const Sha1& id, std::uint64_t epoch) {
   use_buckets_[epoch].push_back(id);
 }
@@ -69,12 +75,10 @@ void ObjectCache::put(ObjPtr obj, std::uint64_t epoch) {
 ObjPtr ObjectCache::get(const Sha1& id, std::uint64_t epoch) {
   auto it = entries_.find(id);
   if (it == entries_.end()) {
-    ++stats_.misses;
-    if (misses_) misses_->inc();
+    misses_.inc();
     return nullptr;
   }
-  ++stats_.hits;
-  if (hits_) hits_->inc();
+  hits_.inc();
   if (it->second.last_used != epoch) touch(id, epoch);
   it->second.last_used = epoch;
   return it->second.obj;
@@ -104,7 +108,7 @@ std::size_t ObjectCache::expire(std::uint64_t epoch, std::uint64_t max_age) {
   while (!use_buckets_.empty() && use_buckets_.begin()->first < cutoff) {
     auto bucket = use_buckets_.begin();
     for (const Sha1& id : bucket->second) {
-      ++stats_.expire_scanned;
+      expire_scanned_.inc();
       auto it = entries_.find(id);
       if (it == entries_.end() || it->second.last_used >= cutoff) continue;
       if (it->second.pins != 0) {
@@ -120,8 +124,7 @@ std::size_t ObjectCache::expire(std::uint64_t epoch, std::uint64_t max_age) {
     }
     use_buckets_.erase(bucket);
   }
-  stats_.evictions += evicted;
-  if (evictions_) evictions_->inc(evicted);
+  evictions_.inc(evicted);
   return evicted;
 }
 
@@ -139,8 +142,7 @@ std::size_t ObjectCache::drop_all() {
   // Rebuild the use buckets for the (pinned) survivors.
   use_buckets_.clear();
   for (const auto& [id, entry] : entries_) touch(id, entry.last_used);
-  stats_.evictions += evicted;
-  if (evictions_) evictions_->inc(evicted);
+  evictions_.inc(evicted);
   return evicted;
 }
 

@@ -68,10 +68,14 @@ class ContentStore {
 /// lazy per-epoch bucket, and expire() visits only buckets older than the
 /// cutoff. A refreshed entry leaves stale duplicates in old buckets; they are
 /// skipped at visit time by re-checking the entry's true last_used. The
-/// per-expire scan work is surfaced in Stats::expire_scanned so the cost
+/// per-expire scan work is counted in `<prefix>.expire_scanned` so the cost
 /// stays observable.
 class ObjectCache {
  public:
+  /// Counts `<prefix>.{hits,misses,evictions,expire_scanned}` in `registry`
+  /// (the KVS passes its broker's registry and "kvs.cache").
+  ObjectCache(obs::StatsRegistry& registry, std::string_view prefix);
+
   /// Insert/update; records `epoch` as last use.
   void put(ObjPtr obj, std::uint64_t epoch);
   /// Lookup; a hit refreshes last use to `epoch`.
@@ -88,23 +92,12 @@ class ObjectCache {
   [[nodiscard]] std::size_t count() const noexcept { return entries_.size(); }
   [[nodiscard]] std::size_t bytes() const noexcept { return bytes_; }
 
+  // Read by hostbench only; goes when hostbench reads a registry dump.
   struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    /// Candidate ids examined across all expire() calls (the actual expiry
-    /// work; stays near the eviction count instead of count() per epoch).
-    std::uint64_t expire_scanned = 0;
+    std::uint64_t hits, misses;
   };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
-  /// Mirror hit/miss/eviction counts into observability counters (the
-  /// owning module binds its broker's registry instruments once at start).
-  void bind_counters(obs::Counter* hits, obs::Counter* misses,
-                     obs::Counter* evictions) noexcept {
-    hits_ = hits;
-    misses_ = misses;
-    evictions_ = evictions;
+  [[nodiscard]] Stats stats() const noexcept {
+    return Stats{hits_.value(), misses_.value()};
   }
 
  private:
@@ -122,10 +115,12 @@ class ObjectCache {
   /// expire() time. Ordered so expire() pops oldest-first.
   std::map<std::uint64_t, std::vector<Sha1>> use_buckets_;
   std::size_t bytes_ = 0;
-  Stats stats_;
-  obs::Counter* hits_ = nullptr;
-  obs::Counter* misses_ = nullptr;
-  obs::Counter* evictions_ = nullptr;
+  obs::Counter& hits_;
+  obs::Counter& misses_;
+  obs::Counter& evictions_;
+  /// Candidate ids examined across all expire() calls (the actual expiry
+  /// work; stays near the eviction count instead of count() per epoch).
+  obs::Counter& expire_scanned_;
 };
 
 /// Apply commit tuples to the hash tree rooted at `root_ref`, reading from

@@ -62,7 +62,6 @@ KvsModule::KvsModule(Broker& b) : ModuleBase(b) {
   on("flush", [this](Message& m) { op_flush(m); });
   on("load", [this](Message& m) { op_load(m); });
   on("shard_done", [this](Message& m) { op_shard_done(m); });
-  on("stats", [this](Message& m) { op_stats(m); });
   on("drop_cache", [this](Message& m) { op_drop_cache(m); });
 
   broker().module_subscribe(*this, "kvs.setroot");
@@ -91,11 +90,6 @@ void KvsModule::start() {
   const Json cfg = broker().module_config("kvs");
   expiry_epochs_ =
       static_cast<std::uint64_t>(cfg.get_int("expiry_epochs", 0));
-  // Slave-cache efficacy instruments (hit-rate surfaces in `flux_cli stats`).
-  obs::StatsRegistry& reg = broker().stats_registry();
-  cache_.bind_counters(&reg.counter("kvs.cache.hits"),
-                       &reg.counter("kvs.cache.misses"),
-                       &reg.counter("kvs.cache.evictions"));
 
   const auto shards_cfg = static_cast<std::uint32_t>(
       std::max<std::int64_t>(1, cfg.get_int("shards", 1)));
@@ -177,12 +171,6 @@ void KvsModule::bind_master(std::uint32_t shard) {
   shard_dead_[shard] = false;
   if (my_shard_) return;
   my_shard_ = shard;
-  obs::StatsRegistry& reg = broker().stats_registry();
-  apply_batches_stat_ = &reg.counter("kvs.apply.batches");
-  apply_batch_size_ = &reg.histogram("kvs.apply.batch_size");
-  apply_ns_ = &reg.histogram("kvs.apply.ns");
-  announces_stat_ = &reg.counter("kvs.announce.batches");
-  announce_size_ = &reg.histogram("kvs.announce.batch_size");
 }
 
 void KvsModule::shutdown() {
@@ -203,7 +191,6 @@ void KvsModule::shutdown() {
     // Clean shutdown: one final checkpoint so a restart recovers the exact
     // served state, then sync and close.
     backend_->append_checkpoint(shard_roots_, shard_versions_);
-    ++persist_stats_.checkpoints;
     backend_->close();
   }
 }
@@ -226,12 +213,11 @@ bool KvsModule::persist_open(std::uint32_t shard) {
   if (!persist_) return false;
   std::string path = persist_->path;
   if (sharded()) path += ".s" + std::to_string(shard);
-  backend_ = std::make_unique<FileLogBackend>(path);
+  backend_ = std::make_unique<FileLogBackend>(path, &broker().stats_registry(),
+                                              "kvs.persist");
   const ContentBackend::Recovered rec = backend_->recover(store_);
-  persist_stats_.recovered_objects = rec.objects;
-  persist_stats_.truncated_bytes = rec.truncated_bytes;
-  if (persist_->gc_every != 0)
-    gc_pause_ns_ = &broker().stats_registry().histogram("kvs.gc.pause_ns");
+  recovered_objects_.inc(rec.objects);
+  truncated_bytes_.inc(rec.truncated_bytes);
 
   bool recovered = false;
   if (rec.has_root(shard) && store_.contains(rec.roots[shard])) {
@@ -239,7 +225,6 @@ bool KvsModule::persist_open(std::uint32_t shard) {
     shard_roots_[shard] = rec.roots[shard];
     shard_versions_[shard] = v;
     recovered_versions_[shard] = v;
-    persist_stats_.recovered_version = v;
     store_.set_birth_version(v);
     recovered = true;
     log::info("kvs", "rank ", broker().rank(), ": recovered ", rec.objects,
@@ -268,7 +253,6 @@ void KvsModule::persist_root(std::uint32_t shard) {
     m.applies_since_checkpoint = 0;
     backend_->append_checkpoint(shard_roots_, shard_versions_);
     backend_->sync();
-    ++persist_stats_.checkpoints;
   }
   if (persist_->gc_every != 0 && ++m.applies_since_gc >= persist_->gc_every) {
     m.applies_since_gc = 0;
@@ -310,16 +294,12 @@ void KvsModule::run_gc() {
   opt.retention = persist_->retention;
   opt.pins = gc_pins();
   const GcStats gs = mark_and_sweep(store_, gc_roots(), opt);
-  ++persist_stats_.gc_passes;
-  persist_stats_.gc_swept += gs.swept;
-  persist_stats_.gc_swept_bytes += gs.swept_bytes;
+  gc_swept_.inc(gs.swept);
+  gc_swept_bytes_.inc(gs.swept_bytes);
   // Reclaim the log space too: rewrite it to the swept store plus one
   // checkpoint (atomic temp-file + rename).
-  if (gs.swept > 0) {
-    backend_->compact(store_, shard_roots_, shard_versions_);
-    ++persist_stats_.checkpoints;
-  }
-  if (gc_pause_ns_) gc_pause_ns_->record(wall_ns_since(t0));
+  if (gs.swept > 0) backend_->compact(store_, shard_roots_, shard_versions_);
+  gc_pause_ns_.record(wall_ns_since(t0));
 }
 
 void KvsModule::handle_event(const Message& msg) {
@@ -367,7 +347,7 @@ void KvsModule::record(Message& msg, std::string key, ObjPtr obj) {
 }
 
 void KvsModule::op_put(Message& msg) {
-  ++ops_.puts;
+  puts_.inc();
   const std::string key = msg.payload().get_string("key");
   if (key.empty() || split_key(key).empty()) {
     respond_error(msg, errc::inval, "put: empty key");
@@ -400,7 +380,7 @@ void KvsModule::op_stage(Message& msg) {
     return;
   }
   for (const ObjPtr& obj : bundle->objects()) {
-    ++ops_.puts;
+    puts_.inc();
     cache_.put(obj, epoch_);
   }
   respond_ok(msg);
@@ -431,7 +411,7 @@ void KvsModule::op_mkdir(Message& msg) {
 // ---------------------------------------------------------------------------
 
 void KvsModule::op_commit(Message& msg) {
-  ++ops_.commits;
+  commits_.inc();
   // A commit is a single-party fence with a unique name (the same
   // unification flux-core later adopted). Completion — and therefore the
   // response — happens only after the local root has been updated, which is
@@ -481,7 +461,7 @@ std::optional<KvsModule::Txn> KvsModule::claim_txn(Message& msg) {
 }
 
 void KvsModule::op_fence(Message& msg) {
-  ++ops_.fences;
+  fence_ops_.inc();
   const std::string name = msg.payload().get_string("name");
   const std::int64_t nprocs = msg.payload().get_int("nprocs", 0);
   if (name.empty() || nprocs <= 0) {
@@ -627,7 +607,7 @@ void KvsModule::flush_fence(const std::string& name, std::uint32_t shard) {
   // the coordinator or the client's retry settles the fence.
   const auto up = shard_dead_[shard] ? std::nullopt : tree_parent(shard);
   if (up) {
-    ++ops_.flushes_forwarded;
+    flushes_forwarded_.inc();
     Message flush = Message::request(
         "kvs.flush",
         Json::object({{"name", name},
@@ -748,10 +728,7 @@ void KvsModule::flush_apply_batch(std::uint32_t shard) {
               std::back_inserter(tuples));
   }
   m.batch.clear();
-  ++ops_.apply_batches;
-  ops_.apply_batched_fences += names.size();
-  if (apply_batches_stat_ != nullptr) apply_batches_stat_->inc();
-  if (apply_batch_size_ != nullptr) apply_batch_size_->record(names.size());
+  apply_batch_size_.record(names.size());
   master_apply(shard, tuples, std::move(names));
 }
 
@@ -765,7 +742,7 @@ void KvsModule::master_apply(std::uint32_t shard,
   // a stale version number — breaks setroot-sequence monotonicity.
   if (!check::mutation("kvs.skip_version_bump")) ++shard_versions_[shard];
   persist_root(shard);
-  if (apply_ns_ != nullptr) apply_ns_->record(wall_ns_since(t0));
+  apply_ns_.record(wall_ns_since(t0));
   // The master bumps its version here, so the adopt guard on the announce
   // path won't fire for it: refresh the scalar root and local waiters now.
   refresh_scalar_root();
@@ -802,10 +779,7 @@ void KvsModule::flush_announce(std::uint32_t shard) {
     m.announce_names.clear();
     return;
   }
-  ++ops_.announces;
-  ops_.announced_fences += m.announce_names.size();
-  if (announces_stat_ != nullptr) announces_stat_->inc();
-  if (announce_size_ != nullptr) announce_size_->record(m.announce_names.size());
+  announce_size_.record(m.announce_names.size());
   m.last_announce = broker().executor().now();
   std::vector<std::string> names = std::move(m.announce_names);
   m.announce_names.clear();
@@ -1172,7 +1146,7 @@ Task<std::vector<ObjPtr>> KvsModule::ensure_objects(
 
   if (!fresh.empty()) {
     // One upstream round-trip for the whole batch.
-    ++ops_.faults_issued;
+    faults_issued_.inc();
     // The chain hint only helps if we are the ones fetching the walk base;
     // otherwise the caller re-batches from the first missing link.
     const bool send_walk = !walk.empty() && fresh.front() == refs.front();
@@ -1211,7 +1185,7 @@ Task<std::vector<ObjPtr>> KvsModule::ensure_objects(
         break;
       }
       if (attempts_left-- <= 0) break;
-      ++ops_.faults_issued;  // the retry is another upstream round-trip
+      faults_issued_.inc();  // the retry is another upstream round-trip
       if (backoff.count() > 0) {
         co_await sleep_for(broker().executor(), backoff);
         backoff *= 2;
@@ -1228,7 +1202,7 @@ Task<std::vector<ObjPtr>> KvsModule::ensure_objects(
         for (const ObjPtr& obj : bundle->objects()) {
           if (!obj) continue;
           cache_.put(obj, epoch_);
-          ++ops_.objects_faulted;
+          objects_faulted_.inc();
           got.emplace(obj->id, obj);
           if (auto it = faults_.find(obj->id); it != faults_.end()) {
             auto promise = it->second;
@@ -1310,7 +1284,7 @@ Task<void> KvsModule::serve_load(Message req, std::vector<Sha1> refs,
 }
 
 void KvsModule::op_load(Message& msg) {
-  ++ops_.loads_served;
+  loads_served_.inc();
   const Json& jrefs = msg.payload().at("refs");
   const std::int64_t shard = msg.payload().get_int("shard", 0);
   if (!jrefs.is_array() || jrefs.as_array().empty() || shard < 0 ||
@@ -1337,7 +1311,7 @@ void KvsModule::op_load(Message& msg) {
 }
 
 void KvsModule::op_get(Message& msg) {
-  ++ops_.gets;
+  gets_.inc();
   co_spawn(broker().executor(), do_get(std::move(msg), /*ref_only=*/false),
            "kvs.get");
 }
@@ -1518,47 +1492,17 @@ void KvsModule::op_wait_version(Message& msg) {
       "kvs.wait_version");
 }
 
-void KvsModule::op_stats(Message& msg) {
-  Json out =
-      Json::object({{"rank", broker().rank()},
-                    {"master", is_master()},
-                    {"version", root_version_},
-                    {"store_objects", store_.count()},
-                    {"store_bytes", store_.bytes()},
-                    {"cache_objects", cache_.count()},
-                    {"cache_bytes", cache_.bytes()},
-                    {"cache_hits", cache_.stats().hits},
-                    {"cache_misses", cache_.stats().misses},
-                    {"cache_evictions", cache_.stats().evictions},
-                    {"puts", ops_.puts},
-                    {"gets", ops_.gets},
-                    {"commits", ops_.commits},
-                    {"fences", ops_.fences},
-                    {"faults_issued", ops_.faults_issued},
-                    {"flushes_forwarded", ops_.flushes_forwarded},
-                    {"apply_batches", ops_.apply_batches},
-                    {"apply_batched_fences", ops_.apply_batched_fences},
-                    {"apply_batch_mean",
-                     ops_.apply_batches
-                         ? static_cast<double>(ops_.apply_batched_fences) /
-                               static_cast<double>(ops_.apply_batches)
-                         : 0.0},
-                    {"announces", ops_.announces},
-                    {"announced_fences", ops_.announced_fences},
-                    {"announce_batch_mean",
-                     ops_.announces
-                         ? static_cast<double>(ops_.announced_fences) /
-                               static_cast<double>(ops_.announces)
-                         : 0.0}});
+Json KvsModule::stats_json() const {
+  Json out = ModuleBase::stats_json();
+  out["master"] = is_master();
+  out["version"] = root_version_;
+  out["store_objects"] = store_.count();
+  out["store_bytes"] = store_.bytes();
+  out["cache_objects"] = cache_.count();
+  out["cache_bytes"] = cache_.bytes();
   if (backend_ != nullptr) {
     out["persist"] = true;
-    out["checkpoints"] = persist_stats_.checkpoints;
-    out["gc_passes"] = persist_stats_.gc_passes;
-    out["gc_swept"] = persist_stats_.gc_swept;
-    out["gc_swept_bytes"] = persist_stats_.gc_swept_bytes;
-    out["recovered_objects"] = persist_stats_.recovered_objects;
-    out["recovered_version"] = persist_stats_.recovered_version;
-    out["truncated_bytes"] = persist_stats_.truncated_bytes;
+    out["recovered_version"] = my_shard_ ? recovered_versions_[*my_shard_] : 0;
   }
   if (sharded()) {
     out["shards"] = static_cast<std::int64_t>(shards_);
@@ -1569,7 +1513,13 @@ void KvsModule::op_stats(Message& msg) {
       vv.push_back(static_cast<std::int64_t>(v));
     out["vv"] = std::move(vv);
   }
-  respond_ok(msg, std::move(out));
+  return out;
+}
+
+KvsModule::PersistStats KvsModule::persist_stats() const noexcept {
+  return PersistStats{
+      broker().stats_registry().counter_value("kvs.persist.checkpoints"),
+      recovered_objects_.value()};
 }
 
 void KvsModule::op_drop_cache(Message& msg) {

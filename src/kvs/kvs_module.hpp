@@ -48,7 +48,7 @@
 //
 // Client-visible operations (via kvs_client.hpp):
 //   put, unlink, mkdir, get, lookup_ref, commit, fence, get_version,
-//   wait_version, stats, drop_cache
+//   wait_version, stats.get, drop_cache
 // Internal (module-to-module):
 //   flush (aggregated dirty state heading to a shard master), load
 //   (batched object fetch from the shard-tree parent), shard_done (master ->
@@ -83,6 +83,9 @@ class KvsModule final : public ModuleBase {
 
   [[nodiscard]] std::string_view name() const override { return "kvs"; }
   void start() override;
+  /// The "kvs.stats.get" payload: the registry's kvs.* slice plus the state
+  /// that is not a counter (version, master, store/cache sizes, shards/vv).
+  [[nodiscard]] Json stats_json() const override;
   void shutdown() override;
   void on_fail() override;
   void handle_event(const Message& msg) override;
@@ -99,42 +102,6 @@ class KvsModule final : public ModuleBase {
     return my_shard_;
   }
 
-  struct OpStats {
-    std::uint64_t puts = 0;
-    std::uint64_t gets = 0;
-    std::uint64_t commits = 0;
-    std::uint64_t fences = 0;
-    /// Upstream fault round-trips issued (a batched kvs.load counts once no
-    /// matter how many objects it brings in).
-    std::uint64_t faults_issued = 0;
-    /// Batched kvs.load requests handled for downstream brokers.
-    std::uint64_t loads_served = 0;
-    /// Objects brought into the local cache by load responses.
-    std::uint64_t objects_faulted = 0;
-    std::uint64_t flushes_forwarded = 0;
-    /// Shard master: root transitions performed (one per coalesced apply
-    /// batch) and the total fence parts those transitions covered. The
-    /// ratio is the coalescing factor commit bursts achieve.
-    std::uint64_t apply_batches = 0;
-    std::uint64_t apply_batched_fences = 0;
-    /// Shard master: root announces published and the fences they covered.
-    /// Under commit bursts one announce carries several coalesced root
-    /// transitions, so announces <= apply_batches.
-    std::uint64_t announces = 0;
-    std::uint64_t announced_fences = 0;
-  };
-
-  /// Persistence/GC counters (masters with a durable backend only).
-  struct PersistStats {
-    std::uint64_t checkpoints = 0;
-    std::uint64_t gc_passes = 0;
-    std::uint64_t gc_swept = 0;
-    std::uint64_t gc_swept_bytes = 0;
-    std::uint64_t recovered_objects = 0;
-    std::uint64_t recovered_version = 0;  ///< post-recovery-epoch version
-    std::uint64_t truncated_bytes = 0;    ///< torn tail dropped at recovery
-  };
-
   // Introspection for tests/benches.
   /// Sum of the per-shard versions (shard 0's version when k = 1).
   [[nodiscard]] std::uint64_t root_version() const noexcept { return root_version_; }
@@ -142,11 +109,20 @@ class KvsModule final : public ModuleBase {
   [[nodiscard]] const Sha1& root_ref() const noexcept { return root_ref_; }
   [[nodiscard]] const ObjectCache& cache() const noexcept { return cache_; }
   [[nodiscard]] const ContentStore& store() const noexcept { return store_; }
-  [[nodiscard]] const OpStats& op_stats() const noexcept { return ops_; }
-  [[nodiscard]] const PersistStats& persist_stats() const noexcept {
-    return persist_stats_;
+  // Read by hostbench only; goes when hostbench reads a registry dump.
+  struct OpStats {
+    std::uint64_t faults_issued, flushes_forwarded, apply_batches,
+        apply_batched_fences, announces;
+  };
+  [[nodiscard]] OpStats op_stats() const noexcept {
+    return {faults_issued_.value(), flushes_forwarded_.value(),
+            apply_batch_size_.count(), apply_batch_size_.sum(), announce_size_.count()};
   }
-  [[nodiscard]] bool persistent() const noexcept { return backend_ != nullptr; }
+  // Read by hostbench only; goes when hostbench reads a registry dump.
+  struct PersistStats {
+    std::uint64_t checkpoints, recovered_objects;
+  };
+  [[nodiscard]] PersistStats persist_stats() const noexcept;
   [[nodiscard]] const std::vector<std::uint64_t>& shard_versions() const noexcept {
     return shard_versions_;
   }
@@ -173,7 +149,6 @@ class KvsModule final : public ModuleBase {
   void op_flush(Message& msg);
   void op_load(Message& msg);
   void op_shard_done(Message& msg);
-  void op_stats(Message& msg);
   void op_drop_cache(Message& msg);
 
   // -- fences ------------------------------------------------------------------
@@ -390,7 +365,35 @@ class KvsModule final : public ModuleBase {
   Sha1 root_ref_{};                 // shard 0's root
   std::uint64_t root_version_ = 0;  // sum of shard versions; 0 == no root yet
   ContentStore store_;              // shard masters only
-  ObjectCache cache_;               // every broker
+  ObjectCache cache_{stats_registry(), "kvs.cache"};  // every broker
+  // Instruments in the broker's registry, resolved at construction. A shard
+  // master's apply and announce batches are histograms of fences per batch:
+  // count = batches, sum = fences they covered.
+  obs::Counter& puts_ = stats_registry().counter("kvs.puts");
+  obs::Counter& gets_ = stats_registry().counter("kvs.gets");
+  obs::Counter& commits_ = stats_registry().counter("kvs.commits");
+  obs::Counter& fence_ops_ = stats_registry().counter("kvs.fences");
+  /// Upstream fault round-trips issued (a batched kvs.load counts once no
+  /// matter how many objects it brings in).
+  obs::Counter& faults_issued_ = stats_registry().counter("kvs.faults_issued");
+  /// Batched kvs.load requests handled for downstream brokers.
+  obs::Counter& loads_served_ = stats_registry().counter("kvs.loads_served");
+  /// Objects brought into the local cache by load responses.
+  obs::Counter& objects_faulted_ = stats_registry().counter("kvs.objects_faulted");
+  obs::Counter& flushes_forwarded_ = stats_registry().counter("kvs.flushes_forwarded");
+  obs::Histogram& apply_batch_size_ = stats_registry().histogram("kvs.apply.batch_size");
+  obs::Histogram& apply_ns_ = stats_registry().histogram("kvs.apply.ns");
+  obs::Histogram& announce_size_ = stats_registry().histogram("kvs.announce.batch_size");
+  // Recovery and GC (persisting masters; the content log counts its own
+  // appends, syncs and checkpoints under "kvs.persist"). truncated_bytes is
+  // the torn tail dropped at recovery; gc.pause_ns counts the GC passes.
+  obs::Counter& recovered_objects_ =
+      stats_registry().counter("kvs.persist.recovered_objects");
+  obs::Counter& truncated_bytes_ =
+      stats_registry().counter("kvs.persist.truncated_bytes");
+  obs::Counter& gc_swept_ = stats_registry().counter("kvs.gc.swept");
+  obs::Counter& gc_swept_bytes_ = stats_registry().counter("kvs.gc.swept_bytes");
+  obs::Histogram& gc_pause_ns_ = stats_registry().histogram("kvs.gc.pause_ns");
   std::uint64_t epoch_ = 0;
   std::uint64_t expiry_epochs_ = 0;  // 0 == expiry disabled
 
@@ -422,13 +425,6 @@ class KvsModule final : public ModuleBase {
   /// instance while an armed timer may still fire — the callbacks hold a
   /// weak_ptr and become no-ops once the token dies with the module.
   std::shared_ptr<const bool> timer_token_ = std::make_shared<const bool>(true);
-  // Master instruments (bound when this broker first masters a shard;
-  // surface in `flux_cli stats`).
-  obs::Counter* apply_batches_stat_ = nullptr;
-  obs::Histogram* apply_batch_size_ = nullptr;
-  obs::Histogram* apply_ns_ = nullptr;
-  obs::Counter* announces_stat_ = nullptr;
-  obs::Histogram* announce_size_ = nullptr;
 
   std::unordered_map<Sha1, Promise<ObjPtr>> faults_;
   std::vector<std::pair<std::uint64_t, Promise<std::uint64_t>>> version_waiters_;
@@ -442,10 +438,6 @@ class KvsModule final : public ModuleBase {
   /// resync_after_rejoin to keep recovered data instead of re-bootstrapping
   /// empty.
   std::vector<std::uint64_t> recovered_versions_;
-  PersistStats persist_stats_;
-  obs::Histogram* gc_pause_ns_ = nullptr;
-
-  OpStats ops_;
 };
 
 }  // namespace flux

@@ -13,7 +13,7 @@ Barrier::Barrier(Broker& b) : ModuleBase(b) {
       respond_error(m, errc::inval, "barrier: need name and nprocs > 0");
       return;
     }
-    ++stats_.entered;
+    entered_.inc();
     barriers_[bname].waiters.push_back(m);
     enter(bname, nprocs, 1);
   });
@@ -68,7 +68,7 @@ void Barrier::flush(const std::string& bname) {
                      Json::object({{"name", bname}, {"nprocs", st.nprocs}}));
     return;
   }
-  ++stats_.forwarded;
+  forwarded_.inc();
   Message reduce = Message::request(
       "barrier.reduce", Json::object({{"name", bname},
                                       {"nprocs", st.nprocs},
@@ -84,7 +84,7 @@ void Barrier::handle_event(const Message& msg) {
   if (it == barriers_.end()) return;
   State st = std::move(it->second);
   barriers_.erase(it);
-  ++stats_.completed;
+  completed_.inc();
   for (const Message& waiter : st.waiters)
     broker().respond(waiter.respond(Json::object({{"name", bname}})));
 }

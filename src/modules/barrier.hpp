@@ -24,13 +24,6 @@ class Barrier final : public ModuleBase {
   [[nodiscard]] std::string_view name() const override { return "barrier"; }
   void handle_event(const Message& msg) override;
 
-  struct Stats {
-    std::uint64_t entered = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t forwarded = 0;
-  };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
  private:
   struct State {
     std::int64_t nprocs = 0;
@@ -44,7 +37,10 @@ class Barrier final : public ModuleBase {
   void flush(const std::string& name);
 
   std::map<std::string, State> barriers_;
-  Stats stats_;
+  /// Local client entries, generations released here, reductions sent up.
+  obs::Counter& entered_ = stats_registry().counter("barrier.entered");
+  obs::Counter& completed_ = stats_registry().counter("barrier.completed");
+  obs::Counter& forwarded_ = stats_registry().counter("barrier.forwarded");
 };
 
 }  // namespace flux::modules

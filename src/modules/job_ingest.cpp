@@ -41,7 +41,7 @@ void JobIngest::op_submit(Message& msg) {
       return;
     }
     if (std::string why = validate(spec); !why.empty()) {
-      stats_counter("rejected").inc();
+      rejected_.inc();
       respond_error(msg, errc::job_rejected, "job.submit: " + why);
       return;
     }
@@ -54,7 +54,7 @@ void JobIngest::op_submit(Message& msg) {
     return;
   }
   const std::uint64_t id = next_jobid_++;
-  stats_counter("accepted").inc();
+  accepted_.inc();
   co_spawn(broker().executor(), submit_to_manager(std::move(msg), id),
            "job.submit");
 }
@@ -77,10 +77,6 @@ Task<void> JobIngest::submit_to_manager(Message req, std::uint64_t id) {
     co_return;
   }
   respond_ok(req, Json::object({{"id", static_cast<std::int64_t>(id)}}));
-}
-
-obs::Counter& JobIngest::stats_counter(std::string_view which) {
-  return broker().stats_registry().counter("job." + std::string(which));
 }
 
 }  // namespace flux::modules

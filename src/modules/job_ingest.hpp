@@ -30,9 +30,10 @@ class JobIngest final : public ModuleBase {
  private:
   void op_submit(Message& msg);
   Task<void> submit_to_manager(Message req, std::uint64_t id);
-  obs::Counter& stats_counter(std::string_view which);
 
   std::uint64_t next_jobid_ = 1;  // root only; session-wide monotonic
+  obs::Counter& accepted_ = stats_registry().counter("job.accepted");
+  obs::Counter& rejected_ = stats_registry().counter("job.rejected");
 };
 
 }  // namespace flux::modules

@@ -33,16 +33,6 @@ JobManager::JobManager(Broker& b) : ModuleBase(b) {
   on("wait", [this](Message& m) { op_wait(m); });
   on("list", [this](Message& m) { op_list(m); });
   broker().module_subscribe(*this, "live.down");
-
-  obs::StatsRegistry& reg = broker().stats_registry();
-  c_submitted_ = &reg.counter("job-manager.submitted");
-  c_completed_ = &reg.counter("job-manager.completed");
-  c_failed_ = &reg.counter("job-manager.failed");
-  c_canceled_ = &reg.counter("job-manager.canceled");
-  c_rejected_ = &reg.counter("job-manager.rejected");
-  h_alloc_ns_ = &reg.histogram("job-manager.alloc_ns");
-  h_run_ns_ = &reg.histogram("job-manager.run_ns");
-  h_depth_ = &reg.histogram("job-manager.queue_depth");
 }
 
 JobManager::~JobManager() = default;
@@ -54,9 +44,10 @@ void JobManager::start() {
     throw std::logic_error("job-manager: needs the resvc module loaded");
   const Json cfg = broker().module_config("job-manager");
   max_queue_ = cfg.get_int("max_queue", 4096);
-  sched_ = std::make_unique<Scheduler>(broker().executor(), resvc_->pool(),
-                                       make_policy(cfg.get_string("policy", "fcfs")));
-  sched_->bind_stats(broker().stats_registry(), "job-manager.sched");
+  sched_ = std::make_unique<Scheduler>(
+      broker().executor(), resvc_->pool(),
+      make_policy(cfg.get_string("policy", "fcfs")), stats_registry(),
+      "job-manager.sched");
   sched_->on_start([this](std::uint64_t sched_id, const Allocation& alloc) {
     auto it = sched_to_job_.find(sched_id);
     if (it == sched_to_job_.end()) return;
@@ -136,7 +127,7 @@ void JobManager::op_submit(Message& msg) {
     return;
   }
   if (std::cmp_greater_equal(sched_->queue_length(), max_queue_)) {
-    c_rejected_->inc();
+    c_rejected_.inc();
     respond_error(msg, errc::job_rejected,
                   "job-manager.submit: pending queue full");
     return;
@@ -145,7 +136,7 @@ void JobManager::op_submit(Message& msg) {
       sched_->submit(spec.request, spec.walltime, spec.priority,
                      /*manual_completion=*/true);
   if (!sid) {
-    c_rejected_->inc();
+    c_rejected_.inc();
     respond_error(msg, errc::alloc_unsatisfiable,
                   "job-manager.submit: request can never fit this session");
     return;
@@ -160,8 +151,8 @@ void JobManager::op_submit(Message& msg) {
   JobRecord& r = *rec;
   jobs_.emplace(id, std::move(rec));
 
-  c_submitted_->inc();
-  h_depth_->record(sched_->queue_length());
+  c_submitted_.inc();
+  h_depth_.record(sched_->queue_length());
   kvs_->txn().put(job_key(id, "jobspec"), r.spec.to_json());
   event(r, "submit", Json::object({{"priority", r.spec.priority},
                                    {"nnodes", r.spec.request.nnodes}}));
@@ -174,7 +165,7 @@ void JobManager::start_job(JobRecord& rec, const Allocation& alloc) {
   rec.ranks = resvc_->ranks_of(alloc);
   Json ranks = Json::array();
   for (NodeId r : rec.ranks) ranks.push_back(r);
-  h_alloc_ns_->record(broker().executor().now() - rec.submit_t);
+  h_alloc_ns_.record(broker().executor().now() - rec.submit_t);
   kvs_->txn().put(job_key(rec.id, "ranks"), ranks);
   event(rec, "alloc", Json::object({{"ranks", ranks}}));
   event(rec, "start", Json::object());
@@ -222,7 +213,7 @@ Task<void> JobManager::run(std::uint64_t id, Json ranks) {
 
   rec = find(id);
   if (rec == nullptr || ended(rec->state)) co_return;  // live.down won
-  h_run_ns_->record(broker().executor().now() - started);
+  h_run_ns_.record(broker().executor().now() - started);
   if (run_resp.errnum != 0) {
     const JobState terminal =
         rec->canceled ? JobState::Canceled : JobState::Failed;
@@ -266,9 +257,9 @@ void JobManager::finalize(JobRecord& rec, JobState terminal, Json exits,
   schedule_flush();
 
   switch (terminal) {
-    case JobState::Complete: c_completed_->inc(); break;
-    case JobState::Canceled: c_canceled_->inc(); break;
-    default: c_failed_->inc(); break;
+    case JobState::Complete: c_completed_.inc(); break;
+    case JobState::Canceled: c_canceled_.inc(); break;
+    default: c_failed_.inc(); break;
   }
   for (Message& w : rec.waiters) respond_ok(w, rec.result);
   rec.waiters.clear();

@@ -120,15 +120,16 @@ class JobManager final : public ModuleBase {
   bool flush_scheduled_ = false;
   bool flush_rerun_ = false;
 
-  // Registry instruments (broker's StatsRegistry; resolved once).
-  obs::Counter* c_submitted_ = nullptr;
-  obs::Counter* c_completed_ = nullptr;
-  obs::Counter* c_failed_ = nullptr;
-  obs::Counter* c_canceled_ = nullptr;
-  obs::Counter* c_rejected_ = nullptr;
-  obs::Histogram* h_alloc_ns_ = nullptr;  ///< submit -> allocation latency
-  obs::Histogram* h_run_ns_ = nullptr;    ///< allocation -> terminal latency
-  obs::Histogram* h_depth_ = nullptr;     ///< queue depth sampled per submit
+  // Registry instruments, resolved at construction. Latencies: submit ->
+  // allocation, allocation -> terminal; queue depth is sampled per submit.
+  obs::Counter& c_submitted_ = stats_registry().counter("job-manager.submitted");
+  obs::Counter& c_completed_ = stats_registry().counter("job-manager.completed");
+  obs::Counter& c_failed_ = stats_registry().counter("job-manager.failed");
+  obs::Counter& c_canceled_ = stats_registry().counter("job-manager.canceled");
+  obs::Counter& c_rejected_ = stats_registry().counter("job-manager.rejected");
+  obs::Histogram& h_alloc_ns_ = stats_registry().histogram("job-manager.alloc_ns");
+  obs::Histogram& h_run_ns_ = stats_registry().histogram("job-manager.run_ns");
+  obs::Histogram& h_depth_ = stats_registry().histogram("job-manager.queue_depth");
 };
 
 }  // namespace flux::modules

@@ -1,10 +1,14 @@
 #include "obs/stats.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <limits>
+#include <map>
 
 namespace flux::obs {
 
-void Histogram::record(std::uint64_t value) noexcept {
+void Histogram::record(std::uint64_t value) {
+  if (buckets_.empty()) buckets_.resize(kBuckets);
   const std::size_t idx = static_cast<std::size_t>(std::bit_width(value));
   buckets_[idx < kBuckets ? idx : kBuckets - 1] += 1;
   ++count_;
@@ -37,7 +41,7 @@ std::uint64_t Histogram::percentile(double q) const noexcept {
 
 Json Histogram::to_json() const {
   Json buckets = Json::array();
-  for (std::size_t i = 0; i < kBuckets; ++i) {
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
     if (buckets_[i] == 0) continue;
     buckets.push_back(Json::array({i, buckets_[i]}));
   }
@@ -52,36 +56,80 @@ Json Histogram::to_json() const {
                        {"buckets", std::move(buckets)}});
 }
 
-void Histogram::merge_json(const Json& j) {
-  if (!j.is_object() || !j.at("buckets").is_array()) return;
-  const auto count = static_cast<std::uint64_t>(j.get_int("count", 0));
-  if (count == 0) return;
+namespace {
+
+/// Largest total a merge may produce: snapshots carry JSON integers.
+constexpr std::uint64_t kMaxTotal =
+    static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+
+/// A count as a peer's snapshot must carry it: a non-negative integer.
+bool read_count(const Json& v, std::uint64_t& out) {
+  if (!v.is_int() || v.as_int() < 0) return false;
+  out = static_cast<std::uint64_t>(v.as_int());
+  return true;
+}
+
+/// a + b stays within kMaxTotal.
+bool fits(std::uint64_t a, std::uint64_t b) {
+  return a <= kMaxTotal && b <= kMaxTotal - a;
+}
+
+Error malformed(std::string what) {
+  return Error(errc::proto, "stats snapshot: " + what);
+}
+
+}  // namespace
+
+Status Histogram::merge_json(const Json& j) {
+  Histogram in;
+  in.buckets_.resize(kBuckets);
+  if (!j.is_object() || !read_count(j.at("count"), in.count_) ||
+      !read_count(j.at("sum"), in.sum_) || !read_count(j.at("min"), in.min_) ||
+      !read_count(j.at("max"), in.max_) || !j.at("buckets").is_array())
+    return malformed("histogram fields are not non-negative integers");
+  std::uint64_t total = 0;
   for (const Json& pair : j.at("buckets").as_array()) {
-    if (!pair.is_array() || pair.size() != 2) continue;
-    const auto idx = static_cast<std::size_t>(pair.as_array()[0].as_int());
-    if (idx >= kBuckets) continue;
-    buckets_[idx] += static_cast<std::uint64_t>(pair.as_array()[1].as_int());
+    std::uint64_t idx = 0;
+    std::uint64_t n = 0;
+    if (!pair.is_array() || pair.size() != 2 ||
+        !read_count(pair.as_array()[0], idx) || idx >= kBuckets ||
+        !read_count(pair.as_array()[1], n) || !fits(total, n))
+      return malformed("histogram bucket is not an in-range [index, count]");
+    in.buckets_[idx] += n;
+    total += n;
   }
-  count_ += count;
-  sum_ += static_cast<std::uint64_t>(j.get_int("sum", 0));
-  const auto mn = static_cast<std::uint64_t>(j.get_int("min", 0));
-  const auto mx = static_cast<std::uint64_t>(j.get_int("max", 0));
-  if (mn < min_) min_ = mn;
-  if (mx > max_) max_ = mx;
+  // Buckets summing to the count bound every bucket, so the totals below
+  // are the only sums that can overflow.
+  if (total != in.count_)
+    return malformed("histogram buckets do not sum to its count");
+  if (!fits(count_, in.count_) || !fits(sum_, in.sum_))
+    return malformed("histogram total overflows");
+  add(in);
+  return {};
 }
 
-Counter& StatsRegistry::counter(std::string_view name) {
-  auto it = counters_.find(name);
-  if (it == counters_.end())
-    it = counters_.emplace(std::string(name), Counter{}).first;
-  return it->second;
+void Histogram::add(const Histogram& other) {
+  if (other.count_ == 0) return;
+  if (buckets_.empty()) buckets_.resize(kBuckets);
+  for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
+  count_ += other.count_;
+  sum_ += other.sum_;
+  min_ = std::min(min_, other.min_);
+  max_ = std::max(max_, other.max_);
 }
 
-Histogram& StatsRegistry::histogram(std::string_view name) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end())
-    it = histograms_.emplace(std::string(name), Histogram{}).first;
-  return it->second;
+std::uint64_t StatsRegistry::counter_value(std::string_view name) const {
+  std::uint64_t sum = 0;
+  for (const auto& c : counters_)
+    if (name_of(c) == name) sum += c.instrument.value();
+  return sum;
+}
+
+Histogram StatsRegistry::histogram_value(std::string_view name) const {
+  Histogram sum;
+  for (const auto& h : histograms_)
+    if (name_of(h) == name) sum.add(h.instrument);
+  return sum;
 }
 
 namespace {
@@ -94,36 +142,50 @@ bool under_prefix(std::string_view prefix, std::string_view name) {
 }  // namespace
 
 Json StatsRegistry::snapshot(std::string_view prefix) const {
+  std::map<std::string_view, std::uint64_t> counts;
+  for (const auto& c : counters_)
+    if (const auto name = name_of(c); under_prefix(prefix, name))
+      counts[name] += c.instrument.value();
+  std::map<std::string_view, Histogram> merged;
+  for (const auto& h : histograms_)
+    if (const auto name = name_of(h); under_prefix(prefix, name))
+      merged[name].add(h.instrument);
   Json counters = Json::object();
-  for (const auto& [name, c] : counters_)
-    if (under_prefix(prefix, name)) counters[name] = c.value();
+  for (const auto& [name, value] : counts) counters[name] = value;
   Json histograms = Json::object();
-  for (const auto& [name, h] : histograms_)
-    if (under_prefix(prefix, name)) histograms[name] = h.to_json();
+  for (const auto& [name, h] : merged) histograms[name] = h.to_json();
   return Json::object(
       {{"counters", std::move(counters)}, {"histograms", std::move(histograms)}});
 }
 
-void StatsRegistry::merge_snapshot(Json& into, const Json& snap) {
-  if (into.is_null())
-    into = Json::object(
-        {{"counters", Json::object()}, {"histograms", Json::object()}});
-  if (snap.at("counters").is_object()) {
-    Json& counters = into["counters"];
-    for (const auto& [name, value] : snap.at("counters").as_object())
-      counters[name] = counters.at(name).is_null()
-                           ? value
-                           : Json(counters.at(name).as_int() + value.as_int());
-  }
-  if (snap.at("histograms").is_object()) {
-    Json& histograms = into["histograms"];
-    for (const auto& [name, hj] : snap.at("histograms").as_object()) {
-      Histogram h;
-      h.merge_json(histograms.at(name));
-      h.merge_json(hj);
-      histograms[name] = h.to_json();
+Status StatsRegistry::merge_snapshot(Json& into, const Json& snap) {
+  const Json& counters = snap.at("counters");
+  const Json& histograms = snap.at("histograms");
+  if (!snap.is_object() || !(counters.is_null() || counters.is_object()) ||
+      !(histograms.is_null() || histograms.is_object()))
+    return malformed("not a {counters, histograms} object");
+  Json out = into;  // merged into a copy: a bad entry leaves `into` as it was
+  if (counters.is_object())
+    for (const auto& [name, value] : counters.as_object()) {
+      std::uint64_t add = 0;
+      std::uint64_t have = 0;
+      const Json& old = out.at("counters").at(name);
+      if (!read_count(value, add) || (!old.is_null() && !read_count(old, have)) ||
+          !fits(have, add))
+        return malformed("counter '" + name + "' is not a non-negative integer");
+      out["counters"][name] = have + add;
     }
-  }
+  if (histograms.is_object())
+    for (const auto& [name, hj] : histograms.as_object()) {
+      Histogram h;
+      const Json& old = out.at("histograms").at(name);
+      if (!old.is_null())
+        if (Status st = h.merge_json(old); !st) return st;
+      if (Status st = h.merge_json(hj); !st) return st;
+      out["histograms"][name] = h.to_json();
+    }
+  into = std::move(out);
+  return {};
 }
 
 }  // namespace flux::obs

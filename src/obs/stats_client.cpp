@@ -7,31 +7,21 @@
 
 namespace flux::obs {
 
-Task<Json> FluxStats::get(std::string service, NodeId rank, bool all) {
-  Json payload = Json::object({{"all", all}});
-  RequestBuilder req =
-      h_.request(std::move(service) + ".stats.get").payload(std::move(payload));
-  if (rank != kNodeAny) req.to(rank);
-  Message resp = co_await req.call();
-  co_return resp.payload();
-}
-
-Task<Json> FluxStats::aggregate(std::string service, bool all) {
-  Json merged;
+Task<Json> aggregate_stats(Handle& h, std::string service, bool all) {
+  Json merged = Json::object(
+      {{"counters", Json::object()}, {"histograms", Json::object()}});
   std::int64_t responding = 0;
-  for (NodeId rank = 0; rank < h_.size(); ++rank) {
+  for (NodeId rank = 0; rank < h.size(); ++rank) {
     Json payload = Json::object({{"all", all}});
-    Message resp = co_await h_.request(service + ".stats.get")
+    Message resp = co_await h.request(service + ".stats.get")
                        .payload(std::move(payload))
                        .to(rank)
                        .send();
-    if (resp.errnum != 0) continue;  // service not loaded at this rank
-    StatsRegistry::merge_snapshot(merged, resp.payload());
+    // Skip a rank without the service (ENOSYS) or with a malformed snapshot.
+    if (resp.errnum != 0 || !StatsRegistry::merge_snapshot(merged, resp.payload()))
+      continue;
     ++responding;
   }
-  if (merged.is_null())
-    merged = Json::object(
-        {{"counters", Json::object()}, {"histograms", Json::object()}});
   merged["ranks"] = responding;
   co_return merged;
 }

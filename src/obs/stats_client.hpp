@@ -1,11 +1,11 @@
 // Client-side observability API.
 //
-// FluxStats wraps the "<service>.stats.get" RPC family: fetch one broker's
-// snapshot, or sweep every rank on the ring plane and merge the snapshots
-// (counters sum, histogram buckets add) into the session-wide view the
-// `flux stats` sub-command prints. Services: "cmb" reaches the broker core
-// on every rank; a module name reaches that module where it is loaded
-// (ranks without it are skipped in aggregation).
+// aggregate_stats wraps the "<service>.stats.get" RPC family: it sweeps every rank
+// on the ring plane and merges the snapshots (counters sum, histogram
+// buckets add) into the session-wide view the `flux stats` sub-command
+// prints. Services: "cmb" reaches the broker core on every rank; a module
+// name reaches that module where it is loaded (ranks without it are
+// skipped in aggregation).
 #pragma once
 
 #include <string>
@@ -15,23 +15,10 @@
 
 namespace flux::obs {
 
-class FluxStats {
- public:
-  explicit FluxStats(Handle& h) : h_(h) {}
-
-  /// One broker's snapshot. kNodeAny asks the nearest instance on the tree
-  /// plane; a concrete rank rides the ring. With service "cmb", all=true
-  /// returns the full registry (every module's instruments on that rank).
-  Task<Json> get(std::string service, NodeId rank = kNodeAny, bool all = false);
-
-  /// Sweep all ranks and merge: {"counters":{...},"histograms":{...},
-  /// "ranks":<responding>}. Ranks where the service is not loaded (ENOSYS)
-  /// are skipped.
-  Task<Json> aggregate(std::string service, bool all = false);
-
- private:
-  Handle& h_;
-};
+/// Sweep all ranks and merge: {"counters":{...},"histograms":{...},
+/// "ranks":<responding>}. Ranks where the service is not loaded (ENOSYS)
+/// and ranks whose snapshot is malformed (errc::proto) are skipped.
+Task<Json> aggregate_stats(Handle& h, std::string service, bool all = false);
 
 /// Render a merged snapshot for terminal output: counters first (sorted),
 /// then one line per histogram (count/mean/p50/p90/p99/max).

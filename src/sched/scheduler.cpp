@@ -7,8 +7,20 @@
 namespace flux {
 
 Scheduler::Scheduler(Executor& ex, ResourcePool& pool,
-                     std::unique_ptr<Policy> policy, CostModel cost)
-    : ex_(ex), pool_(pool), policy_(std::move(policy)), cost_(cost) {}
+                     std::unique_ptr<Policy> policy,
+                     obs::StatsRegistry& registry, std::string_view prefix,
+                     CostModel cost)
+    : ex_(ex),
+      pool_(pool),
+      policy_(std::move(policy)),
+      cost_(cost),
+      submitted_(registry.counter(std::string(prefix) + ".submitted")),
+      started_(registry.counter(std::string(prefix) + ".started")),
+      completed_(registry.counter(std::string(prefix) + ".completed")),
+      canceled_(registry.counter(std::string(prefix) + ".canceled")),
+      passes_(registry.counter(std::string(prefix) + ".passes")),
+      busy_ns_(registry.counter(std::string(prefix) + ".busy_ns")),
+      wait_ns_(registry.histogram(std::string(prefix) + ".wait_ns")) {}
 
 Expected<std::uint64_t> Scheduler::submit(ResourceRequest request,
                                           Duration walltime, int priority,
@@ -31,8 +43,7 @@ Expected<std::uint64_t> Scheduler::submit(ResourceRequest request,
       [priority](const PendingJob& j) { return j.priority < priority; });
   queue_.insert(pos, std::move(job));
   manual_[jobid] = manual_completion;
-  ++stats_.submitted;
-  if (bound_.submitted) bound_.submitted->inc();
+  submitted_.inc();
   kick();
   return jobid;
 }
@@ -44,20 +55,9 @@ Status Scheduler::cancel(std::uint64_t jobid) {
     return Error(errc::noent, "cancel: job not pending");
   queue_.erase(it);
   manual_.erase(jobid);
-  ++stats_.canceled;
-  if (bound_.canceled) bound_.canceled->inc();
+  canceled_.inc();
   check_idle();
   return {};
-}
-
-void Scheduler::bind_stats(obs::StatsRegistry& registry,
-                           const std::string& prefix) {
-  bound_.submitted = &registry.counter(prefix + ".submitted");
-  bound_.started = &registry.counter(prefix + ".started");
-  bound_.completed = &registry.counter(prefix + ".completed");
-  bound_.canceled = &registry.counter(prefix + ".canceled");
-  bound_.passes = &registry.counter(prefix + ".passes");
-  bound_.wait_ns = &registry.histogram(prefix + ".wait_ns");
 }
 
 void Scheduler::finish(std::uint64_t jobid) { complete(jobid); }
@@ -73,7 +73,7 @@ void Scheduler::kick() {
       cost_.per_free_node * static_cast<Duration::rep>(pool_.free_nodes());
   const TimePoint start = std::max(ex_.now(), busy_until_);
   busy_until_ = start + cost;
-  stats_.sched_busy += cost;
+  busy_ns_.inc(static_cast<std::uint64_t>(cost.count()));
   ex_.post_at(busy_until_,
               [this, tok = std::weak_ptr<const bool>(alive_)] {
                 if (tok.expired()) return;  // scheduler destroyed (restart)
@@ -83,8 +83,7 @@ void Scheduler::kick() {
 
 void Scheduler::pass() {
   pass_scheduled_ = false;
-  ++stats_.passes;
-  if (bound_.passes) bound_.passes->inc();
+  passes_.inc();
   if (queue_.empty()) {
     check_idle();
     return;
@@ -128,10 +127,8 @@ void Scheduler::pass() {
     r.manual = manual_[job.jobid];
     manual_.erase(job.jobid);
     running_.emplace(job.jobid, r);
-    ++stats_.started;
-    stats_.wait_time_total += ex_.now() - job.submit_time;
-    if (bound_.started) bound_.started->inc();
-    if (bound_.wait_ns) bound_.wait_ns->record(ex_.now() - job.submit_time);
+    started_.inc();
+    wait_ns_.record(ex_.now() - job.submit_time);
     if (on_start_) on_start_(job.jobid, *alloc);
     if (!r.manual) {
       const std::uint64_t jobid = job.jobid;
@@ -150,8 +147,7 @@ void Scheduler::complete(std::uint64_t jobid) {
   if (it == running_.end()) return;
   pool_.release(it->second.alloc_id).value();
   running_.erase(it);
-  ++stats_.completed;
-  if (bound_.completed) bound_.completed->inc();
+  completed_.inc();
   if (on_end_) on_end_(jobid);
   if (!queue_.empty()) kick();
   check_idle();

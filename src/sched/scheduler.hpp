@@ -38,7 +38,10 @@ class Scheduler {
   using EndFn = std::function<void(std::uint64_t jobid)>;
   using IdleFn = std::function<void()>;
 
+  /// Counts `<prefix>.{submitted,started,completed,canceled,passes,busy_ns}`
+  /// and the queue-wait histogram `<prefix>.wait_ns` in `registry`.
   Scheduler(Executor& ex, ResourcePool& pool, std::unique_ptr<Policy> policy,
+            obs::StatsRegistry& registry, std::string_view prefix,
             CostModel cost = {});
 
   /// Submit; returns the job id. Infeasible requests are rejected. With
@@ -70,23 +73,6 @@ class Scheduler {
   }
   [[nodiscard]] ResourcePool& pool() noexcept { return pool_; }
   [[nodiscard]] const Policy& policy() const noexcept { return *policy_; }
-
-  struct Stats {
-    std::uint64_t submitted = 0;
-    std::uint64_t started = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t canceled = 0;
-    std::uint64_t passes = 0;
-    Duration sched_busy{0};       ///< total virtual time spent deciding
-    Duration wait_time_total{0};  ///< sum of queue wait across started jobs
-  };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
-  /// Count the stats above in a StatsRegistry too (so module stats RPCs
-  /// expose them): creates `<prefix>.{submitted,started,completed,canceled,
-  /// passes}` counters and a `<prefix>.wait_ns` queue-wait histogram, all
-  /// incremented alongside stats_.
-  void bind_stats(obs::StatsRegistry& registry, const std::string& prefix);
 
   /// Expose running jobs (allocation ids) for elasticity operations.
   [[nodiscard]] const Allocation* allocation_of(std::uint64_t jobid) const;
@@ -121,18 +107,13 @@ class Scheduler {
   StartFn on_start_;
   EndFn on_end_;
   IdleFn on_idle_;
-  Stats stats_;
-
-  // Optional registry instruments (bind_stats); null when unbound.
-  struct BoundStats {
-    obs::Counter* submitted = nullptr;
-    obs::Counter* started = nullptr;
-    obs::Counter* completed = nullptr;
-    obs::Counter* canceled = nullptr;
-    obs::Counter* passes = nullptr;
-    obs::Histogram* wait_ns = nullptr;
-  };
-  BoundStats bound_;
+  obs::Counter& submitted_;
+  obs::Counter& started_;
+  obs::Counter& completed_;
+  obs::Counter& canceled_;
+  obs::Counter& passes_;
+  obs::Counter& busy_ns_;    ///< total virtual time spent deciding
+  obs::Histogram& wait_ns_;  ///< queue wait of each started job
 };
 
 }  // namespace flux

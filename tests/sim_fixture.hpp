@@ -37,6 +37,12 @@ class SimSession {
 
   std::unique_ptr<Handle> attach(NodeId rank) { return session_->attach(rank); }
 
+  /// Broker `rank`'s stats registry, where every counter of that broker and
+  /// its modules lives.
+  [[nodiscard]] const obs::StatsRegistry& stats(NodeId rank) {
+    return session_->broker(rank).stats_registry();
+  }
+
   /// Run a client coroutine until it completes; rethrows its exception.
   /// Fails the test (throws) if the simulator goes idle first.
   template <class T>

@@ -34,7 +34,7 @@ TEST(Broker, RingAddressedPing) {
   Json pong = s.run(h->ping(5));
   EXPECT_EQ(pong.get_int("rank"), 5);
   EXPECT_EQ(pong.get_int("from"), 2);
-  EXPECT_GT(s.session().broker(3).stats().ring_forwarded, 0u);
+  EXPECT_GT(s.stats(3).counter_value("cmb.ring_forwarded"), 0u);
 }
 
 TEST(Broker, PingUnknownRankFails) {

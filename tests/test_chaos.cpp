@@ -429,9 +429,7 @@ TEST(Chaos, DroppedBatchedLoadIsRetried) {
   EXPECT_EQ(v.as_string(), "survives");
   EXPECT_EQ(plan.faults_injected(), 1u);
   // The lost batch shows up as an extra upstream round-trip, not a hang.
-  auto* leaf = dynamic_cast<KvsModule*>(s.session().broker(3).find_module("kvs"));
-  ASSERT_NE(leaf, nullptr);
-  EXPECT_GE(leaf->op_stats().faults_issued, 2u);
+  EXPECT_GE(s.stats(3).counter_value("kvs.faults_issued"), 2u);
 }
 
 TEST(Chaos, CorruptedBatchedLoadIsRetried) {
@@ -620,7 +618,7 @@ TEST(Chaos, MasterCrashMidBatchNeverHalfApplies) {
     auto* k0 =
         dynamic_cast<KvsModule*>(s.session().broker(0).find_module("kvs"));
     ASSERT_NE(k0, nullptr);
-    batches_seen += k0->op_stats().apply_batches;
+    batches_seen += s.stats(0).histogram_value("kvs.apply.batch_size").count();
     for (int w = 0; w < kWriters; ++w) {
       for (int r = 0; r < kRounds; ++r) {
         const std::string base =
@@ -677,16 +675,18 @@ TEST(Chaos, WindowedApplyCoalescesWithoutLosingAckedCommits) {
     ASSERT_EQ(k0->shards(), static_cast<std::uint32_t>(shards));
     for (const NodeId rank : k0->shard_masters()) {
       SCOPED_TRACE(::testing::Message() << "shard master rank " << rank);
-      const auto& ops = kvs_at(rank)->op_stats();
+      // Histograms of fences per batch: count = batches, sum = fences.
+      const obs::Histogram apply =
+          s.stats(rank).histogram_value("kvs.apply.batch_size");
+      const obs::Histogram announce =
+          s.stats(rank).histogram_value("kvs.announce.batch_size");
       // All 16 writer commits (plus any module boot-time commit) flowed
       // through this master's batch path — every fence carries a part, empty
       // or not, to every shard — and the window must have merged concurrent
       // ones: strictly fewer root transitions and announces than fences.
-      EXPECT_GE(ops.apply_batched_fences,
-                static_cast<std::uint64_t>(kWriters) * kRounds);
-      EXPECT_LT(ops.apply_batches, ops.apply_batched_fences)
-          << "window never coalesced an apply";
-      EXPECT_LT(ops.announces, ops.announced_fences)
+      EXPECT_GE(apply.sum(), static_cast<std::uint64_t>(kWriters) * kRounds);
+      EXPECT_LT(apply.count(), apply.sum()) << "window never coalesced an apply";
+      EXPECT_LT(announce.count(), announce.sum())
           << "window never coalesced an announce";
     }
     for (int w = 0; w < kWriters; ++w) {

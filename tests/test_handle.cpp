@@ -138,7 +138,7 @@ TEST(Handle, UpstreamAddressingSkipsLocalModule) {
   }(writer.get()));
   auto h = s.attach(3);
   Message resp = s.run([](Handle* hd) -> Task<Message> {
-    Message r = co_await hd->request("kvs.stats").upstream();
+    Message r = co_await hd->request("kvs.stats.get").upstream();
     co_return r;
   }(h.get()));
   EXPECT_EQ(resp.errnum, 0);

@@ -346,7 +346,7 @@ TEST(Jobs, StatsExposedThroughRegistry) {
       (void)co_await jh.wait();
     }
     // All job-manager state lives at the root; ask its registry directly
-    // (the aggregated path is obs::FluxStats / `flux stats job-manager`).
+    // (the aggregated path is obs::aggregate_stats / `flux stats job-manager`).
     Message resp =
         co_await hd->request("job-manager.stats.get").to(0).call();
     co_return resp.payload();

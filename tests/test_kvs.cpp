@@ -378,14 +378,12 @@ TEST(Kvs, SlaveCachesFaultThroughTree) {
     KvsClient kvs(*h);
     (void)co_await kvs.get("faulty.key");
   }(reader.get()));
-  auto* leaf =
-      dynamic_cast<KvsModule*>(s.session().broker(15).find_module("kvs"));
-  ASSERT_NE(leaf, nullptr);
-  EXPECT_GT(leaf->op_stats().faults_issued, 0u);
+  EXPECT_GT(s.stats(15).counter_value("kvs.faults_issued"), 0u);
   // The interior parent (rank 7 -> 3 -> 1) served and now caches the object.
   auto* interior =
       dynamic_cast<KvsModule*>(s.session().broker(7).find_module("kvs"));
-  EXPECT_GT(interior->op_stats().loads_served, 0u);
+  ASSERT_NE(interior, nullptr);
+  EXPECT_GT(s.stats(7).counter_value("kvs.loads_served"), 0u);
   EXPECT_GT(interior->cache().count(), 0u);
 }
 
@@ -409,15 +407,13 @@ TEST(Kvs, BatchedColdGetReducesUpstreamRoundTrips) {
   }(reader.get()));
   EXPECT_EQ(v, Json("deep"));
 
-  auto* leaf =
-      dynamic_cast<KvsModule*>(s.session().broker(15).find_module("kvs"));
-  ASSERT_NE(leaf, nullptr);
+  const obs::StatsRegistry& leaf = s.stats(15);
   // Sequential model: root dir + 7 intermediate dirs + value = 9 RPCs.
   const std::uint64_t sequential_model = 8 + 1;
-  EXPECT_LE(leaf->op_stats().faults_issued * 2, sequential_model);
+  EXPECT_LE(leaf.counter_value("kvs.faults_issued") * 2, sequential_model);
   // The walk prefetch bundles the whole chain into the first round-trip.
-  EXPECT_EQ(leaf->op_stats().faults_issued, 1u);
-  EXPECT_EQ(leaf->op_stats().objects_faulted, sequential_model);
+  EXPECT_EQ(leaf.counter_value("kvs.faults_issued"), 1u);
+  EXPECT_EQ(leaf.counter_value("kvs.objects_faulted"), sequential_model);
 }
 
 // Equivalence: the batched chain fetch must deliver exactly the objects N
@@ -468,8 +464,8 @@ TEST(Kvs, BatchedLoadEquivalentToSequentialFaults) {
   }
   EXPECT_EQ(chain_len, path.size() + 1);
   // And the whole chain arrived in one batched round-trip.
-  EXPECT_EQ(leaf->op_stats().faults_issued, 1u);
-  EXPECT_EQ(leaf->op_stats().objects_faulted, chain_len);
+  EXPECT_EQ(s.stats(7).counter_value("kvs.faults_issued"), 1u);
+  EXPECT_EQ(s.stats(7).counter_value("kvs.objects_faulted"), chain_len);
 }
 
 TEST(Kvs, ConcurrentFaultsCoalesce) {
@@ -490,10 +486,8 @@ TEST(Kvs, ConcurrentFaultsCoalesce) {
   }
   s.ex().run();
   ASSERT_EQ(done, 16);
-  auto* leaf =
-      dynamic_cast<KvsModule*>(s.session().broker(3).find_module("kvs"));
   // Root dir + value object: at most a handful of faults, not 16x2.
-  EXPECT_LE(leaf->op_stats().faults_issued, 4u);
+  EXPECT_LE(s.stats(3).counter_value("kvs.faults_issued"), 4u);
 }
 
 TEST(Kvs, CacheExpiryAfterDisuse) {
@@ -524,10 +518,16 @@ TEST(Kvs, StatsReportShape) {
   SimSession s;
   auto h = s.attach(1);
   s.run(put_commit(h.get(), "stats.k", 5));
-  Message resp = s.run(h->request("kvs.stats").call());
-  EXPECT_TRUE(resp.payload().contains("cache_objects"));
-  EXPECT_GE(resp.payload().get_int("puts"), 1);
-  EXPECT_FALSE(resp.payload().get_bool("master"));  // rank 1 is a slave
+  Message resp = s.run(h->request("kvs.stats.get").call());
+  const Json& p = resp.payload();
+  EXPECT_EQ(p.get_int("rank", -1), 1);
+  EXPECT_TRUE(p.contains("cache_objects"));
+  EXPECT_GE(p.at("counters").get_int("kvs.puts"), 1);
+  EXPECT_FALSE(p.get_bool("master"));  // rank 1 is a slave
+  // The state that is not a counter rides in the same response.
+  EXPECT_GE(p.get_int("version"), 2);  // bootstrap root + the commit
+  EXPECT_TRUE(p.at("store_bytes").is_int());
+  EXPECT_TRUE(p.at("histograms").contains("kvs.apply.batch_size"));
 }
 
 TEST(Kvs, EmptyKeyRejected) {
@@ -702,7 +702,7 @@ TEST(KvsSharded, SingleShardConfigMatchesLegacy) {
     co_return co_await kvs.commit();
   }(h.get()));
   EXPECT_TRUE(res.vv.empty());
-  Message stats = s.run(h->request("kvs.stats").call());
+  Message stats = s.run(h->request("kvs.stats.get").call());
   EXPECT_FALSE(stats.payload().contains("vv"));
   EXPECT_FALSE(stats.payload().contains("shards"));
   auto* root =

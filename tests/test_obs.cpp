@@ -2,6 +2,13 @@
 // RPCs, per-message route tracing, and the KvsTxn client transaction API.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <functional>
+#include <limits>
+
+#include "broker/broker.hpp"
 #include "obs/stats.hpp"
 #include "obs/stats_client.hpp"
 #include "sim_fixture.hpp"
@@ -51,8 +58,8 @@ TEST(ObsHistogram, JsonRoundTripAndMerge) {
 
   // Merging a histogram's own JSON doubles every statistic.
   obs::Histogram b;
-  b.merge_json(j);
-  b.merge_json(j);
+  ASSERT_TRUE(b.merge_json(j));
+  ASSERT_TRUE(b.merge_json(j));
   EXPECT_EQ(b.count(), 6u);
   EXPECT_EQ(b.min(), 10u);
   EXPECT_EQ(b.max(), 100000u);
@@ -82,10 +89,76 @@ TEST(ObsRegistry, MergeSnapshotSumsAndMerges) {
   const Json snap = reg.snapshot();
 
   Json agg;
-  obs::StatsRegistry::merge_snapshot(agg, snap);
-  obs::StatsRegistry::merge_snapshot(agg, snap);
+  ASSERT_TRUE(obs::StatsRegistry::merge_snapshot(agg, snap));
+  ASSERT_TRUE(obs::StatsRegistry::merge_snapshot(agg, snap));
   EXPECT_EQ(agg.at("counters").get_int("svc.ops"), 10);
   EXPECT_EQ(agg.at("histograms").at("svc.lat").get_int("count"), 2);
+}
+
+// Snapshots arrive from other ranks over RPC, so a merge must treat them as
+// untrusted input: a malformed one is a typed errc::proto, never a throw,
+// and it leaves the aggregate exactly as it was.
+TEST(ObsRegistry, MergeRejectsMalformedPeerSnapshots) {
+  obs::StatsRegistry reg;
+  reg.counter("svc.ops").inc(5);
+  reg.histogram("svc.lat").record(100u);
+  Json agg;
+  ASSERT_TRUE(obs::StatsRegistry::merge_snapshot(agg, reg.snapshot()));
+  const Json before = agg;
+
+  const auto counter = [](Json v) {
+    return Json::object(
+        {{"counters", Json::object({{"svc.ops", std::move(v)}})}});
+  };
+  const auto histogram = [&reg](const std::function<void(Json&)>& edit) {
+    Json h = reg.snapshot().at("histograms").at("svc.lat");
+    edit(h);
+    return Json::object({{"histograms", Json::object({{"svc.lat", h}})}});
+  };
+  const auto buckets = [&histogram](Json pair) {
+    return histogram([&pair](Json& h) { h["buckets"] = Json::array({pair}); });
+  };
+  const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+  const std::vector<Json> bad = {
+      Json(42),
+      Json::object({{"counters", Json::array()}}),
+      Json::object({{"histograms", "svc.lat"}}),
+      counter(1.5),
+      counter("7"),
+      counter(-1),
+      counter(Json::array({1})),
+      counter(max),  // 5 + max leaves the JSON integer range
+      histogram([](Json& h) { h["count"] = -3; }),
+      histogram([](Json& h) { h["count"] = 1.0; }),
+      histogram([](Json& h) { h["count"] = 2; }),  // one bucketed sample
+      histogram([](Json& h) { h["sum"] = "100"; }),
+      histogram([max](Json& h) { h["sum"] = max; }),  // 100 + max overflows
+      histogram([](Json& h) { h["buckets"] = Json::object(); }),
+      buckets(Json::array({1.0, 1})),
+      buckets(Json::array({-1, 1})),
+      buckets(Json::array({64, 1})),
+      buckets(Json::array({7, "1"})),
+      buckets(Json::array({7, -1})),
+      buckets(Json::array({7})),
+      buckets(Json(7)),
+      buckets(Json::array({7, max})),
+  };
+  for (const Json& snap : bad) {
+    SCOPED_TRACE(snap.dump());
+    Status st;
+    EXPECT_NO_THROW(st = obs::StatsRegistry::merge_snapshot(agg, snap));
+    EXPECT_FALSE(st);
+    EXPECT_EQ(st.error().code, errc::proto);
+    EXPECT_EQ(agg, before);
+  }
+  // The aggregate still merges a well-formed snapshot afterwards.
+  ASSERT_TRUE(obs::StatsRegistry::merge_snapshot(agg, reg.snapshot()));
+  EXPECT_EQ(agg.at("counters").get_int("svc.ops"), 10);
+
+  obs::Histogram h;
+  h.record(3u);
+  EXPECT_FALSE(h.merge_json(Json::object({{"count", -1}})));
+  EXPECT_EQ(h.count(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -159,9 +232,8 @@ TEST(ObsStats, CmbStatsGetReflectsBrokerActivity) {
   EXPECT_GT(counters.get_int("cmb.net.tx_bytes"), 0);
   // The ping's response was matched on this broker -> a latency sample.
   EXPECT_GE(resp.payload().at("histograms").at("cmb.rpc_ns").get_int("count"), 1);
-  // Registry counters agree with the legacy Stats struct.
-  EXPECT_EQ(counters.get_int("cmb.rpc_timeouts"),
-            static_cast<std::int64_t>(s.session().broker(2).stats().rpc_timeouts));
+  // The ping provoked no timeout.
+  EXPECT_EQ(counters.get_int("cmb.rpc_timeouts", -1), 0);
 }
 
 TEST(ObsStats, ModuleStatsGetCountsRequests) {
@@ -205,8 +277,7 @@ TEST(ObsStats, AggregateSweepsEveryRank) {
   (void)s.run(h->ping(6));
 
   Json agg = s.run([](Handle* hd) -> Task<Json> {
-    obs::FluxStats stats(*hd);
-    Json merged = co_await stats.aggregate("cmb");
+    Json merged = co_await obs::aggregate_stats(*hd, "cmb");
     co_return merged;
   }(h.get()));
   EXPECT_EQ(agg.get_int("ranks"), 8);
@@ -232,7 +303,7 @@ TEST(ObsStats, RpcTimeoutCountsAndLateResponseIsDropped) {
     }
   }(h1.get(), &timed_out));
   EXPECT_TRUE(timed_out);
-  EXPECT_EQ(s.session().broker(1).stats().rpc_timeouts, 1u);
+  EXPECT_EQ(s.stats(1).counter_value("cmb.rpc_timeouts"), 1u);
 
   // h2 completes the barrier; the release response for h1's long-gone entry
   // arrives at broker 1 with no pending match and must be counted, not leak.
@@ -240,7 +311,105 @@ TEST(ObsStats, RpcTimeoutCountsAndLateResponseIsDropped) {
     co_await hd->barrier("late", 2);
   }(h2.get()));
   s.ex().run();
-  EXPECT_GE(s.session().broker(1).stats().responses_dropped, 1u);
+  EXPECT_GE(s.stats(1).counter_value("cmb.responses_dropped"), 1u);
+}
+
+// A module whose stats.get reply is well formed on every rank but one.
+class PeerStatsModule final : public ModuleBase {
+ public:
+  PeerStatsModule(Broker& b, NodeId bad_rank) : ModuleBase(b), bad_(bad_rank) {}
+  [[nodiscard]] std::string_view name() const override { return "peer"; }
+  [[nodiscard]] Json stats_json() const override {
+    const bool bad = broker().rank() == bad_;
+    return Json::object(
+        {{"counters", Json::object({{"peer.x", bad ? Json(1.5) : Json(1)}})}});
+  }
+
+ private:
+  NodeId bad_;
+};
+
+TEST(ObsStats, AggregateSkipsARankWithAMalformedSnapshot) {
+  SimSession s(SimSession::default_config(4));
+  for (NodeId r = 0; r < 4; ++r)
+    s.session().broker(r).add_module(
+        std::make_unique<PeerStatsModule>(s.session().broker(r), 2));
+  auto h = s.attach(1);
+  Json agg = s.run([](Handle* hd) -> Task<Json> {
+    co_return co_await obs::aggregate_stats(*hd, "peer");
+  }(h.get()));
+  EXPECT_EQ(agg.get_int("ranks"), 3);
+  EXPECT_EQ(agg.at("counters").get_int("peer.x"), 3);
+}
+
+// kvs.stats.get on a persisting shard master: the content log's durability
+// counters and the KVS state fields ride in the one stats response.
+TEST(ObsStats, KvsStatsGetCarriesDurabilityCountersAndState) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("flux-obs-persist-" + std::to_string(::getpid()) + ".log"))
+          .string();
+  SessionConfig cfg = SimSession::default_config(8);
+  cfg.module_config = Json::object(
+      {{"kvs", Json::object({{"shards", 2},
+                             {"persist", Json::object({{"path", path}})}})}});
+  {
+    SimSession s(cfg);
+    auto h = s.attach(3);
+    s.run([](Handle* hd) -> Task<void> {
+      KvsClient kvs(*hd);
+      for (int i = 0; i < 4; ++i) {
+        co_await kvs.put("d" + std::to_string(i) + ".k", i);
+        co_await kvs.commit();
+      }
+    }(h.get()));
+    for (const NodeId master : {NodeId{0}, NodeId{4}}) {
+      SCOPED_TRACE(::testing::Message() << "shard master " << master);
+      Message resp = s.run(h->request("kvs.stats.get").to(master).call());
+      const Json& p = resp.payload();
+      const Json& counters = p.at("counters");
+      EXPECT_TRUE(p.get_bool("persist"));
+      EXPECT_TRUE(p.get_bool("shard_master"));
+      EXPECT_GE(counters.get_int("kvs.persist.roots_appended"), 1);
+      EXPECT_GE(counters.get_int("kvs.persist.syncs"), 1);
+      EXPECT_GT(counters.get_int("kvs.persist.synced_bytes"), 0);
+      EXPECT_TRUE(counters.contains("kvs.persist.checkpoints"));
+      EXPECT_GE(p.get_int("version"), 2);
+      EXPECT_GT(p.get_int("store_bytes"), 0);
+      ASSERT_TRUE(p.at("vv").is_array());
+      EXPECT_EQ(p.at("vv").size(), 2u);
+    }
+  }
+  for (const char* suffix : {".s0", ".s1", ".s0.tmp", ".s1.tmp"})
+    std::filesystem::remove(path + suffix);
+}
+
+// Each event is counted once: N commits read N in the session-wide sum of
+// kvs.commits, and the root's apply-batch histogram covers exactly the N
+// fences it applied (its count is the number of applies).
+TEST(ObsStats, EachCommitIsCountedOnce) {
+  constexpr int kCommits = 6;
+  SessionConfig cfg = SimSession::default_config(8);
+  cfg.modules = {"hb", "live", "barrier", "kvs"};  // nothing else commits
+  SimSession s(cfg);
+  std::vector<std::unique_ptr<Handle>> handles;
+  for (int i = 0; i < kCommits; ++i) {
+    handles.push_back(s.attach(static_cast<NodeId>(i % 8)));
+    s.run([](Handle* hd, int n) -> Task<void> {
+      KvsClient kvs(*hd);
+      co_await kvs.put("once.k" + std::to_string(n), n);
+      co_await kvs.commit();
+    }(handles.back().get(), i));
+  }
+  Json agg = s.run([](Handle* hd) -> Task<Json> {
+    co_return co_await obs::aggregate_stats(*hd, "kvs");
+  }(handles.front().get()));
+  EXPECT_EQ(agg.get_int("ranks"), 8);
+  EXPECT_EQ(agg.at("counters").get_int("kvs.commits"), kCommits);
+  const obs::Histogram applied = s.stats(0).histogram_value("kvs.apply.batch_size");
+  EXPECT_EQ(applied.sum(), static_cast<std::uint64_t>(kCommits));
+  EXPECT_GE(applied.count(), 1u);
+  EXPECT_LE(applied.count(), applied.sum());
 }
 
 // ---------------------------------------------------------------------------

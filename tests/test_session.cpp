@@ -72,12 +72,12 @@ TEST(Session, BrokerStatsAccumulate) {
     hd->publish("stats.test");
   }(h.get()));
   s.ex().run();
-  const auto& leaf = s.session().broker(7).stats();
-  EXPECT_GT(leaf.requests_dispatched, 0u);
-  EXPECT_GT(leaf.events_delivered, 0u);
-  EXPECT_GT(leaf.responses_routed, 0u);
-  const auto& root = s.session().broker(0).stats();
-  EXPECT_GT(root.events_published, 0u);  // setroot events sequenced at root
+  const obs::StatsRegistry& leaf = s.stats(7);
+  EXPECT_GT(leaf.counter_value("cmb.requests_dispatched"), 0u);
+  EXPECT_GT(leaf.counter_value("cmb.events_delivered"), 0u);
+  EXPECT_GT(leaf.counter_value("cmb.responses_routed"), 0u);
+  // setroot events sequenced at root
+  EXPECT_GT(s.stats(0).counter_value("cmb.events_published"), 0u);
 }
 
 TEST(Session, NetStatsCountTraffic) {

@@ -192,7 +192,8 @@ TEST(ContentStore, PutIsIdempotent) {
 }
 
 TEST(ObjectCache, PinPreventsExpiry) {
-  ObjectCache cache;
+  obs::StatsRegistry stats;
+  ObjectCache cache(stats, "cache");
   ObjPtr a = make_val_object("a"), b = make_val_object("b");
   cache.put(a, 1);
   cache.put(b, 1);
@@ -205,7 +206,8 @@ TEST(ObjectCache, PinPreventsExpiry) {
 }
 
 TEST(ObjectCache, GetRefreshesLastUse) {
-  ObjectCache cache;
+  obs::StatsRegistry stats;
+  ObjectCache cache(stats, "cache");
   ObjPtr a = make_val_object("a");
   cache.put(a, 1);
   EXPECT_NE(cache.get(a->id, 50), nullptr);  // refresh at epoch 50
@@ -216,7 +218,8 @@ TEST(ObjectCache, GetRefreshesLastUse) {
 // Bucketed expiry examines only stale-bucket candidates, not the whole
 // cache: repeated expire() calls over a hot cache do near-zero scan work.
 TEST(ObjectCache, ExpiryScansCandidatesNotWholeCache) {
-  ObjectCache cache;
+  obs::StatsRegistry stats;
+  ObjectCache cache(stats, "cache");
   std::vector<ObjPtr> objs;
   for (int i = 0; i < 100; ++i) {
     objs.push_back(make_val_object(i));
@@ -224,7 +227,7 @@ TEST(ObjectCache, ExpiryScansCandidatesNotWholeCache) {
   }
   // Keep half hot at epoch 10; the other half goes stale.
   for (int i = 0; i < 50; ++i) (void)cache.get(objs[i]->id, 10);
-  const std::uint64_t hits_before = cache.stats().hits;
+  const std::uint64_t hits_before = stats.counter_value("cache.hits");
 
   EXPECT_EQ(cache.expire(6, 5), 0u);    // cutoff 1: epoch-1 uses still fresh
   EXPECT_EQ(cache.expire(10, 5), 50u);  // cutoff 5: epoch-1 bucket drained
@@ -233,20 +236,21 @@ TEST(ObjectCache, ExpiryScansCandidatesNotWholeCache) {
   // Draining the epoch-1 bucket examined each of its 100 candidates once
   // (50 evicted + 50 refreshed-at-10 duplicates), not count() per pass as a
   // full scan would.
-  EXPECT_LE(cache.stats().expire_scanned, 100u);
+  EXPECT_LE(stats.counter_value("cache.expire_scanned"), 100u);
   // Idle repeat passes are free: every remaining entry's bucket survives.
-  const std::uint64_t scanned = cache.stats().expire_scanned;
+  const std::uint64_t scanned = stats.counter_value("cache.expire_scanned");
   for (int pass = 0; pass < 10; ++pass) EXPECT_EQ(cache.expire(10, 5), 0u);
-  EXPECT_EQ(cache.stats().expire_scanned, scanned);
+  EXPECT_EQ(stats.counter_value("cache.expire_scanned"), scanned);
   // Expiry accounting never touches hit/miss stats.
-  EXPECT_EQ(cache.stats().hits, hits_before);
-  EXPECT_EQ(cache.stats().evictions, 50u);
+  EXPECT_EQ(stats.counter_value("cache.hits"), hits_before);
+  EXPECT_EQ(stats.counter_value("cache.evictions"), 50u);
 }
 
 // A pinned entry skipped by an expiry pass is still evicted by a later pass
 // after unpinning, even if it was never touched in between.
 TEST(ObjectCache, BucketedExpiryReconsidersUnpinned) {
-  ObjectCache cache;
+  obs::StatsRegistry stats;
+  ObjectCache cache(stats, "cache");
   ObjPtr a = make_val_object("a");
   cache.put(a, 1);
   cache.pin(a->id);
