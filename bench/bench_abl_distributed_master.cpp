@@ -6,17 +6,17 @@
 // module runs with {"shards": k}. The namespace is hash-partitioned over k
 // master brokers (rendezvous hashing on the top-level directory); every
 // producer writes a unique value under its own top-level directory and joins
-// one whole-job fence, which completes via the root's ShardCoordinator
-// fusing the per-shard version vector into a single event. Every k runs the
-// same fence path (k=1 is the paper's single master: shard 0 of a one-shard
-// map), with each shard master's apply/announce window at its auto setting,
-// so the k=1 row is the true baseline.
+// one whole-job fence, which every broker completes once each shard's
+// setroot announce has named it. Every k runs the same fence path and the
+// same completion rule (k=1 is the paper's single master: shard 0 of a
+// one-shard map), with each shard master's apply/announce window at its
+// auto setting, so the k=1 row is the true baseline.
 //
 // The interesting output is the crossover: at small producer counts the
 // cross-shard fence's extra coordination (every participant counts in at
-// every shard, k setroot events, one fuse) costs more than the single
-// master's apply; as producers grow, splitting the master's inbound link and
-// apply serialization k ways wins.
+// every shard, k setroot events) costs more than the single master's apply;
+// as producers grow, splitting the master's inbound link and apply
+// serialization k ways wins.
 //
 // Writes BENCH_abl_distributed_master.json rows (via scripts/bench.sh) that
 // scripts/bench_gate.py gates: fence_ms is virtual time, net_messages the

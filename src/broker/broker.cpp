@@ -434,6 +434,17 @@ void Broker::publish(std::string topic, Json payload) {
   publish(Message::event(std::move(topic), std::move(payload)));
 }
 
+void Broker::publish_direct(Message ev) {
+  if (is_root()) {
+    publish(std::move(ev));
+    return;
+  }
+  assert(ev.is_event());
+  events_published_.inc();
+  ev.seq = 0;  // unsequenced until the root stamps it
+  send(0, std::move(ev));
+}
+
 void Broker::on_event_from_below(Message msg) {
   // An unsequenced event bubbling toward the root.
   if (!is_root()) {

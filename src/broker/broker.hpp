@@ -94,6 +94,9 @@ class Broker {
   /// Publish an event (sequenced by the session root, broadcast to all).
   void publish(Message ev);
   void publish(std::string topic, Json payload = Json::object());
+  /// publish() that reaches the session root over a direct edge instead of
+  /// climbing the tree: the sharded-KVS overlay's announce hop.
+  void publish_direct(Message ev);
   /// Module-initiated RPC (routed like any request).
   Future<Message> module_rpc(Module& m, Message req);
   /// module_rpc() with a per-attempt deadline; resolves errc::timeout if no

@@ -67,7 +67,7 @@ OracleReport check_history(const std::vector<OpRecord>& ops,
   std::map<std::string, std::vector<StagedWrite>> kv;  // key -> staged writes
   std::set<std::string> tainted_keys;  // a failed commit/fence touched these
   // Successful fence completion index per (fence name, client).
-  std::map<std::string, std::map<int, std::size_t>> fence_done;
+  std::map<std::string, std::map<int, std::size_t>> fence_acked;
   {
     // Puts staged by a client since its last commit/fence, as kv[] positions.
     std::map<int, std::vector<std::pair<std::string, std::size_t>>> pending;
@@ -91,7 +91,7 @@ OracleReport check_history(const std::vector<OpRecord>& ops,
           }
           pending[op.client].clear();
           if (op.kind == OpKind::fence && good)
-            fence_done[op.key][op.client] = i;
+            fence_acked[op.key][op.client] = i;
           break;
         }
         default:
@@ -125,8 +125,8 @@ OracleReport check_history(const std::vector<OpRecord>& ops,
     const OpRecord& carrier = ops[w.commit_index];
     if (c == wr) return w.commit_index;
     if (carrier.kind != OpKind::fence) return SIZE_MAX;
-    const auto fit = fence_done.find(carrier.key);
-    if (fit == fence_done.end()) return SIZE_MAX;
+    const auto fit = fence_acked.find(carrier.key);
+    if (fit == fence_acked.end()) return SIZE_MAX;
     const auto cit = fit->second.find(c);
     if (cit == fit->second.end()) return SIZE_MAX;
     return cit->second;

@@ -1,6 +1,7 @@
 #include "kvs/kvs_module.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <set>
 
@@ -10,7 +11,6 @@
 #include "check/mutation.hpp"
 #include "fault/injector.hpp"
 #include "kvs/content_backend.hpp"
-#include "kvs/shard_coordinator.hpp"
 
 namespace flux {
 
@@ -61,11 +61,9 @@ KvsModule::KvsModule(Broker& b) : ModuleBase(b) {
   on("fence", [this](Message& m) { op_fence(m); });
   on("flush", [this](Message& m) { op_flush(m); });
   on("load", [this](Message& m) { op_load(m); });
-  on("shard_done", [this](Message& m) { op_shard_done(m); });
   on("drop_cache", [this](Message& m) { op_drop_cache(m); });
 
   broker().module_subscribe(*this, "kvs.setroot");
-  broker().module_subscribe(*this, "kvs.fence.done");
   broker().module_subscribe(*this, "live.down");
   broker().module_subscribe(*this, "hb");
   broker().module_subscribe(*this, "cmb.rejoin");
@@ -107,16 +105,18 @@ void KvsModule::start() {
   failover_ = cfg.get_bool("failover", false);
 
   // Apply/announce rate limit, per shard master. Deferral trades commit
-  // latency for throughput: it only pays when the O(tree) broadcast and
-  // per-apply freeze dwarf the added wait, so the auto default stays OFF
-  // below 48 brokers — at small and mid sizes the window shows up directly
-  // in latency-sensitive clients (measured: scheduler alloc RPCs +2-22 µs)
-  // for little host-side gain — and opens to 40 µs above, where each
-  // skipped broadcast saves a tree's worth of deliveries. 40 µs is the
-  // measured knee: wider keeps shrinking host work but costs more virtual
-  // throughput than the congestion relief returns.
+  // latency for throughput: it only pays when the O(tree) broadcasts and
+  // per-apply freeze dwarf the added wait. Every fence is announced by each
+  // of the k shards, so it costs k broadcasts of `size` deliveries each:
+  // the auto default stays OFF below 48 such deliveries per fence — at small
+  // and mid sizes the window shows up directly in latency-sensitive clients
+  // (measured: scheduler alloc RPCs +2-22 µs) for little host-side gain —
+  // and opens to 40 µs above, where each skipped round of announces saves
+  // k trees' worth of deliveries. 40 µs is the measured knee: wider keeps
+  // shrinking host work but costs more virtual throughput than the
+  // congestion relief returns.
   std::int64_t win_us = cfg.get_int("announce_window_us", -1);
-  if (win_us < 0) win_us = broker().size() < 48 ? 0 : 40;
+  if (win_us < 0) win_us = broker().size() * shards_ < 48 ? 0 : 40;
   announce_window_ = std::chrono::microseconds(win_us);
 
   // Durable content store (ROADMAP: checkpoint/restart + GC). Config shape:
@@ -140,9 +140,6 @@ void KvsModule::start() {
     }
   }
 
-  // Completion with k > 1: the coordinator fuses the shards' reports.
-  if (broker().is_root() && sharded())
-    coord_ = std::make_unique<ShardCoordinator>(broker(), shards_);
   if (const auto s = shard_map_.shard_of_master(broker().rank()))
     start_master(*s);
 }
@@ -320,9 +317,7 @@ void KvsModule::handle_event(const Message& msg) {
       co_spawn(broker().executor(), resync_after_rejoin(), "kvs.resync");
     return;
   }
-  if (msg.topic == "kvs.fence.done")
-    on_fence_done(msg);
-  else if (msg.topic == "live.down")
+  if (msg.topic == "live.down")
     on_live_down(msg);
   else if (msg.topic.starts_with("kvs.setroot"))
     on_setroot(msg);
@@ -604,7 +599,7 @@ void KvsModule::flush_fence(const std::string& name, std::uint32_t shard) {
   part.flush_scheduled = false;
   if (part.pending_contributors.empty()) return;
   // A dead master (or an orphaned broker) makes the flush undeliverable;
-  // the coordinator or the client's retry settles the fence.
+  // the live shards' announces or the client's retry settle the fence.
   const auto up = shard_dead_[shard] ? std::nullopt : tree_parent(shard);
   if (up) {
     flushes_forwarded_.inc();
@@ -652,13 +647,45 @@ void KvsModule::op_flush(Message& msg) {
             std::move(contributors), std::move(tuples).value(), objects);
 }
 
+void KvsModule::fence_announced(const std::string& name, std::uint32_t shard) {
+  auto it = fences_.find(name);
+  if (it == fences_.end()) {
+    // No local part or waiter. Remember the announce only while another
+    // live shard still owes one (never at k = 1), so that a part relayed
+    // here later still completes.
+    bool owed = false;
+    for (std::uint32_t s = 0; s < shards_; ++s)
+      owed = owed || (s != shard && !shard_dead_[s]);
+    if (!owed) return;
+    it = fences_.try_emplace(name).first;
+  }
+  Fence& fence = it->second;
+  if (fence.owed.empty()) {
+    // First announce: the completion set is the shards alive now. A shard
+    // revived later never saw the fence and is not added.
+    fence.owed.resize(shards_);
+    for (std::uint32_t s = 0; s < shards_; ++s) fence.owed[s] = !shard_dead_[s];
+  }
+  fence.owed[shard] = false;
+  if (fence_ready(fence)) complete_fence(name, fence.tainted);
+}
+
+bool KvsModule::fence_ready(const Fence& fence) {
+  // Mutation "kvs.fence_fuse_early" (tests only): complete the fence after
+  // the first shard's announce — clients then observe it partially applied
+  // across shards, breaking fence atomicity.
+  return std::find(fence.owed.begin(), fence.owed.end(), true) ==
+             fence.owed.end() ||
+         check::mutation("kvs.fence_fuse_early");
+}
+
 void KvsModule::complete_fence(const std::string& name, bool failed) {
   auto it = fences_.find(name);
   if (it == fences_.end()) return;
   Fence fence = std::move(it->second);
   fences_.erase(it);
   for (const Sha1& id : fence.pins) cache_.unpin(id);
-  // Even when the coordinator salvaged the live shards, writes this broker
+  // Even when the live shards completed the fence, writes this broker
   // routed to a now-dead shard are gone — its waiters must hear that.
   for (std::uint32_t s = 0; s < fence.parts.size(); ++s)
     if (shard_dead_[s] && fence.parts[s].touched) failed = true;
@@ -788,64 +815,43 @@ void KvsModule::flush_announce(std::uint32_t shard) {
 
 void KvsModule::announce_root(std::uint32_t shard,
                               std::vector<std::string> fences, bool remaster) {
-  const std::uint64_t version = shard_versions_[shard];
-  const Sha1 root = shard_roots_[shard];
-  Json ev = Json::object({{"version", version}, {"rootref", root.hex()}});
-  if (!sharded()) {
-    // k = 1: the paper's "kvs.setroot". Every broker adopts the root and
-    // completes the listed fences; the root broker delivers to this module
-    // synchronously, so the master's own waiters are answered right here —
-    // all of them against the same (latest) root.
-    ev["fences"] = string_array(std::move(fences));
-    broker().publish("kvs.setroot", std::move(ev));
-    return;
-  }
-  ev["shard"] = static_cast<std::int64_t>(shard);
+  // One payload for every k; the topic names the shard when k > 1. Every
+  // broker adopts the root and counts the announce toward the listed fences
+  // (on_setroot); the root broker delivers to this module synchronously, so
+  // a root-mastered shard's own waiters may be answered right here. Another
+  // master's announce goes to the root over a direct edge, like its flushes:
+  // fences complete only once it is broadcast, so it must not wait on (or
+  // be lost in) the interior brokers of the session tree.
+  Json ev = Json::object({{"version", shard_versions_[shard]},
+                          {"rootref", shard_roots_[shard].hex()},
+                          {"fences", string_array(std::move(fences))}});
   if (remaster) ev["master"] = broker().rank();
-  broker().publish("kvs.setroot." + std::to_string(shard), std::move(ev));
-  if (fences.empty()) return;
-  // k > 1: hand the batch to the coordinator, which fuses every shard's
-  // report into one "kvs.fence.done" (on the session root that re-enters
-  // this module and erases the fences — nothing may follow this call).
-  if (coord_) {
-    coord_->shard_done(fences, shard, version, root);
-    return;
-  }
-  Json done = Json::object({{"names", string_array(std::move(fences))},
-                            {"shard", static_cast<std::int64_t>(shard)},
-                            {"version", version},
-                            {"rootref", root.hex()}});
-  broker().forward_direct(0, Message::request("kvs.shard_done", std::move(done)));
-}
-
-void KvsModule::op_shard_done(Message& msg) {
-  // Master -> coordinator completion report; fire-and-forget.
-  if (!coord_) return;
-  const std::vector<std::string> names = strings_of(msg.payload().at("names"));
-  const std::int64_t shard = msg.payload().get_int("shard", -1);
-  const auto version =
-      static_cast<std::uint64_t>(msg.payload().get_int("version", 0));
-  const auto ref = Sha1::parse(msg.payload().get_string("rootref"));
-  if (names.empty() || shard < 0 ||
-      shard >= static_cast<std::int64_t>(shards_) || !ref)
-    return;
-  coord_->shard_done(names, static_cast<std::uint32_t>(shard), version, *ref);
+  broker().publish_direct(Message::event(
+      sharded() ? "kvs.setroot." + std::to_string(shard) : "kvs.setroot",
+      std::move(ev)));
 }
 
 // ---------------------------------------------------------------------------
-// Root state: announces, fused completions, versions
+// Root state: announces, versions
 // ---------------------------------------------------------------------------
 
 void KvsModule::on_setroot(const Message& msg) {
   const Json& p = msg.payload();
-  const std::int64_t shard = p.get_int("shard", 0);
+  // "kvs.setroot" is shard 0 of a one-shard map; "kvs.setroot.<s>" names s.
+  constexpr std::string_view prefix = "kvs.setroot.";
+  std::uint32_t s = 0;
+  if (msg.topic.size() > prefix.size()) {
+    const char* first = msg.topic.data() + prefix.size();
+    const char* last = msg.topic.data() + msg.topic.size();
+    const auto [end, ec] = std::from_chars(first, last, s);
+    if (ec != std::errc{} || end != last) s = shards_;
+  }
   const auto version = static_cast<std::uint64_t>(p.get_int("version", 0));
   const auto ref = Sha1::parse(p.get_string("rootref"));
-  if (shard < 0 || shard >= static_cast<std::int64_t>(shards_) || !ref) {
-    log::error("kvs", "setroot event with bad rootref");
+  if (s >= shards_ || !ref) {
+    log::error("kvs", "setroot event with bad shard or rootref");
     return;
   }
-  const auto s = static_cast<std::uint32_t>(shard);
   // Failover / post-rejoin announcement: a "master" field re-binds the shard
   // to a new authoritative rank. Adopt it before the version check so the
   // shard counts as live again even on ranks that raced ahead.
@@ -855,25 +861,17 @@ void KvsModule::on_setroot(const Message& msg) {
       shard_masters_[s] = m;
       shard_dead_[s] = false;
       pending_failover_.erase(s);
-      if (coord_) coord_->shard_revived(s, version, *ref);
       log::info("kvs", "rank ", broker().rank(), ": shard ", s,
                 " now mastered by rank ", m);
     }
   }
+  // Adopt the root before completing anything: read-your-writes, and a
+  // fence completed by its last shard's announce finds every shard's root
+  // that includes it already adopted here.
   adopt_root(s, version, *ref);
   refresh_scalar_root();
-  // k = 1: the announce itself completes the fences it covers.
   for (const std::string& name : strings_of(p.at("fences")))
-    complete_fence(name, false);
-}
-
-void KvsModule::on_fence_done(const Message& msg) {
-  // Adopt ALL shard roots before responding: read-your-writes plus
-  // cross-shard visibility of everything the fences committed.
-  adopt_roots(msg.payload());
-  const bool failed = msg.payload().get_bool("failed", false);
-  for (const std::string& name : strings_of(msg.payload().at("names")))
-    complete_fence(name, failed);
+    fence_announced(name, s);
 }
 
 void KvsModule::adopt_roots(const Json& payload) {
@@ -984,7 +982,17 @@ void KvsModule::on_live_down(const Message& msg) {
       ++it;
     }
   }
-  if (coord_) coord_->shard_failed(*s);
+  // Every fence with an announce lost its part on this shard (the dead
+  // master held the only copy): drop the shard from its completion set and
+  // fail it. Fences without an announce yet complete over the live shards.
+  std::vector<std::string> ready;
+  for (auto& [name, fence] : fences_) {
+    if (fence.owed.empty()) continue;
+    fence.owed[*s] = false;
+    fence.tainted = true;
+    if (fence_ready(fence)) ready.push_back(name);
+  }
+  for (const std::string& name : ready) complete_fence(name, true);
   // Failover: the designated successor promotes itself two epochs from now
   // (hb-driven, so detection and takeover are both heartbeat-clocked). Every
   // rank schedules the same deadline; only the successor acts on it, and a
@@ -1036,7 +1044,6 @@ void KvsModule::promote_shard(std::uint32_t shard) {
   shard_roots_[shard] = root;
   ++shard_versions_[shard];
   refresh_scalar_root();
-  if (coord_) coord_->shard_revived(shard, shard_versions_[shard], root);
   announce_root(shard, {}, /*remaster=*/true);
 }
 
@@ -1064,7 +1071,7 @@ Task<void> KvsModule::resync_after_rejoin() {
     // A restarted broker that still masters a shard: with a durable backend,
     // start() already recovered the shard's tree from its log — re-assert
     // mastership one version up so peers that raced ahead of the start()
-    // publish converge and the coordinator marks the shard revived. Without
+    // publish converge and every broker marks the shard live again. Without
     // one, the crashed store is unrecoverable: re-bootstrap EMPTY at
     // adopted_version + 1 (same explicit data-loss policy as hb failover).
     for (std::uint32_t s = 0; s < shards_; ++s) {

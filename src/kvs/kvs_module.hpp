@@ -22,14 +22,13 @@
 // distinct contributors and, at nprocs, queues the part into its apply batch
 // (flush_apply_batch -> master_apply), which coalesces fences under a
 // rate-limit window and announces the new root (flush_announce, DESIGN §4e).
-// Only completion depends on k:
-//  - k = 1: the announce is the paper's "kvs.setroot" event; its "fences"
-//    list completes those fences on every broker;
-//  - k > 1: the announce is "kvs.setroot.<s>", and the master hands the
-//    batch's fence names to a ShardCoordinator on the session root, which
-//    fuses every shard's report into one "kvs.fence.done" event carrying
-//    the full version vector (collective-commit semantics plus cross-shard
-//    visibility: a completed fence's writes are readable on every shard).
+// The announce is the paper's "kvs.setroot" event ("kvs.setroot.<s>" when
+// k > 1), and its "fences" list names the fences the new root includes.
+// Every broker adopts the root and completes a fence once every shard in
+// the fence's completion set (the shards alive at its first announce) has
+// announced it. Events are root-sequenced, so every broker makes the same
+// decision in the same order, and a completed fence's writes are readable
+// on every shard (collective-commit semantics plus cross-shard visibility).
 //
 // Consistency (Vogels' taxonomy, as claimed by the paper):
 //  - monotonic reads: each shard's roots apply in that shard's version
@@ -42,17 +41,16 @@
 //    when k > 1).
 //
 // A dead shard master ("live.down") fails fast: in-flight direct RPCs to it
-// settle EHOSTDOWN, pending fences fuse as failed, new operations on its
-// shard are refused, and the other shards keep serving; with {"failover":
-// true} a successor re-masters the shard.
+// settle EHOSTDOWN, fences some shard had already announced complete as
+// failed, new operations on its shard are refused, and the other shards keep
+// serving; with {"failover": true} a successor re-masters the shard.
 //
 // Client-visible operations (via kvs_client.hpp):
 //   put, unlink, mkdir, get, lookup_ref, commit, fence, get_version,
 //   wait_version, stats.get, drop_cache
 // Internal (module-to-module):
 //   flush (aggregated dirty state heading to a shard master), load
-//   (batched object fetch from the shard-tree parent), shard_done (master ->
-//   coordinator).
+//   (batched object fetch from the shard-tree parent).
 #pragma once
 
 #include <cstdint>
@@ -73,8 +71,6 @@
 #include "kvs/shard_map.hpp"
 
 namespace flux {
-
-class ShardCoordinator;
 
 class KvsModule final : public ModuleBase {
  public:
@@ -148,7 +144,6 @@ class KvsModule final : public ModuleBase {
   void op_fence(Message& msg);
   void op_flush(Message& msg);
   void op_load(Message& msg);
-  void op_shard_done(Message& msg);
   void op_drop_cache(Message& msg);
 
   // -- fences ------------------------------------------------------------------
@@ -182,7 +177,7 @@ class KvsModule final : public ModuleBase {
     bool flush_scheduled = false;
     // Tuples were routed to this shard through this broker; if the shard's
     // master then dies mid-fence, local waiters must see an error even when
-    // the coordinator salvages the live shards.
+    // the live shards complete the fence.
     bool touched = false;
     // Shard master only: distinct contributor identities seen so far. The
     // part is ready when this reaches nprocs. Counting identities instead of
@@ -203,6 +198,13 @@ class KvsModule final : public ModuleBase {
     std::vector<Message> waiters;
     // Local cache pins to release at completion.
     std::vector<Sha1> pins;
+    // Completion, kept in event order on every broker: the shards that still
+    // owe an announce of this fence (those alive at its first announce;
+    // empty before it).
+    std::vector<bool> owed;
+    // A shard master died after the first announce: the fence's part on it
+    // is lost, so the fence completes failed.
+    bool tainted = false;
   };
   Fence& fence_state(const std::string& name, std::int64_t nprocs);
 
@@ -217,6 +219,11 @@ class KvsModule final : public ModuleBase {
                  std::vector<Tuple> tuples, const std::vector<ObjPtr>& objects);
   /// Ship the part's pending contributions one hop up the shard's tree.
   void flush_fence(const std::string& name, std::uint32_t shard);
+  /// Shard `shard` announced a root that includes fence `name`: complete
+  /// the fence once every shard in its completion set has announced it.
+  void fence_announced(const std::string& name, std::uint32_t shard);
+  /// No shard owes an announce of this (already announced) fence.
+  [[nodiscard]] static bool fence_ready(const Fence& fence);
   /// Complete a fence locally: release pins and answer its waiters.
   void complete_fence(const std::string& name, bool failed);
 
@@ -261,9 +268,9 @@ class KvsModule final : public ModuleBase {
   /// Announce every root transition since the last announce: the latest
   /// version/rootref plus all accumulated fence names.
   void flush_announce(std::uint32_t shard);
-  /// Publish shard `shard`'s current root and start completing `fences` —
-  /// the one step that depends on k (see the file comment). `remaster`
-  /// re-binds the shard to this broker on every rank (failover/rejoin).
+  /// Publish shard `shard`'s current root and the `fences` it includes.
+  /// `remaster` re-binds the shard to this broker on every rank
+  /// (failover/rejoin).
   void announce_root(std::uint32_t shard, std::vector<std::string> fences,
                      bool remaster = false);
   /// Bootstrap or recover the shard this broker masters at start().
@@ -273,7 +280,6 @@ class KvsModule final : public ModuleBase {
 
   // -- root state ----------------------------------------------------------------
   void on_setroot(const Message& msg);
-  void on_fence_done(const Message& msg);
   void on_live_down(const Message& msg);
   /// Adopt a newer root for `shard` (per-shard version order). The caller
   /// runs refresh_scalar_root() afterwards.
@@ -416,7 +422,6 @@ class KvsModule final : public ModuleBase {
   // which the designated successor self-promotes.
   bool failover_ = false;
   std::map<std::uint32_t, std::uint64_t> pending_failover_;
-  std::unique_ptr<ShardCoordinator> coord_;  // session root, k > 1 only
 
   /// Apply/announce rate limit (module config "announce_window_us").
   Duration announce_window_{};

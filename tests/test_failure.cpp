@@ -291,6 +291,58 @@ TEST(Failure, ShardMasterDeathSettlesInFlightFence) {
   EXPECT_EQ(*seen, errc::host_down);
 }
 
+TEST(Failure, ShardMasterDeathAfterAnnouncesFailsTheFence) {
+  // Rank 2 masters a shard and dies after every participant contributed but
+  // before its death is declared: the other shards apply and announce the
+  // fence, rank 2's shard never does. Its live.down must drop it from the
+  // fence's completion set and fail the fence everywhere, even for writers
+  // whose own tuples went to live shards only.
+  SimSession s(sharded_failure_config(8, 4));
+  s.settle(std::chrono::milliseconds(1));
+  auto* leaf =
+      dynamic_cast<KvsModule*>(s.session().broker(7).find_module("kvs"));
+  const ShardMap& map = leaf->shard_map();
+  std::string key;
+  for (int i = 0;; ++i) {
+    key = "g" + std::to_string(i);
+    if (map.master_rank(map.shard_of(key)) != 2) break;
+  }
+
+  auto h7 = s.attach(7);
+  auto h3 = s.attach(3);
+  int announced = 0;
+  Subscription sub = h7->subscribe("kvs.setroot", [&](const Message& ev) {
+    for (const Json& name : ev.payload().at("fences").as_array())
+      if (name == Json("half")) ++announced;
+  });
+  std::vector<std::optional<errc>> seen(2);
+  int done = 0;
+  auto fencer = [](Handle* hd, std::string k, std::optional<errc>* out,
+                   int* d) -> Task<void> {
+    KvsClient kvs(*hd);
+    if (!k.empty()) co_await kvs.put(k + ".v", 1);
+    try {
+      co_await kvs.fence("half", 2);
+    } catch (const FluxException& e) {
+      *out = e.error().code;
+    }
+    ++*d;
+  };
+  co_spawn(s.ex(), fencer(h7.get(), key, &seen[0], &done), "fencer-7");
+  s.settle(std::chrono::milliseconds(1));  // first contribution is in
+  s.session().fail(2);
+  co_spawn(s.ex(), fencer(h3.get(), "", &seen[1], &done), "fencer-3");
+  s.settle(std::chrono::microseconds(200));
+  EXPECT_GE(announced, 1) << "no live shard announced the fence";
+  EXPECT_LT(announced, 4);
+  EXPECT_EQ(done, 0) << "fence completed without the dead shard's part";
+
+  s.settle(std::chrono::milliseconds(3));  // detection + live.down
+  ASSERT_EQ(done, 2) << "fence waiter hung after shard master death";
+  EXPECT_EQ(seen[0], errc::host_down);
+  EXPECT_EQ(seen[1], errc::host_down);
+}
+
 TEST(Failure, DirectRpcToDeadBrokerSettles) {
   // In-flight direct RPCs (the sharded overlay edges) settle with EHOSTDOWN
   // when the target dies instead of hanging the coroutine.

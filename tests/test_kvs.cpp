@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <set>
 
+#include "fault/plan.hpp"
 #include "kvs/kvs_module.hpp"
 #include "sim_fixture.hpp"
 
@@ -630,41 +631,129 @@ TEST(KvsSharded, TuplesLandOnOwningShardsOnly) {
 }
 
 TEST(KvsSharded, FenceCrossShardVisibility) {
-  SimSession s(sharded_config(8, 4));
-  std::vector<std::unique_ptr<Handle>> handles;
-  std::vector<CommitResult> results(8);
-  int done = 0;
-  for (NodeId r = 0; r < 8; ++r) {
-    handles.push_back(s.attach(r));
-    co_spawn(
-        s.ex(),
-        [](Handle* h, NodeId rank, CommitResult* out, int* d) -> Task<void> {
-          KvsClient kvs(*h);
-          co_await kvs.put("sf" + std::to_string(rank) + ".val", rank);
-          *out = co_await kvs.fence("shard-fence", 8);
-          ++*d;
-        }(handles.back().get(), r, &results[r], &done),
-        "fencer");
+  // One completion rule serves every shard count, so one test covers them.
+  for (const std::uint32_t k : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("shards " + std::to_string(k));
+    SimSession s(sharded_config(8, k));
+    std::vector<std::unique_ptr<Handle>> handles;
+    std::vector<CommitResult> results(8);
+    int done = 0;
+    for (NodeId r = 0; r < 8; ++r) {
+      handles.push_back(s.attach(r));
+      co_spawn(
+          s.ex(),
+          [](Handle* h, NodeId rank, CommitResult* out, int* d) -> Task<void> {
+            KvsClient kvs(*h);
+            co_await kvs.put("sf" + std::to_string(rank) + ".val", rank);
+            *out = co_await kvs.fence("shard-fence", 8);
+            ++*d;
+          }(handles.back().get(), r, &results[r], &done),
+          "fencer");
+    }
+    s.ex().run();
+    ASSERT_EQ(done, 8);
+    // Responses carry the version vector only when k > 1, and it is
+    // identical for every participant.
+    for (NodeId r = 0; r < 8; ++r)
+      ASSERT_EQ(results[r].vv.size(), k == 1 ? 0u : k);
+    for (NodeId r = 1; r < 8; ++r) {
+      EXPECT_EQ(results[r].vv, results[0].vv);
+      EXPECT_EQ(results[r].version, results[0].version);
+    }
+    // After the fence response, every rank sees EVERY shard's writes
+    // (read-your-writes + cross-shard fence visibility) without settling.
+    for (NodeId r = 0; r < 8; ++r) {
+      s.run([](Handle* h, NodeId rank) -> Task<void> {
+        KvsClient kvs(*h);
+        for (NodeId w = 0; w < 8; ++w) {
+          Json v = co_await kvs.get("sf" + std::to_string(w) + ".val");
+          if (v != Json(w))
+            throw FluxException(
+                Error(errc::proto, "rank " + std::to_string(rank) +
+                                       " missed write " + std::to_string(w)));
+        }
+      }(handles[r].get(), r));
+    }
   }
-  s.ex().run();
-  ASSERT_EQ(done, 8);
-  for (NodeId r = 0; r < 8; ++r) ASSERT_EQ(results[r].vv.size(), 4u);
-  // The fused version vector is identical for every participant.
-  for (NodeId r = 1; r < 8; ++r) EXPECT_EQ(results[r].vv, results[0].vv);
-  // After the fence response, every rank sees EVERY shard's writes
-  // (read-your-writes + cross-shard fence visibility) without settling.
-  for (NodeId r = 0; r < 8; ++r) {
-    s.run([](Handle* h, NodeId rank) -> Task<void> {
-      KvsClient kvs(*h);
-      for (NodeId w = 0; w < 8; ++w) {
-        Json v = co_await kvs.get("sf" + std::to_string(w) + ".val");
-        if (v != Json(w))
-          throw FluxException(Error(errc::proto,
-                                    "rank " + std::to_string(rank) +
-                                        " missed write " + std::to_string(w)));
-      }
-    }(handles[r].get(), r));
+}
+
+TEST(KvsSharded, ShardAnnouncesAloneCompleteACommit) {
+  // Every shard announce names the fences its root includes, and those
+  // announces are all a commit needs: no completion event of its own.
+  SimSession s(sharded_config(8, 2));
+  s.settle(std::chrono::milliseconds(10));
+  auto h = s.attach(5);
+  std::vector<Message> seen;
+  Subscription sub =
+      h->subscribe("kvs", [&seen](const Message& ev) { seen.push_back(ev); });
+  s.run([](Handle* hd) -> Task<void> {
+    KvsClient kvs(*hd);
+    co_await kvs.put("a.k", 1);
+    co_await kvs.put("b.k", 2);
+    co_await kvs.commit();
+  }(h.get()));
+  s.settle(std::chrono::milliseconds(10));
+  std::vector<std::string> topics;
+  for (const Message& ev : seen) topics.push_back(ev.topic);
+  std::sort(topics.begin(), topics.end());
+  ASSERT_EQ(topics,
+            (std::vector<std::string>{"kvs.setroot.0", "kvs.setroot.1"}));
+  std::string fence;
+  for (const Message& ev : seen) {
+    const Json& fences = ev.payload().at("fences");
+    ASSERT_TRUE(fences.is_array()) << ev.topic;
+    ASSERT_EQ(fences.size(), 1u) << ev.topic;
+    const std::string name = fences.as_array()[0].as_string();
+    EXPECT_TRUE(name.starts_with("#commit.")) << name;
+    if (fence.empty()) fence = name;
+    EXPECT_EQ(name, fence) << "the shards named different fences";
   }
+}
+
+TEST(KvsSharded, RelayThatSeesAnAnnounceFirstStillCompletesTheFence) {
+  // Rank `p` fences alone; its shard-1 flush to relay `x` (on no other path
+  // of the fence) is held back until shard 0 has already announced the
+  // fence. `x` must still complete it from both announces, or it keeps a
+  // stale half-announced fence under that name, and reusing the name later
+  // completes the new fence at `x` before shard 1 has applied it.
+  SimSession s(sharded_config(8, 2));
+  s.settle(std::chrono::milliseconds(1));
+  auto* root =
+      dynamic_cast<KvsModule*>(s.session().broker(0).find_module("kvs"));
+  const ShardMap& map = root->shard_map();
+  const Topology& topo = s.session().broker(0).topology();
+  std::string key;  // a key on shard 1
+  for (int i = 0; key.empty(); ++i)
+    if (map.shard_of("r" + std::to_string(i)) == 1) key = "r" + std::to_string(i);
+  NodeId p = 0;
+  NodeId x = 0;
+  for (NodeId r = 1; r < 8 && x == 0; ++r) {
+    const auto up = map.parent(1, r);
+    if (!up || *up == 0 || *up == map.master_rank(1)) continue;
+    bool ancestor = false;  // on r's shard-0 (session tree) path
+    for (auto a = topo.parent(r); a; a = topo.parent(*a)) ancestor |= *a == *up;
+    if (!ancestor) {
+      p = r;
+      x = *up;
+    }
+  }
+  ASSERT_NE(x, 0u) << "no relay off the session-tree path";
+
+  fault::FaultPlan plan;
+  plan.delay_nth(p, x, 1, std::chrono::milliseconds(1), "kvs.flush");
+  plan.arm(s.session());
+  auto fence_put = [](Handle* h, std::string k, int v) -> Task<Json> {
+    KvsClient kvs(*h);
+    co_await kvs.put(k + ".v", v);
+    co_await kvs.fence("reused", 1);
+    co_return co_await kvs.get(k + ".v");
+  };
+  auto hp = s.attach(p);
+  EXPECT_EQ(s.run(fence_put(hp.get(), key, 1)), Json(1));
+  s.settle(std::chrono::milliseconds(2));
+  auto hx = s.attach(x);
+  EXPECT_EQ(s.run(fence_put(hx.get(), key, 2)), Json(2))
+      << "rank " << x << " completed the reused fence before shard 1 applied";
 }
 
 TEST(KvsSharded, PerShardMonotonicReads) {

@@ -213,6 +213,20 @@ TEST(PersistDst, MasterCrashUnderMessageChurnPass) {
   expect_all_pass(test_seed() + 0xa50000, sweep(10), opt);
 }
 
+TEST(PersistDst, ShardedMasterCrashSchedulesPass) {
+  // The root masters shard 0 and crashes while fences over both shards are
+  // in flight. Every broker completes those fences from the shard announces
+  // it receives, so the crash must neither hang them nor let one complete
+  // with only the surviving shard's part applied.
+  DstOptions opt;
+  opt.persist = true;
+  opt.size = 5;
+  opt.shards = 2;
+  opt.master_crash = true;
+  opt.rounds = 3;
+  expect_all_pass(test_seed() + 0xa80000, sweep(10), opt);
+}
+
 TEST(PersistDst, SameSeedIsDeterministicWithPersistence) {
   // The file-system layer lives outside the simulation; it must not leak
   // nondeterminism back in. Same seed, same history, same verdict.
