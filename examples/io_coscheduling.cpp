@@ -16,9 +16,11 @@
 //   $ ./io_coscheduling
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <vector>
 
-#include "core/instance.hpp"
+#include "api/job_client.hpp"
+#include "broker/session.hpp"
 #include "exec/sim_executor.hpp"
 
 using namespace flux;
@@ -47,39 +49,56 @@ struct Outcome {
   std::uint64_t completed = 0;
 };
 
-Outcome run(bool declare_io) {
-  SimExecutor ex;
-  // One cluster: 64 nodes, fs capacity 100 GB/s.
-  ResourceGraph graph =
-      ResourceGraph::build_center("center", 1, 4, 16, 16, 32, 350, 100);
-  FluxInstance cluster(ex, "cluster", graph, "firstfit");
+std::int64_t event_time(const Json& log, std::string_view name) {
+  for (const Json& e : log.as_array())
+    if (e.get_string("name") == name) return e.get_int("t");
+  return -1;
+}
 
-  // Track the *actual* aggregate I/O demand of running jobs, whether or not
-  // the scheduler knows about it.
-  double current_io = 0, peak_io = 0;
-  std::map<std::uint64_t, double> running_io;
-  std::map<std::uint64_t, double> declared_io;
-  cluster.scheduler().on_start([&](std::uint64_t id, const Allocation&) {
-    current_io += declared_io[id];
-    peak_io = std::max(peak_io, current_io);
-    running_io[id] = declared_io[id];
-  });
-  cluster.scheduler().on_end([&](std::uint64_t id) {
-    current_io -= running_io[id];
-    running_io.erase(id);
-  });
-
+Task<void> drive(Handle* h, bool declare_io, Outcome* out) {
+  std::vector<JobHandle> jobs;
+  std::vector<double> io;
+  const TimePoint t0 = h->executor().now();
   for (const IoJob& job : workload()) {
     JobSpec spec = JobSpec::app("io", job.nnodes, job.walltime);
     if (declare_io) spec.request.io_bw_gbs = job.io_gbs;  // Flux's model
-    auto id = cluster.submit(spec);
-    if (id) declared_io[*id] = job.io_gbs;
+    jobs.push_back(co_await h->job().spec(std::move(spec)).submit());
+    io.push_back(job.io_gbs);
   }
-  const TimePoint t0 = ex.now();
+  // The *actual* aggregate I/O demand of running jobs, whether or not the
+  // scheduler knew about it, swept from the jobs' committed event logs.
+  for (JobHandle& jh : jobs)
+    if ((co_await jh.wait()).state == JobState::Complete) ++out->completed;
+  out->makespan_ms =
+      static_cast<double>((h->executor().now() - t0).count()) / 1e6;
+  co_await h->sleep(std::chrono::milliseconds(1));  // last eventlog commit
+  std::map<std::int64_t, double> delta;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Json log = co_await jobs[i].events();
+    delta[event_time(log, "start")] += io[i];
+    delta[event_time(log, "finish")] -= io[i];
+  }
+  double current = 0;
+  for (const auto& [t, d] : delta) {
+    current += d;
+    out->peak_io = std::max(out->peak_io, current);
+  }
+}
+
+Outcome run(bool declare_io) {
+  // One cluster: 64 nodes, filesystem capacity 100 GB/s (resvc's default).
+  SimExecutor ex;
+  SessionConfig cfg;
+  cfg.size = 64;
+  cfg.module_config = Json::object(
+      {{"job-manager", Json::object({{"policy", "firstfit"}})}});
+  auto session = Session::create_sim(ex, cfg);
+  session->run_until_online();
+  auto h = session->attach(0);
+  Outcome out;
+  co_spawn(ex, drive(h.get(), declare_io, &out), "io_coscheduling");
   ex.run();
-  return Outcome{peak_io,
-                 static_cast<double>((ex.now() - t0).count()) / 1e6,
-                 cluster.tree_stats().jobs_completed};
+  return out;
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Record the perf trajectory: run the paper-figure benches (Fig. 2 put,
 # Fig. 3 fence, Fig. 4a/4b get), the jobs/saturation/restart benches, the
-# §VII distributed-master ablation, plus the codec micro-benchmarks and emit
-# machine-readable BENCH_*.json sidecars.
+# §VII distributed-master and §III scheduling-hierarchy ablations, plus the
+# codec micro-benchmarks and emit machine-readable BENCH_*.json sidecars.
 #
 #   scripts/bench.sh                          # full grids into bench/results/
 #   FLUX_BENCH_QUICK=1 scripts/bench.sh       # smoke grids (CI / verify.sh)
@@ -24,10 +24,12 @@ cmake --preset bench
 cmake --build --preset bench -j "$jobs" --target \
   bench_fig2_put bench_fig3_fence bench_fig4a_get_singledir \
   bench_fig4b_get_multidir bench_jobs_throughput bench_saturation \
-  bench_restart bench_abl_distributed_master bench_micro
+  bench_restart bench_abl_distributed_master bench_abl_sched_hierarchy \
+  bench_micro
 
 for b in fig2_put fig3_fence fig4a_get_singledir fig4b_get_multidir \
-         jobs_throughput saturation restart abl_distributed_master; do
+         jobs_throughput saturation restart abl_distributed_master \
+         abl_sched_hierarchy; do
   echo "=== bench_$b ==="
   FLUX_BENCH_METRICS_DIR="$out" "build-bench/bench/bench_$b"
   mv "$out/$b.metrics.json" "$out/BENCH_$b.json"

@@ -1,6 +1,7 @@
 #include "core/jobspec.hpp"
 
 #include <cstdio>
+#include <stdexcept>
 
 namespace flux {
 
@@ -50,6 +51,7 @@ Json JobSpec::to_json() const {
 }
 
 JobSpec JobSpec::from_json(const Json& j) {
+  if (!j.is_object()) throw std::invalid_argument("jobspec: not an object");
   JobSpec spec;
   spec.name = j.get_string("name");
   spec.type = j.get_string("type") == "instance" ? JobType::Instance
@@ -62,9 +64,11 @@ JobSpec JobSpec::from_json(const Json& j) {
   spec.malleable = j.get_bool("malleable", false);
   spec.child_policy = j.get_string("child_policy", "fcfs");
   spec.child_power_budget_w = j.get_double("child_power_budget_w", 0);
-  if (j.at("subjobs").is_array())
-    for (const Json& s : j.at("subjobs").as_array())
-      spec.subjobs.push_back(from_json(s));
+  const Json& subs = j.at("subjobs");
+  if (!subs.is_null() && !subs.is_array())
+    throw std::invalid_argument("jobspec: subjobs is not an array");
+  if (subs.is_array())
+    for (const Json& s : subs.as_array()) spec.subjobs.push_back(from_json(s));
   return spec;
 }
 

@@ -4,7 +4,9 @@
 // either be used to run a single application or that can run its own job
 // management services, which then can recursively accept and schedule
 // (sub-)jobs." A JobSpec therefore describes either an App (leaf work) or an
-// Instance (a child Flux instance with its own policy and workload).
+// Instance (a child Flux instance with its own policy and workload). Both
+// run through the one job pipeline (modules/job_manager.hpp): an instance's
+// subjobs are jobs whose "parent" is the instance's id.
 #pragma once
 
 #include <cstdint>
@@ -47,11 +49,14 @@ struct JobSpec {
   // Instance jobs only:
   std::string child_policy = "fcfs";  ///< scheduling specialization (§III)
   std::vector<JobSpec> subjobs;       ///< the child instance's workload
-  /// Fraction of the parent allocation's power passed to the child
-  /// (parent bounding rule); <=0 means inherit request.power_w.
+  /// Power budget of the child pool, in watts (parent bounding rule); <= 0
+  /// means the allocation's request.power_w, or the granted nodes' physical
+  /// power when that is 0 too.
   double child_power_budget_w = 0;
 
   [[nodiscard]] Json to_json() const;
+  /// Throws std::invalid_argument when `j`, or any of its subjobs, is not
+  /// an object, or when "subjobs" is present but not an array.
   static JobSpec from_json(const Json& j);
 
   /// Leaf application job.

@@ -49,10 +49,7 @@ std::vector<std::string> strings_of(const Json& array) {
 KvsModule::KvsModule(Broker& b) : ModuleBase(b) {
   ObjectBundle::register_codec();
 
-  on("put", [this](Message& m) { op_put(m); });
   on("stage", [this](Message& m) { op_stage(m); });
-  on("unlink", [this](Message& m) { op_unlink(m); });
-  on("mkdir", [this](Message& m) { op_mkdir(m); });
   on("get", [this](Message& m) { op_get(m); });
   on("lookup_ref", [this](Message& m) { op_lookup_ref(m); });
   on("get_version", [this](Message& m) { op_get_version(m); });
@@ -324,43 +321,13 @@ void KvsModule::handle_event(const Message& msg) {
 }
 
 // ---------------------------------------------------------------------------
-// Transactions (put / unlink / mkdir)
+// Transactions: the requester key and write-back staging
 // ---------------------------------------------------------------------------
 
 KvsModule::TxnKey KvsModule::txn_key(const Message& msg) {
   if (msg.route.empty()) return {kNodeAny, 0};
   const RouteHop& origin = msg.route.front();
   return {origin.rank, origin.id};
-}
-
-void KvsModule::record(Message& msg, std::string key, ObjPtr obj) {
-  // Held with the transaction; op_fence positions it once its shard is
-  // known.
-  Txn& txn = txns_[txn_key(msg)];
-  txn.tuples.push_back(Tuple{std::move(key), obj->id});
-  txn.objects.push_back(std::move(obj));
-}
-
-void KvsModule::op_put(Message& msg) {
-  puts_.inc();
-  const std::string key = msg.payload().get_string("key");
-  if (key.empty() || split_key(key).empty()) {
-    respond_error(msg, errc::inval, "put: empty key");
-    return;
-  }
-  ObjPtr obj;
-  if (msg.data()) {
-    obj = parse_object(*msg.data());
-    if (!obj || !obj->is_val()) {
-      respond_error(msg, errc::inval, "put: malformed value object");
-      return;
-    }
-  } else {
-    obj = make_val_object(msg.payload().at("value"));
-  }
-  const std::string ref = obj->id.hex();
-  record(msg, key, std::move(obj));
-  respond_ok(msg, Json::object({{"ref", ref}}));
 }
 
 void KvsModule::op_stage(Message& msg) {
@@ -378,26 +345,6 @@ void KvsModule::op_stage(Message& msg) {
     puts_.inc();
     cache_.put(obj, epoch_);
   }
-  respond_ok(msg);
-}
-
-void KvsModule::op_unlink(Message& msg) {
-  const std::string key = msg.payload().get_string("key");
-  if (key.empty() || split_key(key).empty()) {
-    respond_error(msg, errc::inval, "unlink: empty key");
-    return;
-  }
-  txns_[txn_key(msg)].tuples.push_back(Tuple{key, Sha1{}});
-  respond_ok(msg);
-}
-
-void KvsModule::op_mkdir(Message& msg) {
-  const std::string key = msg.payload().get_string("key");
-  if (key.empty() || split_key(key).empty()) {
-    respond_error(msg, errc::inval, "mkdir: empty key");
-    return;
-  }
-  record(msg, key, empty_dir_object());
   respond_ok(msg);
 }
 
@@ -424,9 +371,8 @@ void KvsModule::op_commit(Message& msg) {
 }
 
 std::optional<KvsModule::Txn> KvsModule::claim_txn(Message& msg) {
-  // Claim the caller's transaction: the explicit client-side form ("ops"
-  // tuples + object bundle in this very request), plus any ops staged via
-  // the legacy endpoint-keyed put/unlink/mkdir RPCs.
+  // Claim the caller's transaction: the "ops" tuples and the object bundle
+  // carried by this very request.
   Txn txn;
   if (msg.payload().contains("ops")) {
     auto tuples = tuples_from_json(msg.payload().at("ops"));
@@ -444,13 +390,6 @@ std::optional<KvsModule::Txn> KvsModule::claim_txn(Message& msg) {
       txn.objects = bundle->objects();
     }
     txn.tuples = std::move(tuples).value();
-  }
-  if (auto it = txns_.find(txn_key(msg)); it != txns_.end()) {
-    std::move(it->second.tuples.begin(), it->second.tuples.end(),
-              std::back_inserter(txn.tuples));
-    std::move(it->second.objects.begin(), it->second.objects.end(),
-              std::back_inserter(txn.objects));
-    txns_.erase(it);
   }
   return txn;
 }

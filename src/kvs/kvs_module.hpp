@@ -46,8 +46,9 @@
 // serving; with {"failover": true} a successor re-masters the shard.
 //
 // Client-visible operations (via kvs_client.hpp):
-//   put, unlink, mkdir, get, lookup_ref, commit, fence, get_version,
-//   wait_version, stats.get, drop_cache
+//   stage, get, lookup_ref, commit, fence, get_version, wait_version,
+//   stats.get, drop_cache. A transaction lives client-side (KvsTxn) and
+//   arrives whole with its commit or fence; the module keeps no staged ops.
 // Internal (module-to-module):
 //   flush (aggregated dirty state heading to a shard master), load
 //   (batched object fetch from the shard-tree parent).
@@ -132,10 +133,7 @@ class KvsModule final : public ModuleBase {
 
  private:
   // -- request handlers -------------------------------------------------------
-  void op_put(Message& msg);
   void op_stage(Message& msg);
-  void op_unlink(Message& msg);
-  void op_mkdir(Message& msg);
   void op_get(Message& msg);
   void op_lookup_ref(Message& msg);
   void op_get_version(Message& msg);
@@ -147,17 +145,15 @@ class KvsModule final : public ModuleBase {
   void op_drop_cache(Message& msg);
 
   // -- fences ------------------------------------------------------------------
-  /// Key identifying the client transaction a put belongs to.
+  /// Key identifying a requester (origin rank + endpoint); names commits.
   using TxnKey = std::pair<NodeId, std::uint64_t>;
   struct Txn {
     std::vector<Tuple> tuples;
     std::vector<ObjPtr> objects;
   };
   static TxnKey txn_key(const Message& msg);
-  /// Record one object + tuple under the caller's transaction.
-  void record(Message& msg, std::string key, ObjPtr obj);
-  /// Claim the caller's transaction (payload ops + bundle + staged RPC ops);
-  /// returns nullopt after responding with an error on malformed input.
+  /// Claim the caller's transaction (payload ops + object bundle); returns
+  /// nullopt after responding with an error on malformed input.
   std::optional<Txn> claim_txn(Message& msg);
 
   /// One shard's slice of a fence on this broker.
@@ -405,7 +401,6 @@ class KvsModule final : public ModuleBase {
 
   std::uint64_t commit_seq_ = 0;
   std::uint64_t fence_anon_seq_ = 0;  // fence_origin_key fallback counter
-  std::map<TxnKey, Txn> txns_;
   std::map<std::string, Fence> fences_;
 
   std::uint32_t shards_ = 1;

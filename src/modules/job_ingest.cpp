@@ -1,22 +1,42 @@
 #include "modules/job_ingest.hpp"
 
+#include <cmath>
+
 #include "base/log.hpp"
 #include "broker/broker.hpp"
 #include "core/jobspec.hpp"
+#include "sched/policy.hpp"
 
 namespace flux::modules {
 
 namespace {
 
-/// First-hop validation: the reasons a jobspec can never become a job.
-/// Returns an empty string when acceptable.
+/// First-hop validation: the reasons a jobspec can never become a job,
+/// including every field that reaches a ResourcePool. Subjobs are checked
+/// here too, so an instance is refused whole rather than failing piecemeal
+/// when it starts. Returns an empty string when acceptable.
 std::string validate(const JobSpec& spec) {
-  if (spec.request.nnodes < 1) return "jobspec: nnodes must be >= 1";
+  const ResourceRequest& r = spec.request;
+  if (r.nnodes < 1) return "jobspec: nnodes must be >= 1";
+  if (r.cores_per_node < 1) return "jobspec: cores_per_node must be >= 1";
+  if (!std::isfinite(r.power_w) || r.power_w < 0)
+    return "jobspec: power_w must be finite and >= 0";
+  if (!std::isfinite(r.io_bw_gbs) || r.io_bw_gbs < 0)
+    return "jobspec: io_bw_gbs must be finite and >= 0";
   if (spec.walltime <= Duration::zero())
     return "jobspec: walltime must be positive";
-  if (spec.type != JobType::App)
-    return "jobspec: only App jobs are runnable via job.submit "
-           "(Instance jobs run through core/instance)";
+  if (spec.type == JobType::App) {
+    if (!spec.subjobs.empty())
+      return "jobspec: only instance jobs have subjobs";
+    return {};
+  }
+  if (!known_policy(spec.child_policy))
+    return "jobspec: unknown child_policy '" + spec.child_policy + "'";
+  if (!std::isfinite(spec.child_power_budget_w))
+    return "jobspec: child_power_budget_w must be finite";
+  for (std::size_t i = 0; i < spec.subjobs.size(); ++i)
+    if (std::string why = validate(spec.subjobs[i]); !why.empty())
+      return "subjob " + std::to_string(i) + ": " + why;
   return {};
 }
 
@@ -38,6 +58,13 @@ void JobIngest::op_submit(Message& msg) {
     } catch (const std::exception& e) {
       respond_error(msg, errc::job_rejected,
                     std::string("job.submit: malformed jobspec: ") + e.what());
+      return;
+    }
+    const Json& parent = msg.payload().at("parent");
+    if (!parent.is_null() && (!parent.is_int() || parent.as_int() < 1)) {
+      rejected_.inc();
+      respond_error(msg, errc::job_rejected,
+                    "job.submit: parent must be a job id");
       return;
     }
     if (std::string why = validate(spec); !why.empty()) {
@@ -62,6 +89,8 @@ void JobIngest::op_submit(Message& msg) {
 Task<void> JobIngest::submit_to_manager(Message req, std::uint64_t id) {
   Json fwd = Json::object({{"id", static_cast<std::int64_t>(id)},
                            {"jobspec", req.payload().at("jobspec")}});
+  if (req.payload().contains("parent"))
+    fwd["parent"] = req.payload().at("parent");
   Message resp;
   try {
     resp = co_await broker().module_rpc(

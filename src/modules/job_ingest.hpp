@@ -10,8 +10,10 @@
 // one writer).
 //
 // Protocol:
-//   job.submit {jobspec}            client -> local validation -> root
+//   job.submit {jobspec, parent?}   client -> local validation -> root
 //       response {id}               or errc::job_rejected / alloc_unsatisfiable
+//   "parent" names a running instance job to run the new job inside; the
+//   job-manager submits an instance's subjobs this way.
 #pragma once
 
 #include <cstdint>

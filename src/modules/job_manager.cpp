@@ -1,6 +1,7 @@
 #include "modules/job_manager.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "api/handle.hpp"
@@ -32,6 +33,9 @@ JobManager::JobManager(Broker& b) : ModuleBase(b) {
   on("state", [this](Message& m) { op_state(m); });
   on("wait", [this](Message& m) { op_wait(m); });
   on("list", [this](Message& m) { op_list(m); });
+  on("grow", [this](Message& m) { op_resize(m, /*growing=*/true); });
+  on("shrink", [this](Message& m) { op_resize(m, /*growing=*/false); });
+  on("power_cap", [this](Message& m) { op_power_cap(m); });
   broker().module_subscribe(*this, "live.down");
 }
 
@@ -44,21 +48,25 @@ void JobManager::start() {
     throw std::logic_error("job-manager: needs the resvc module loaded");
   const Json cfg = broker().module_config("job-manager");
   max_queue_ = cfg.get_int("max_queue", 4096);
-  sched_ = std::make_unique<Scheduler>(
-      broker().executor(), resvc_->pool(),
-      make_policy(cfg.get_string("policy", "fcfs")), stats_registry(),
-      "job-manager.sched");
-  sched_->on_start([this](std::uint64_t sched_id, const Allocation& alloc) {
-    auto it = sched_to_job_.find(sched_id);
-    if (it == sched_to_job_.end()) return;
-    if (JobRecord* rec = find(it->second)) start_job(*rec, alloc);
-  });
+  root_.pool = &resvc_->pool();
+  build_level(root_, cfg.get_string("policy", "fcfs"));
   // Nodes a direct resvc.free returns may unblock a queued job.
   resvc_->on_free([this] {
-    if (sched_->queue_length() > 0) sched_->kick();
+    if (root_.sched->queue_length() > 0) root_.sched->kick();
   });
   handle_ = std::make_unique<Handle>(broker());
   kvs_ = std::make_unique<KvsClient>(*handle_);
+}
+
+void JobManager::build_level(Level& lv, std::string_view policy) {
+  lv.sched = std::make_unique<Scheduler>(broker().executor(), *lv.pool,
+                                         make_policy(policy), sched_stats_);
+  lv.sched->on_start([this, &lv](std::uint64_t sched_id,
+                                 const Allocation& alloc) {
+    auto it = lv.sched_to_job.find(sched_id);
+    if (it == lv.sched_to_job.end()) return;
+    if (JobRecord* rec = find(it->second)) start_job(*rec, alloc);
+  });
 }
 
 bool JobManager::forward_if_not_root(Message& msg) {
@@ -70,6 +78,24 @@ bool JobManager::forward_if_not_root(Message& msg) {
 JobManager::JobRecord* JobManager::find(std::uint64_t id) {
   auto it = jobs_.find(id);
   return it == jobs_.end() ? nullptr : it->second.get();
+}
+
+JobManager::Level& JobManager::level_of(const JobRecord& rec) {
+  // A subjob never outlives its instance's level: the instance ends only
+  // after every subjob has.
+  return rec.parent == 0 ? root_ : *find(rec.parent)->child;
+}
+
+Json JobManager::pool_json(const Level& lv) {
+  const ResourcePool& p = *lv.pool;
+  return Json::object({{"nodes", p.total_nodes()},
+                       {"free", p.free_nodes()},
+                       {"down", p.down_nodes()},
+                       {"power_budget_w", p.power_budget()},
+                       {"power_in_use_w", p.power_in_use()},
+                       {"io_bw_budget_gbs", p.io_bw_budget()},
+                       {"io_bw_in_use_gbs", p.io_bw_in_use()},
+                       {"policy", std::string(lv.sched->policy().name())}});
 }
 
 void JobManager::event(JobRecord& rec, std::string_view ev_name, Json context) {
@@ -86,6 +112,14 @@ void JobManager::stage_state(JobRecord& rec) {
   kvs_->txn().put(job_key(rec.id, "state"),
                   std::string(job_state_name(rec.state)));
   schedule_flush();
+}
+
+Json JobManager::stage_ranks(JobRecord& rec) {
+  Json ranks = Json::array();
+  for (NodeId r : rec.ranks) ranks.push_back(r);
+  kvs_->txn().put(job_key(rec.id, "ranks"), ranks);
+  schedule_flush();
+  return ranks;
 }
 
 void JobManager::schedule_flush() {
@@ -126,52 +160,140 @@ void JobManager::op_submit(Message& msg) {
                   std::string("job-manager.submit: bad jobspec: ") + e.what());
     return;
   }
-  if (std::cmp_greater_equal(sched_->queue_length(), max_queue_)) {
+  Level* lv = &root_;
+  const auto parent = static_cast<std::uint64_t>(
+      msg.payload().get_int("parent", 0));
+  if (parent != 0) {
+    JobRecord* p = find(parent);
+    if (p == nullptr || !p->child || p->canceled) {
+      c_rejected_.inc();
+      respond_error(msg, errc::job_rejected,
+                    "job-manager.submit: parent is not a running instance");
+      return;
+    }
+    lv = p->child.get();
+  }
+  if (spec.type == JobType::Instance && !known_policy(spec.child_policy)) {
+    c_rejected_.inc();
+    respond_error(msg, errc::job_rejected,
+                  "job-manager.submit: unknown child_policy");
+    return;
+  }
+  if (std::cmp_greater_equal(lv->sched->queue_length(), max_queue_)) {
     c_rejected_.inc();
     respond_error(msg, errc::job_rejected,
                   "job-manager.submit: pending queue full");
     return;
   }
   Expected<std::uint64_t> sid =
-      sched_->submit(spec.request, spec.walltime, spec.priority,
-                     /*manual_completion=*/true);
+      lv->sched->submit(spec.request, spec.walltime, spec.priority,
+                        /*manual_completion=*/true);
   if (!sid) {
     c_rejected_.inc();
     respond_error(msg, errc::alloc_unsatisfiable,
-                  "job-manager.submit: request can never fit this session");
+                  parent == 0
+                      ? "job-manager.submit: request can never fit this session"
+                      : "job-manager.submit: request can never fit the "
+                        "parent instance");
     return;
   }
 
   auto rec = std::make_unique<JobRecord>();
   rec->id = id;
+  rec->parent = parent;
   rec->spec = std::move(spec);
   rec->sched_id = *sid;
   rec->submit_t = broker().executor().now();
-  sched_to_job_[*sid] = id;
+  lv->sched_to_job[*sid] = id;
   JobRecord& r = *rec;
   jobs_.emplace(id, std::move(rec));
 
   c_submitted_.inc();
-  h_depth_.record(sched_->queue_length());
+  h_depth_.record(lv->sched->queue_length());
   kvs_->txn().put(job_key(id, "jobspec"), r.spec.to_json());
-  event(r, "submit", Json::object({{"priority", r.spec.priority},
-                                   {"nnodes", r.spec.request.nnodes}}));
+  Json context = Json::object({{"priority", r.spec.priority},
+                               {"nnodes", r.spec.request.nnodes}});
+  if (parent != 0) context["parent"] = static_cast<std::int64_t>(parent);
+  event(r, "submit", std::move(context));
   stage_state(r);
   respond_ok(msg, Json::object({{"id", static_cast<std::int64_t>(id)}}));
 }
 
 void JobManager::start_job(JobRecord& rec, const Allocation& alloc) {
   rec.state = JobState::Running;
+  rec.alloc_id = alloc.id;
   rec.ranks = resvc_->ranks_of(alloc);
-  Json ranks = Json::array();
-  for (NodeId r : rec.ranks) ranks.push_back(r);
   h_alloc_ns_.record(broker().executor().now() - rec.submit_t);
-  kvs_->txn().put(job_key(rec.id, "ranks"), ranks);
+  Json ranks = stage_ranks(rec);
   event(rec, "alloc", Json::object({{"ranks", ranks}}));
   event(rec, "start", Json::object());
   stage_state(rec);
+  if (rec.spec.type == JobType::Instance) {
+    start_instance(rec, alloc);
+    return;
+  }
   co_spawn(broker().executor(), run(rec.id, std::move(ranks)),
            "job-manager.run");
+}
+
+void JobManager::start_instance(JobRecord& rec, const Allocation& alloc) {
+  // Parent bounding: the child level's pool is exactly this allocation.
+  double power = rec.spec.child_power_budget_w;
+  if (power <= 0) power = alloc.power_w;
+  if (power <= 0)
+    for (ResourceId n : alloc.nodes)
+      power += resvc_->pool().graph().total_capacity("power", n);
+  rec.child = std::make_unique<Level>();
+  rec.child->owned = std::make_unique<ResourcePool>(
+      resvc_->pool().graph(), alloc.nodes, power, alloc.io_bw_gbs);
+  rec.child->pool = rec.child->owned.get();
+  build_level(*rec.child, rec.spec.child_policy);
+  for (const JobSpec& sub : rec.spec.subjobs) {
+    ++rec.submits_in_flight;
+    co_spawn(broker().executor(), submit_subjob(rec.id, sub),
+             "job-manager.subjob");
+  }
+  maybe_end_instance(rec.id);  // an instance with no subjobs ends at once
+}
+
+Task<void> JobManager::submit_subjob(std::uint64_t parent, JobSpec sub) {
+  // Through job.submit like any client: job-ingest validates and assigns
+  // the jobid, and the submit lands back here in the instance's level. An
+  // accepted subjob names its parent in its own submit event; only a
+  // refusal is logged on the instance (its eventlog stays small).
+  const Json req =
+      Json::object({{"jobspec", sub.to_json()},
+                    {"parent", static_cast<std::int64_t>(parent)}});
+  std::string refused;
+  try {
+    Message resp = co_await broker().module_rpc(
+        *this, Message::request("job.submit", req), std::chrono::seconds(5));
+    if (resp.errnum != 0) refused = resp.payload().get_string("errmsg");
+  } catch (const FluxException& e) {
+    refused = e.what();
+  }
+  JobRecord* rec = find(parent);
+  if (rec == nullptr || ended(rec->state)) co_return;
+  --rec->submits_in_flight;
+  if (!refused.empty())
+    event(*rec, "subjob_rejected",
+          Json::object({{"jobname", sub.name}, {"error", refused}}));
+  maybe_end_instance(parent);
+}
+
+void JobManager::maybe_end_instance(std::uint64_t id) {
+  // Posted: the caller may be inside a pass of a scheduler this ends.
+  broker().executor().post([this, id, tok = std::weak_ptr<const bool>(alive_)] {
+    if (tok.expired()) return;
+    JobRecord* rec = find(id);
+    if (rec == nullptr || rec->state != JobState::Running || !rec->child ||
+        rec->submits_in_flight > 0 || !rec->child->sched->idle())
+      return;
+    if (rec->canceled)
+      finalize(*rec, JobState::Canceled, Json::object(), 0, "canceled");
+    else
+      finalize(*rec, JobState::Complete, Json::object(), 0, "drained");
+  });
 }
 
 Task<void> JobManager::run(std::uint64_t id, Json ranks) {
@@ -236,11 +358,13 @@ void JobManager::finalize(JobRecord& rec, JobState terminal, Json exits,
   if (ended(rec.state)) return;
   // A pending job is still in the scheduler's queue; a running one holds
   // nodes, which finish() returns to the pool (a down node stays out).
+  Level& lv = level_of(rec);
   if (rec.state == JobState::Pending)
-    (void)sched_->cancel(rec.sched_id);
+    (void)lv.sched->cancel(rec.sched_id);
   else
-    sched_->finish(rec.sched_id);
-  sched_to_job_.erase(rec.sched_id);
+    lv.sched->finish(rec.sched_id);
+  lv.sched_to_job.erase(rec.sched_id);
+  rec.child.reset();  // an ending instance's level is idle
   rec.state = terminal;
   const bool success = terminal == JobState::Complete;
   rec.result =
@@ -263,6 +387,7 @@ void JobManager::finalize(JobRecord& rec, JobState terminal, Json exits,
   }
   for (Message& w : rec.waiters) respond_ok(w, rec.result);
   rec.waiters.clear();
+  if (rec.parent != 0) maybe_end_instance(rec.parent);
 
   terminal_fifo_.push_back(rec.id);
   while (terminal_fifo_.size() > kTerminalKeep) {
@@ -284,6 +409,27 @@ Task<void> JobManager::kill_tasks(std::uint64_t id) {
   }
 }
 
+void JobManager::cancel(JobRecord& rec) {
+  if (ended(rec.state)) return;
+  rec.canceled = true;
+  event(rec, "cancel", Json::object());
+  if (rec.state == JobState::Pending) {
+    finalize(rec, JobState::Canceled, Json::object(), 0, "canceled");
+    return;
+  }
+  if (!rec.child) {
+    co_spawn(broker().executor(), kill_tasks(rec.id), "job-manager.kill");
+    return;
+  }
+  // An instance cancels its subjobs and ends after the last of them.
+  std::vector<std::uint64_t> subjobs;
+  for (const auto& [id, r] : jobs_)
+    if (r->parent == rec.id && !ended(r->state)) subjobs.push_back(id);
+  for (std::uint64_t id : subjobs)
+    if (JobRecord* sub = find(id)) cancel(*sub);
+  maybe_end_instance(rec.id);
+}
+
 void JobManager::op_cancel(Message& msg) {
   if (forward_if_not_root(msg)) return;
   const auto id = static_cast<std::uint64_t>(msg.payload().get_int("id", 0));
@@ -292,14 +438,7 @@ void JobManager::op_cancel(Message& msg) {
     respond_error(msg, errc::job_unknown, "job-manager.cancel: no such job");
     return;
   }
-  if (!ended(rec->state)) {
-    rec->canceled = true;
-    event(*rec, "cancel", Json::object());
-    if (rec->state == JobState::Pending)
-      finalize(*rec, JobState::Canceled, Json::object(), 0, "canceled");
-    else
-      co_spawn(broker().executor(), kill_tasks(id), "job-manager.kill");
-  }
+  cancel(*rec);
   respond_ok(msg, Json::object(
                       {{"id", static_cast<std::int64_t>(id)},
                        {"state", std::string(job_state_name(rec->state))}}));
@@ -309,10 +448,13 @@ void JobManager::op_state(Message& msg) {
   if (forward_if_not_root(msg)) return;
   const auto id = static_cast<std::uint64_t>(msg.payload().get_int("id", 0));
   if (JobRecord* rec = find(id)) {
-    respond_ok(msg,
-               Json::object({{"id", static_cast<std::int64_t>(id)},
-                             {"state",
-                              std::string(job_state_name(rec->state))}}));
+    Json out =
+        Json::object({{"id", static_cast<std::int64_t>(id)},
+                      {"state", std::string(job_state_name(rec->state))}});
+    if (rec->parent != 0)
+      out["parent"] = static_cast<std::int64_t>(rec->parent);
+    if (rec->child) out["pool"] = pool_json(*rec->child);
+    respond_ok(msg, std::move(out));
     return;
   }
   co_spawn(broker().executor(),
@@ -356,38 +498,193 @@ Task<void> JobManager::answer_from_kvs(Message req, std::uint64_t id,
 void JobManager::op_list(Message& msg) {
   if (forward_if_not_root(msg)) return;
   Json jobs = Json::array();
-  for (const auto& [id, rec] : jobs_)
-    jobs.push_back(Json::object(
-        {{"id", static_cast<std::int64_t>(id)},
-         {"state", std::string(job_state_name(rec->state))}}));
+  for (const auto& [id, rec] : jobs_) {
+    Json j = Json::object({{"id", static_cast<std::int64_t>(id)},
+                           {"state", std::string(job_state_name(rec->state))}});
+    if (rec->parent != 0) j["parent"] = static_cast<std::int64_t>(rec->parent);
+    jobs.push_back(std::move(j));
+  }
   respond_ok(msg, Json::object({{"jobs", std::move(jobs)}}));
 }
 
 void JobManager::handle_event(const Message& msg) {
-  if (msg.topic != "live.down" || !broker().is_root() || !sched_) return;
+  if (msg.topic != "live.down" || !broker().is_root() || !root_.sched) return;
   const auto rank = static_cast<NodeId>(msg.payload().get_int("rank", -1));
-  // Fail every running job whose allocation includes the dead rank —
+  if (rank >= broker().size()) return;
+  // Fail every running app job whose allocation includes the dead rank —
   // promptly, so its nodes return to the pool (resvc keeps the dead one
-  // out) and nothing waits on tasks that can no longer finish.
+  // out) and nothing waits on tasks that can no longer finish. An instance
+  // holding the node marks it down in its own pool and runs on.
+  const ResourceId node = resvc_->node_of(rank);
+  const Json context =
+      Json::object({{"rank", static_cast<std::int64_t>(rank)}});
   std::vector<std::uint64_t> hit;
-  for (const auto& [id, rec] : jobs_)
-    if (rec->state == JobState::Running &&
-        std::find(rec->ranks.begin(), rec->ranks.end(), rank) !=
-            rec->ranks.end())
+  for (const auto& [id, rec] : jobs_) {
+    if (rec->state != JobState::Running) continue;
+    if (rec->child) {
+      if (rec->child->pool->mark_down(node)) event(*rec, "node_down", context);
+    } else if (std::find(rec->ranks.begin(), rec->ranks.end(), rank) !=
+               rec->ranks.end()) {
       hit.push_back(id);
+    }
+  }
   for (std::uint64_t id : hit) {
     JobRecord* rec = find(id);
-    event(*rec, "node_down",
-          Json::object({{"rank", static_cast<std::int64_t>(rank)}}));
+    event(*rec, "node_down", context);
     finalize(*rec, JobState::Failed, Json::object(), 0, "node_down");
+  }
+}
+
+JobManager::JobRecord* JobManager::running_instance(Message& msg) {
+  const auto id = static_cast<std::uint64_t>(msg.payload().get_int("id", 0));
+  JobRecord* rec = find(id);
+  if (rec == nullptr || !rec->child) {
+    respond_error(msg, errc::inval,
+                  "job-manager: " + std::to_string(id) +
+                      " is not a running instance");
+    return nullptr;
+  }
+  return rec;
+}
+
+void JobManager::op_resize(Message& msg, bool growing) {
+  if (forward_if_not_root(msg)) return;
+  if (growing && msg.payload().get_int("id", 0) == 0) {
+    respond_error(msg, errc::perm,
+                  "job-manager.grow: the session has no parent to ask");
+    return;
+  }
+  JobRecord* rec = running_instance(msg);
+  if (rec == nullptr) return;
+  ResourceRequest delta;
+  delta.nnodes = msg.payload().get_int("nnodes", 0);
+  delta.power_w = msg.payload().get_double("power_w", 0);
+  delta.io_bw_gbs = msg.payload().get_double("io_bw_gbs", 0);
+  if (delta.nnodes < 0 || !std::isfinite(delta.power_w) ||
+      delta.power_w < 0 || !std::isfinite(delta.io_bw_gbs) ||
+      delta.io_bw_gbs < 0) {
+    respond_error(msg, errc::inval, "job-manager: bad grow/shrink amounts");
+    return;
+  }
+  if (Status st = growing ? grow(*rec, delta) : shrink(*rec, delta); !st) {
+    respond_error(msg, st.error().code, st.error().to_string());
+    return;
+  }
+  respond_ok(msg, pool_json(*rec->child));
+}
+
+void JobManager::op_power_cap(Message& msg) {
+  if (forward_if_not_root(msg)) return;
+  const double watts = msg.payload().get_double("watts", -1);
+  if (!std::isfinite(watts) || watts < 0) {
+    respond_error(msg, errc::inval, "job-manager.power_cap: need watts >= 0");
+    return;
+  }
+  Level* lv = &root_;
+  if (msg.payload().contains("id")) {
+    JobRecord* rec = running_instance(msg);
+    if (rec == nullptr) return;
+    lv = rec->child.get();
+  }
+  power_cap(*lv, watts);
+  respond_ok(msg, pool_json(*lv));
+}
+
+Status JobManager::grow(JobRecord& inst, const ResourceRequest& delta) {
+  // Parental consent: the parent level grants from its own pool, asking
+  // *its* parent when it cannot (constraint aggregation up the hierarchy,
+  // §III).
+  Level& lv = level_of(inst);
+  auto granted = lv.pool->grow(inst.alloc_id, delta);
+  if (!granted) {
+    if (inst.parent == 0) return granted.error();
+    if (auto st = grow(*find(inst.parent), delta); !st) return st;
+    granted = lv.pool->grow(inst.alloc_id, delta);
+    if (!granted) return granted.error();
+  }
+  inst.child->pool->adopt(*granted, delta.power_w, delta.io_bw_gbs);
+  inst.ranks = resvc_->ranks_of(*lv.pool->lookup(inst.alloc_id));
+  stage_ranks(inst);
+  event(inst, "grow", Json::object({{"nnodes", delta.nnodes},
+                                    {"power_w", delta.power_w},
+                                    {"io_bw_gbs", delta.io_bw_gbs}}));
+  inst.child->sched->kick();
+  return {};
+}
+
+Status JobManager::shrink(JobRecord& inst, const ResourceRequest& delta) {
+  Level& lv = level_of(inst);
+  auto freed = inst.child->pool->cede(delta);
+  if (!freed) return freed.error();
+  if (auto st = lv.pool->shrink_nodes(inst.alloc_id, *freed, delta.power_w,
+                                      delta.io_bw_gbs);
+      !st)
+    return st;
+  inst.ranks = resvc_->ranks_of(*lv.pool->lookup(inst.alloc_id));
+  stage_ranks(inst);
+  event(inst, "shrink", Json::object({{"nnodes", delta.nnodes},
+                                      {"power_w", delta.power_w},
+                                      {"io_bw_gbs", delta.io_bw_gbs}}));
+  lv.sched->kick();
+  return {};
+}
+
+void JobManager::power_cap(Level& lv, double watts) {
+  lv.pool->set_power_budget(watts);
+  if (!lv.pool->over_power_budget()) return;
+  double excess = lv.pool->power_in_use() - watts;
+  std::vector<JobRecord*> running;
+  for (const auto& [sched_id, id] : lv.sched_to_job)
+    if (JobRecord* rec = find(id); rec && rec->state == JobState::Running)
+      running.push_back(rec);
+
+  // Shed 1: shrink malleable running jobs' power proportionally.
+  double malleable_power = 0;
+  for (JobRecord* rec : running)
+    if (const Allocation* a = lv.pool->lookup(rec->alloc_id);
+        a != nullptr && rec->spec.malleable)
+      malleable_power += a->power_w;
+  if (malleable_power > 0) {
+    const double ratio = std::min(1.0, excess / malleable_power);
+    for (JobRecord* rec : running) {
+      const Allocation* a = lv.pool->lookup(rec->alloc_id);
+      if (a == nullptr || !rec->spec.malleable || a->power_w <= 0) continue;
+      ResourceRequest shed;
+      shed.nnodes = 0;
+      shed.power_w = a->power_w * ratio;
+      (void)lv.pool->shrink(a->id, shed);
+      excess -= shed.power_w;
+    }
+  }
+
+  // Shed 2: cap child levels proportionally to their budgets. The child's
+  // allocation in this pool shrinks by the same amount, so this level's
+  // books reflect the shed immediately.
+  if (excess <= 1e-9) return;
+  double child_power = 0;
+  for (JobRecord* rec : running)
+    if (rec->child) child_power += rec->child->pool->power_budget();
+  if (child_power <= 0) return;
+  const double scale = std::max(0.0, (child_power - excess) / child_power);
+  for (JobRecord* rec : running) {
+    if (!rec->child) continue;
+    const double old_budget = rec->child->pool->power_budget();
+    const double new_budget = old_budget * scale;
+    power_cap(*rec->child, new_budget);
+    if (const Allocation* a = lv.pool->lookup(rec->alloc_id)) {
+      ResourceRequest shed;
+      shed.nnodes = 0;
+      shed.power_w = std::min(a->power_w, old_budget - new_budget);
+      if (shed.power_w > 0) (void)lv.pool->shrink(a->id, shed);
+    }
   }
 }
 
 Json JobManager::stats_json() const {
   Json j = ModuleBase::stats_json();
-  if (sched_) {
-    j["queue_depth"] = static_cast<std::int64_t>(sched_->queue_length());
-    j["running"] = static_cast<std::int64_t>(sched_->running_count());
+  if (root_.sched) {
+    j["queue_depth"] = static_cast<std::int64_t>(root_.sched->queue_length());
+    j["running"] = static_cast<std::int64_t>(root_.sched->running_count());
     j["active"] = static_cast<std::int64_t>(jobs_.size() -
                                             terminal_fifo_.size());
   }

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 
+#include "api/handle.hpp"
 #include "base/log.hpp"
 #include "base/rng.hpp"
 #include "broker/broker.hpp"
-#include "kvs/treeobj.hpp"
+#include "kvs/kvs_client.hpp"
 
 namespace flux::modules {
 
@@ -52,7 +53,11 @@ Mon::Mon(Broker& b) : ModuleBase(b) {
   broker().module_subscribe(*this, "hb");
 }
 
+Mon::~Mon() = default;
+
 void Mon::start() {
+  handle_ = std::make_unique<Handle>(broker());
+  kvs_ = std::make_unique<KvsClient>(*handle_);
   const Json cfg = broker().module_config("mon");
   interval_epochs_ =
       static_cast<std::uint64_t>(std::max<std::int64_t>(
@@ -82,15 +87,16 @@ Task<void> Mon::sample_epoch(std::uint64_t epoch) {
   // Which samplers are active is controlled via the KVS ("scripts stored in
   // the KVS activate ... sampling"). Resolved against the local cache, so
   // this is a cheap local read once warm.
-  Message get_req = Message::request(
-      "kvs.get", Json::object({{"key", "mon.samplers"}}));
-  Message resp = co_await broker().module_rpc(*this, std::move(get_req));
-  if (resp.errnum != 0) co_return;  // sampling not configured
-  ObjPtr obj = resp.data() ? parse_object(*resp.data()) : nullptr;
-  if (!obj || !obj->is_val() || !obj->value().is_array()) co_return;
+  Json active;
+  try {
+    active = co_await kvs_->get("mon.samplers");
+  } catch (const FluxException&) {
+    co_return;  // sampling not configured
+  }
+  if (!active.is_array()) co_return;
 
   std::map<std::string, MonSample, std::less<>> metrics;
-  for (const Json& sampler_name : obj->value().as_array()) {
+  for (const Json& sampler_name : active.as_array()) {
     if (!sampler_name.is_string()) continue;
     auto it = samplers_.find(sampler_name.as_string());
     if (it == samplers_.end()) continue;
@@ -138,24 +144,20 @@ Task<void> Mon::store_aggregate(std::uint64_t epoch) {
   EpochAgg agg = std::move(it->second);
   pending_.erase(it);
 
+  KvsTxn txn;
   for (const auto& [mname, sample] : agg.metrics) {
     Json doc = sample.to_json();
     doc["avg"] = sample.count > 0
                      ? sample.sum / static_cast<double>(sample.count)
                      : 0.0;
-    ObjPtr obj = make_val_object(std::move(doc));
-    Message put = Message::request(
-        "kvs.put", Json::object({{"key", "mon.data." + mname + ".e" +
-                                             std::to_string(epoch)}}));
-    put.set_data(std::shared_ptr<const std::string>(obj, &obj->bytes));
-    Message resp = co_await broker().module_rpc(*this, std::move(put));
-    if (resp.errnum != 0)
-      log::warn("mon", "failed to store sample: ", resp.errnum);
+    txn.put("mon.data." + mname + ".e" + std::to_string(epoch),
+            std::move(doc));
   }
-  Message resp =
-      co_await broker().module_rpc(*this, Message::request("kvs.commit"));
-  if (resp.errnum != 0)
-    log::warn("mon", "failed to commit samples: ", resp.errnum);
+  try {
+    (void)co_await kvs_->commit(std::move(txn));
+  } catch (const FluxException& e) {
+    log::warn("mon", "failed to store samples: ", e.what());
+  }
 }
 
 }  // namespace flux::modules

@@ -5,7 +5,9 @@
 // sampler functions; which samplers are active is still controlled through
 // the KVS (key "mon.samplers": ["load", ...]), read on each sampling epoch.
 // Samples are min/max/sum/count-reduced up the tree and the root stores the
-// aggregate back into the KVS under mon.data.<sampler>.e<epoch>.
+// aggregate back into the KVS under mon.data.<sampler>.e<epoch>, in one
+// transaction. Reads and the write go through the broker's own Handle +
+// KvsClient.
 #pragma once
 
 #include <functional>
@@ -15,6 +17,11 @@
 
 #include "broker/module.hpp"
 #include "exec/task.hpp"
+
+namespace flux {
+class Handle;
+class KvsClient;
+}  // namespace flux
 
 namespace flux::modules {
 
@@ -34,6 +41,7 @@ class Mon final : public ModuleBase {
   using Sampler = std::function<double(NodeId rank, std::uint64_t epoch)>;
 
   explicit Mon(Broker& broker);
+  ~Mon() override;
 
   [[nodiscard]] std::string_view name() const override { return "mon"; }
   void start() override;
@@ -55,6 +63,8 @@ class Mon final : public ModuleBase {
   Duration flush_delay_{std::chrono::microseconds(200)};
 
   std::map<std::string, Sampler, std::less<>> samplers_;
+  std::unique_ptr<Handle> handle_;  ///< for the KVS client
+  std::unique_ptr<KvsClient> kvs_;
 
   struct EpochAgg {
     std::map<std::string, MonSample, std::less<>> metrics;

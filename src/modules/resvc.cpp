@@ -2,9 +2,10 @@
 
 #include <algorithm>
 
+#include "api/handle.hpp"
 #include "base/log.hpp"
 #include "broker/broker.hpp"
-#include "kvs/treeobj.hpp"
+#include "kvs/kvs_client.hpp"
 
 namespace flux::modules {
 
@@ -24,10 +25,18 @@ Resvc::Resvc(Broker& b) : ModuleBase(b) {
   pool_ = std::make_unique<ResourcePool>(graph_);
 }
 
+Resvc::~Resvc() = default;
+
 void Resvc::start() {
-  if (broker().is_root() &&
-      broker().module_config("resvc").get_bool("enumerate", true))
-    co_spawn(broker().executor(), enumerate(), "resvc.enumerate");
+  if (!broker().is_root()) return;
+  handle_ = std::make_unique<Handle>(broker());
+  kvs_ = std::make_unique<KvsClient>(*handle_);
+  if (!broker().module_config("resvc").get_bool("enumerate", true)) return;
+  KvsTxn txn;
+  for (NodeId r = 0; r < broker().size(); ++r)
+    txn.put("resource.nodes.n" + std::to_string(r), node_record("up"));
+  co_spawn(broker().executor(), commit(std::move(txn), "enumeration"),
+           "resvc.enumerate");
 }
 
 std::vector<NodeId> Resvc::ranks_of(const Allocation& alloc) const {
@@ -40,24 +49,18 @@ std::vector<NodeId> Resvc::ranks_of(const Allocation& alloc) const {
   return ranks;
 }
 
-Task<void> Resvc::enumerate() {
-  for (NodeId r = 0; r < broker().size(); ++r) {
-    ObjPtr obj = make_val_object(Json::object({{"cores", cores_per_node_},
-                                               {"mem_gb", mem_per_node_gb_},
-                                               {"state", "up"}}));
-    Message put = Message::request(
-        "kvs.put",
-        Json::object({{"key", "resource.nodes.n" + std::to_string(r)}}));
-    put.set_data(std::shared_ptr<const std::string>(obj, &obj->bytes));
-    Message resp = co_await broker().module_rpc(*this, std::move(put));
-    if (resp.errnum != 0) {
-      log::error("resvc", "enumeration put failed");
-      co_return;
-    }
+Json Resvc::node_record(std::string_view state) const {
+  return Json::object({{"cores", cores_per_node_},
+                       {"mem_gb", mem_per_node_gb_},
+                       {"state", std::string(state)}});
+}
+
+Task<void> Resvc::commit(KvsTxn txn, std::string what) {
+  try {
+    (void)co_await kvs_->commit(std::move(txn));
+  } catch (const FluxException& e) {
+    log::warn("resvc", "failed to record ", what, ": ", e.what());
   }
-  Message resp =
-      co_await broker().module_rpc(*this, Message::request("kvs.commit"));
-  if (resp.errnum != 0) log::error("resvc", "enumeration commit failed");
 }
 
 void Resvc::op_alloc(Message& msg) {
@@ -90,15 +93,9 @@ void Resvc::op_alloc(Message& msg) {
 }
 
 Task<void> Resvc::record_alloc(Message req, std::string jobid, Json ranks) {
-  ObjPtr obj = make_val_object(ranks);
-  Message put = Message::request(
-      "kvs.put", Json::object({{"key", "lwj." + jobid + ".resources"}}));
-  put.set_data(std::shared_ptr<const std::string>(obj, &obj->bytes));
-  Message put_resp = co_await broker().module_rpc(*this, std::move(put));
-  Message commit_resp =
-      co_await broker().module_rpc(*this, Message::request("kvs.commit"));
-  if (put_resp.errnum != 0 || commit_resp.errnum != 0)
-    log::warn("resvc", "failed to record allocation for ", jobid);
+  KvsTxn txn;
+  txn.put("lwj." + jobid + ".resources", ranks);
+  co_await commit(std::move(txn), "allocation for " + jobid);
   respond_ok(req, Json::object({{"jobid", std::move(jobid)},
                                 {"ranks", std::move(ranks)},
                                 {"cores_per_node", cores_per_node_}}));
@@ -136,10 +133,15 @@ void Resvc::op_status(Message& msg) {
     jobs.push_back(it != label.end() ? it->second
                                      : "alloc." + std::to_string(id));
   }
-  respond_ok(msg, Json::object({{"total", broker().size()},
-                                {"free", pool_->free_nodes()},
-                                {"down", pool_->down_nodes()},
-                                {"jobs", std::move(jobs)}}));
+  respond_ok(msg,
+             Json::object({{"total", broker().size()},
+                           {"free", pool_->free_nodes()},
+                           {"down", pool_->down_nodes()},
+                           {"power_budget_w", pool_->power_budget()},
+                           {"power_in_use_w", pool_->power_in_use()},
+                           {"io_bw_budget_gbs", pool_->io_bw_budget()},
+                           {"io_bw_in_use_gbs", pool_->io_bw_in_use()},
+                           {"jobs", std::move(jobs)}}));
 }
 
 void Resvc::handle_event(const Message& msg) {
@@ -147,19 +149,10 @@ void Resvc::handle_event(const Message& msg) {
   const auto rank = static_cast<NodeId>(msg.payload().get_int("rank", -1));
   if (rank >= broker().size()) return;
   pool_->mark_down(node_of_rank_[rank]);
-  co_spawn(broker().executor(), mark_node_state(rank, "down"), "resvc.down");
-}
-
-Task<void> Resvc::mark_node_state(NodeId rank, std::string state) {
-  ObjPtr obj = make_val_object(Json::object({{"cores", cores_per_node_},
-                                             {"mem_gb", mem_per_node_gb_},
-                                             {"state", std::move(state)}}));
-  Message put = Message::request(
-      "kvs.put",
-      Json::object({{"key", "resource.nodes.n" + std::to_string(rank)}}));
-  put.set_data(std::shared_ptr<const std::string>(obj, &obj->bytes));
-  (void)co_await broker().module_rpc(*this, std::move(put));
-  (void)co_await broker().module_rpc(*this, Message::request("kvs.commit"));
+  KvsTxn txn;
+  txn.put("resource.nodes.n" + std::to_string(rank), node_record("down"));
+  co_spawn(broker().executor(), commit(std::move(txn), "node state"),
+           "resvc.down");
 }
 
 }  // namespace flux::modules

@@ -8,14 +8,15 @@
 // root job-manager schedules directly on this pool (it finds the module
 // through Broker::find_module); resvc.alloc/free serve direct callers from
 // the same pool, and resvc.status reports every live allocation, whoever
-// made it. At startup every rank is enumerated into the KVS
-// (resource.nodes.n<rank> = {cores, mem_gb, state}); a direct allocation is
-// recorded under lwj.<jobid>.resources. live.down marks the node down in
-// the pool (it never returns to the free set) and in the KVS enumeration.
+// made it, plus the pool's power and I/O-bandwidth budgets and use. At
+// startup every rank is enumerated into the KVS (resource.nodes.n<rank> =
+// {cores, mem_gb, state}); a direct allocation is recorded under
+// lwj.<jobid>.resources. live.down marks the node down in the pool (it never
+// returns to the free set) and in the KVS enumeration. Every KVS write is a
+// transaction committed through a root-side Handle + KvsClient.
 //
-// This is the *flat* per-session allocator the paper's prototype had; the
-// hierarchical, multi-level scheduling of §III lives above it in src/sched
-// and src/core.
+// This is the session-level pool; the job-manager carves an instance job's
+// child pool (the §III hierarchy) out of an allocation made on it.
 #pragma once
 
 #include <functional>
@@ -28,11 +29,18 @@
 #include "exec/task.hpp"
 #include "resource/pool.hpp"
 
+namespace flux {
+class Handle;
+class KvsClient;
+class KvsTxn;
+}  // namespace flux
+
 namespace flux::modules {
 
 class Resvc final : public ModuleBase {
  public:
   explicit Resvc(Broker& broker);
+  ~Resvc() override;
 
   [[nodiscard]] std::string_view name() const override { return "resvc"; }
   void start() override;
@@ -42,6 +50,10 @@ class Resvc final : public ModuleBase {
   [[nodiscard]] ResourcePool& pool() { return *pool_; }
   /// Broker ranks of an allocation made on pool().
   [[nodiscard]] std::vector<NodeId> ranks_of(const Allocation& alloc) const;
+  /// The pool node of broker `rank`.
+  [[nodiscard]] ResourceId node_of(NodeId rank) const {
+    return node_of_rank_[rank];
+  }
   /// Called after resvc.free returns nodes to the pool.
   void on_free(std::function<void()> fn) { on_free_ = std::move(fn); }
 
@@ -50,9 +62,11 @@ class Resvc final : public ModuleBase {
   void op_free(Message& msg);
   void op_status(Message& msg);
 
-  Task<void> enumerate();
+  [[nodiscard]] Json node_record(std::string_view state) const;
+  /// Commit `txn` through the root-side client; a failure is logged as
+  /// `what`.
+  Task<void> commit(KvsTxn txn, std::string what);
   Task<void> record_alloc(Message req, std::string jobid, Json ranks);
-  Task<void> mark_node_state(NodeId rank, std::string state);
 
   // Root-only state.
   std::int64_t cores_per_node_ = 16;
@@ -62,6 +76,8 @@ class Resvc final : public ModuleBase {
   std::vector<ResourceId> node_of_rank_;
   std::map<std::string, std::uint64_t> direct_;  ///< resvc.alloc jobid -> id
   std::function<void()> on_free_;
+  std::unique_ptr<Handle> handle_;  ///< for the KVS client
+  std::unique_ptr<KvsClient> kvs_;
 };
 
 }  // namespace flux::modules

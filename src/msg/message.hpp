@@ -104,8 +104,8 @@ struct RouteHop {
 struct Message {
   MsgType type = MsgType::Request;
 
-  /// Hierarchical topic, e.g. "kvs.put"; the leading component selects the
-  /// comms module ("kvs"), the rest is the module-internal method ("put").
+  /// Hierarchical topic, e.g. "kvs.get"; the leading component selects the
+  /// comms module ("kvs"), the rest is the module-internal method ("get").
   std::string topic;
 
   /// Request/response matching tag, scoped to the originating endpoint.
@@ -202,9 +202,9 @@ struct Message {
   [[nodiscard]] bool is_event() const noexcept { return type == MsgType::Event; }
   [[nodiscard]] bool traced() const noexcept { return (flags & kMsgFlagTrace) != 0; }
 
-  /// Leading topic component ("kvs" for "kvs.put").
+  /// Leading topic component ("kvs" for "kvs.get").
   [[nodiscard]] std::string_view service() const noexcept;
-  /// Remainder after the service prefix ("put" for "kvs.put").
+  /// Remainder after the service prefix ("get" for "kvs.get").
   [[nodiscard]] std::string_view method() const noexcept;
   /// True if `topic` matches subscription prefix `sub` at a component
   /// boundary ("hb" matches "hb" and "hb.pulse" but not "hbx").

@@ -47,9 +47,12 @@ void ResourcePool::give_back(ResourceId node) {
   if (!down_.contains(node)) free_.insert(node);
 }
 
-void ResourcePool::mark_down(ResourceId node) {
+bool ResourcePool::mark_down(ResourceId node) {
+  if (std::find(nodes_.begin(), nodes_.end(), node) == nodes_.end())
+    return false;
   down_.insert(node);
   free_.erase(node);
+  return true;
 }
 
 bool ResourcePool::feasible(const ResourceRequest& req) const {

@@ -69,8 +69,9 @@ class ResourcePool {
   /// Take a node out of service for good (its host died). A free node
   /// leaves the free set now; an allocated one stays in its allocation and
   /// is never handed back to the free set by release() or a shrink.
-  /// feasible() still counts it, so admission does not change.
-  void mark_down(ResourceId node);
+  /// feasible() still counts it, so admission does not change. Returns
+  /// false (and changes nothing) for a node this pool does not hold.
+  bool mark_down(ResourceId node);
 
   /// Grow an existing allocation in place; returns the node ids added.
   Expected<std::vector<ResourceId>> grow(std::uint64_t allocation_id,

@@ -110,6 +110,11 @@ std::vector<std::size_t> EasyBackfillPolicy::select(
   return out;
 }
 
+bool known_policy(std::string_view policy_name) noexcept {
+  return policy_name == "fcfs" || policy_name == "firstfit" ||
+         policy_name == "easy";
+}
+
 std::unique_ptr<Policy> make_policy(std::string_view policy_name) {
   if (policy_name == "fcfs") return std::make_unique<FcfsPolicy>();
   if (policy_name == "firstfit") return std::make_unique<FirstFitPolicy>();

@@ -78,7 +78,10 @@ class EasyBackfillPolicy final : public Policy {
       const SchedContext& ctx) const override;
 };
 
-/// Factory by name ("fcfs", "firstfit", "easy").
+/// Factory by name ("fcfs", "firstfit", "easy"); throws
+/// std::invalid_argument for any other name.
 std::unique_ptr<Policy> make_policy(std::string_view policy_name);
+/// True for the names make_policy() accepts.
+bool known_policy(std::string_view policy_name) noexcept;
 
 }  // namespace flux

@@ -6,21 +6,23 @@
 
 namespace flux {
 
+SchedStats::SchedStats(obs::StatsRegistry& registry, std::string_view prefix)
+    : submitted(registry.counter(std::string(prefix) + ".submitted")),
+      started(registry.counter(std::string(prefix) + ".started")),
+      completed(registry.counter(std::string(prefix) + ".completed")),
+      canceled(registry.counter(std::string(prefix) + ".canceled")),
+      passes(registry.counter(std::string(prefix) + ".passes")),
+      busy_ns(registry.counter(std::string(prefix) + ".busy_ns")),
+      wait_ns(registry.histogram(std::string(prefix) + ".wait_ns")) {}
+
 Scheduler::Scheduler(Executor& ex, ResourcePool& pool,
-                     std::unique_ptr<Policy> policy,
-                     obs::StatsRegistry& registry, std::string_view prefix,
+                     std::unique_ptr<Policy> policy, SchedStats& stats,
                      CostModel cost)
     : ex_(ex),
       pool_(pool),
       policy_(std::move(policy)),
       cost_(cost),
-      submitted_(registry.counter(std::string(prefix) + ".submitted")),
-      started_(registry.counter(std::string(prefix) + ".started")),
-      completed_(registry.counter(std::string(prefix) + ".completed")),
-      canceled_(registry.counter(std::string(prefix) + ".canceled")),
-      passes_(registry.counter(std::string(prefix) + ".passes")),
-      busy_ns_(registry.counter(std::string(prefix) + ".busy_ns")),
-      wait_ns_(registry.histogram(std::string(prefix) + ".wait_ns")) {}
+      stats_(stats) {}
 
 Expected<std::uint64_t> Scheduler::submit(ResourceRequest request,
                                           Duration walltime, int priority,
@@ -43,7 +45,7 @@ Expected<std::uint64_t> Scheduler::submit(ResourceRequest request,
       [priority](const PendingJob& j) { return j.priority < priority; });
   queue_.insert(pos, std::move(job));
   manual_[jobid] = manual_completion;
-  submitted_.inc();
+  stats_.submitted.inc();
   kick();
   return jobid;
 }
@@ -55,7 +57,7 @@ Status Scheduler::cancel(std::uint64_t jobid) {
     return Error(errc::noent, "cancel: job not pending");
   queue_.erase(it);
   manual_.erase(jobid);
-  canceled_.inc();
+  stats_.canceled.inc();
   check_idle();
   return {};
 }
@@ -73,7 +75,7 @@ void Scheduler::kick() {
       cost_.per_free_node * static_cast<Duration::rep>(pool_.free_nodes());
   const TimePoint start = std::max(ex_.now(), busy_until_);
   busy_until_ = start + cost;
-  busy_ns_.inc(static_cast<std::uint64_t>(cost.count()));
+  stats_.busy_ns.inc(static_cast<std::uint64_t>(cost.count()));
   ex_.post_at(busy_until_,
               [this, tok = std::weak_ptr<const bool>(alive_)] {
                 if (tok.expired()) return;  // scheduler destroyed (restart)
@@ -83,7 +85,7 @@ void Scheduler::kick() {
 
 void Scheduler::pass() {
   pass_scheduled_ = false;
-  passes_.inc();
+  stats_.passes.inc();
   if (queue_.empty()) {
     check_idle();
     return;
@@ -127,8 +129,8 @@ void Scheduler::pass() {
     r.manual = manual_[job.jobid];
     manual_.erase(job.jobid);
     running_.emplace(job.jobid, r);
-    started_.inc();
-    wait_ns_.record(ex_.now() - job.submit_time);
+    stats_.started.inc();
+    stats_.wait_ns.record(ex_.now() - job.submit_time);
     if (on_start_) on_start_(job.jobid, *alloc);
     if (!r.manual) {
       const std::uint64_t jobid = job.jobid;
@@ -147,26 +149,13 @@ void Scheduler::complete(std::uint64_t jobid) {
   if (it == running_.end()) return;
   pool_.release(it->second.alloc_id).value();
   running_.erase(it);
-  completed_.inc();
-  if (on_end_) on_end_(jobid);
+  stats_.completed.inc();
   if (!queue_.empty()) kick();
   check_idle();
 }
 
 void Scheduler::check_idle() {
   if (idle() && on_idle_) on_idle_();
-}
-
-const Allocation* Scheduler::allocation_of(std::uint64_t jobid) const {
-  auto it = running_.find(jobid);
-  return it == running_.end() ? nullptr : pool_.lookup(it->second.alloc_id);
-}
-
-std::vector<std::uint64_t> Scheduler::running_jobs() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(running_.size());
-  for (const auto& [jobid, r] : running_) out.push_back(jobid);
-  return out;
 }
 
 }  // namespace flux

@@ -29,20 +29,31 @@ struct SchedCostModel {
   Duration per_free_node{std::chrono::nanoseconds(80)};
 };
 
+/// A scheduler's registry instruments: `<prefix>.{submitted,started,
+/// completed,canceled,passes,busy_ns}` and the queue-wait histogram
+/// `<prefix>.wait_ns`. Schedulers handed the same set count together.
+struct SchedStats {
+  SchedStats(obs::StatsRegistry& registry, std::string_view prefix);
+  obs::Counter& submitted;
+  obs::Counter& started;
+  obs::Counter& completed;
+  obs::Counter& canceled;
+  obs::Counter& passes;
+  obs::Counter& busy_ns;    ///< total virtual time spent deciding
+  obs::Histogram& wait_ns;  ///< queue wait of each started job
+};
+
 class Scheduler {
  public:
   using CostModel = SchedCostModel;
 
   using StartFn =
       std::function<void(std::uint64_t jobid, const Allocation& alloc)>;
-  using EndFn = std::function<void(std::uint64_t jobid)>;
   using IdleFn = std::function<void()>;
 
-  /// Counts `<prefix>.{submitted,started,completed,canceled,passes,busy_ns}`
-  /// and the queue-wait histogram `<prefix>.wait_ns` in `registry`.
+  /// Counts into `stats`, which must outlive the scheduler.
   Scheduler(Executor& ex, ResourcePool& pool, std::unique_ptr<Policy> policy,
-            obs::StatsRegistry& registry, std::string_view prefix,
-            CostModel cost = {});
+            SchedStats& stats, CostModel cost = {});
 
   /// Submit; returns the job id. Infeasible requests are rejected. With
   /// `manual_completion` the job does NOT auto-complete after walltime — the
@@ -59,7 +70,6 @@ class Scheduler {
   void finish(std::uint64_t jobid);
 
   void on_start(StartFn fn) { on_start_ = std::move(fn); }
-  void on_end(EndFn fn) { on_end_ = std::move(fn); }
   /// Fires whenever queue and running set both become empty.
   void on_idle(IdleFn fn) { on_idle_ = std::move(fn); }
 
@@ -73,10 +83,6 @@ class Scheduler {
   }
   [[nodiscard]] ResourcePool& pool() noexcept { return pool_; }
   [[nodiscard]] const Policy& policy() const noexcept { return *policy_; }
-
-  /// Expose running jobs (allocation ids) for elasticity operations.
-  [[nodiscard]] const Allocation* allocation_of(std::uint64_t jobid) const;
-  [[nodiscard]] std::vector<std::uint64_t> running_jobs() const;
 
  private:
   struct Running {
@@ -105,15 +111,8 @@ class Scheduler {
   // a weak_ptr to this token and no-op once the scheduler is gone.
   std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
   StartFn on_start_;
-  EndFn on_end_;
   IdleFn on_idle_;
-  obs::Counter& submitted_;
-  obs::Counter& started_;
-  obs::Counter& completed_;
-  obs::Counter& canceled_;
-  obs::Counter& passes_;
-  obs::Counter& busy_ns_;    ///< total virtual time spent deciding
-  obs::Histogram& wait_ns_;  ///< queue wait of each started job
+  SchedStats& stats_;
 };
 
 }  // namespace flux

@@ -6,7 +6,9 @@
 // file is most valuable under the asan preset, where an over-read is a hard
 // failure instead of a silent lucky pass. It builds as its own binary with
 // an allocation cap (alloc_cap.cpp), so a decoder that reserves a size read
-// off the wire fails here on every host, overcommitting or not.
+// off the wire fails here on every host, overcommitting or not. The last
+// cases drive job.submit on a live simulated session with nested jobspecs
+// that went through the codec.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "kvs/treeobj.hpp"
 #include "msg/codec.hpp"
 #include "msg/message.hpp"
+#include "sim_fixture.hpp"
 
 namespace flux {
 namespace {
@@ -262,6 +265,95 @@ TEST(WireMalformed, DecodeSharedRejectsTruncatedFrame) {
     ASSERT_FALSE(r.has_value()) << "truncated to " << len;
     EXPECT_EQ(r.error().code, errc::proto);
   }
+}
+
+// -- job.submit: nested jobspecs from the wire --------------------------------
+//
+// An instance jobspec nests its subjobs, and JobSpec::from_json recurses
+// into them, so the submit path is a decoder of arbitrarily deep input.
+
+/// `levels` instances, each wrapping the next, around an invalid leaf.
+Json nested_jobspec(int levels) {
+  Json spec = Json::object({{"name", "leaf"},
+                            {"type", "app"},
+                            {"request", Json::object({{"nnodes", 0}})}});
+  for (int i = 0; i < levels; ++i) {
+    Json subs = Json::array();
+    subs.push_back(std::move(spec));
+    spec = Json::object({{"type", "instance"},
+                         {"request", Json::object({{"nnodes", 1}})},
+                         {"subjobs", std::move(subs)}});
+  }
+  return spec;
+}
+
+/// Submit `payload` raw; the response's errc.
+Task<errc> submit_raw(Handle* hd, Json payload) {
+  Message resp =
+      co_await hd->request("job.submit").payload(std::move(payload));
+  co_return static_cast<errc>(resp.errnum);
+}
+
+void expect_refused(errc code, const std::string& what) {
+  EXPECT_TRUE(code == errc::job_rejected || code == errc::proto)
+      << what << ": " << static_cast<int>(code);
+}
+
+TEST(JobSubmitMalformed, NestedSubjobsUpToTheDepthLimit) {
+  testing::SimSession s(testing::SimSession::default_config(4));
+  auto h = s.attach(1);
+  int decoded = 0, refused_at_decode = 0;
+  for (int levels : {1, 10, 50, 95, 99, 100, 101, 150, 400}) {
+    const std::string what = std::to_string(levels) + " levels";
+    const Message m = Message::request(
+        "job.submit", Json::object({{"jobspec", nested_jobspec(levels)}}));
+    auto r = decode(encode(m));
+    if (!r.has_value()) {
+      EXPECT_EQ(r.error().code, errc::proto) << what;
+      ++refused_at_decode;
+      continue;
+    }
+    ++decoded;
+    expect_refused(s.run(submit_raw(h.get(), r->payload())), what);
+  }
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(refused_at_decode, 0);  // past the parser's depth limit
+  EXPECT_EQ(s.stats(0).counter_value("job-manager.submitted"), 0u);
+}
+
+TEST(JobSubmitMalformed, SubjobsOfTheWrongTypeAreRefused) {
+  testing::SimSession s(testing::SimSession::default_config(4));
+  auto h = s.attach(2);
+  const Json bad_subjobs[] = {
+      Json::array({Json(5)}),         // a number
+      Json::array({Json("x")}),       // a string
+      Json::array({Json()}),          // null
+      Json::array({Json::array()}),   // an array
+      Json::object({{"a", 1}}),       // not an array
+      Json(7),                        // not an array
+      Json("subjobs"),                // not an array
+  };
+  for (const Json& subs : bad_subjobs) {
+    Json spec = Json::object({{"type", "instance"},
+                              {"request", Json::object({{"nnodes", 1}})},
+                              {"subjobs", subs}});
+    const Message m =
+        Message::request("job.submit", Json::object({{"jobspec", spec}}));
+    auto r = decode(encode(m));
+    ASSERT_TRUE(r.has_value()) << r.error().to_string();
+    expect_refused(s.run(submit_raw(h.get(), r->payload())), subs.dump());
+  }
+  // An app job carrying subjobs, and a jobspec that is not an object.
+  Json app = Json::object(
+      {{"type", "app"},
+       {"request", Json::object({{"nnodes", 1}})},
+       {"subjobs", Json::array({nested_jobspec(0)})}});
+  expect_refused(s.run(submit_raw(h.get(), Json::object({{"jobspec", app}}))),
+                 "app with subjobs");
+  expect_refused(
+      s.run(submit_raw(h.get(), Json::object({{"jobspec", Json(3)}}))),
+      "numeric jobspec");
+  EXPECT_EQ(s.stats(0).counter_value("job-manager.submitted"), 0u);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "api/job_client.hpp"
@@ -492,6 +494,530 @@ TEST(Jobs, BrokerCrashMidJobNeverOrphansAllocation) {
     if (nr.ntasks != 7)
       throw FluxException(Error(errc::proto, "survivor job ran short"));
   }(h.get(), jh));
+}
+
+// -- job-ingest validates every field that reaches a pool -------------------
+
+/// Submit `spec`; the errc it was refused with (errc{} when accepted).
+Task<errc> refusal(Handle* hd, JobSpec spec) {
+  try {
+    (void)co_await hd->job().spec(std::move(spec)).submit();
+  } catch (const FluxException& e) {
+    co_return e.error().code;
+  }
+  co_return errc{};
+}
+
+/// Submit each spec, expect errc::job_rejected for all, and check that the
+/// session pool was never charged for them.
+void expect_rejected(std::vector<JobSpec> specs) {
+  SimSession s(SimSession::default_config(4));
+  auto h = s.attach(2);
+  for (JobSpec& spec : specs)
+    EXPECT_EQ(s.run(refusal(h.get(), std::move(spec))), errc::job_rejected);
+  Message status = s.run(h->request("resvc.status").call());
+  EXPECT_EQ(status.payload().get_double("power_in_use_w", -1), 0.0);
+  EXPECT_EQ(status.payload().get_double("io_bw_in_use_gbs", -1), 0.0);
+  EXPECT_EQ(s.stats(0).counter_value("job-manager.submitted"), 0u);
+}
+
+JobSpec app_spec() {
+  return JobSpec::app("v", 1, std::chrono::milliseconds(1));
+}
+
+TEST(Jobs, RejectsNegativeOrNonFinitePower) {
+  std::vector<JobSpec> specs(3, app_spec());
+  specs[0].request.power_w = -1e9;
+  specs[1].request.power_w = std::numeric_limits<double>::infinity();
+  specs[2].request.power_w = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(std::move(specs));
+}
+
+TEST(Jobs, RejectsNegativeOrNonFiniteIoBandwidth) {
+  std::vector<JobSpec> specs(2, app_spec());
+  specs[0].request.io_bw_gbs = -5;
+  specs[1].request.io_bw_gbs = std::numeric_limits<double>::infinity();
+  expect_rejected(std::move(specs));
+}
+
+TEST(Jobs, RejectsCoresPerNodeBelowOne) {
+  std::vector<JobSpec> specs(2, app_spec());
+  specs[0].request.cores_per_node = 0;
+  specs[1].request.cores_per_node = -4;
+  expect_rejected(std::move(specs));
+}
+
+TEST(Jobs, RejectsUnknownChildPolicy) {
+  // Refused at the first hop, before the root's scheduler callback could
+  // build the child level, and also when the bad policy is a subjob's.
+  JobSpec inner = JobSpec::instance("inner", 1, "lottery", {app_spec()});
+  expect_rejected({JobSpec::instance("bad", 2, "lottery", {app_spec()}),
+                   JobSpec::instance("outer", 2, "fcfs", {inner})});
+}
+
+// -- nested instances: the §III hierarchy in the job pipeline ---------------
+//
+// A 32-broker session: resvc's defaults (16 cores, 32 GB, 350 W per node,
+// 100 GB/s filesystem) make its pool the 32-node center the hierarchy
+// rules are stated against.
+
+SessionConfig center_config(std::uint32_t size = 32) {
+  return SimSession::default_config(size);
+}
+
+Task<Json> call(Handle* hd, std::string topic, Json payload) {
+  Message resp = co_await hd->request(std::move(topic))
+                     .payload(std::move(payload))
+                     .call();
+  co_return resp.payload();
+}
+
+Task<Json> job_state(Handle* hd, std::uint64_t id) {
+  Json req = Json::object({{"id", static_cast<std::int64_t>(id)}});
+  co_return co_await call(hd, "job-manager.state", std::move(req));
+}
+
+/// Poll until instance `id` runs with a child pool; returns its state.
+Task<Json> running_pool(Handle* hd, std::uint64_t id) {
+  for (int i = 0; i < 200; ++i) {
+    Json st = co_await job_state(hd, id);
+    if (st.contains("pool")) co_return st;
+    co_await hd->sleep(std::chrono::microseconds(100));
+  }
+  throw FluxException(Error(errc::proto, "instance never started"));
+}
+
+Task<std::int64_t> session_free(Handle* hd) {
+  Json st = co_await call(hd, "resvc.status", Json::object());
+  co_return st.get_int("free", -1);
+}
+
+/// Every job the manager holds whose parent is `parent`: id -> state.
+Task<std::map<std::uint64_t, std::string>> subjobs_of(Handle* hd,
+                                                      std::uint64_t parent) {
+  Json list = co_await call(hd, "job-manager.list", Json::object());
+  std::map<std::uint64_t, std::string> out;
+  for (const Json& j : list.at("jobs").as_array())
+    if (j.get_int("parent") == static_cast<std::int64_t>(parent))
+      out.emplace(static_cast<std::uint64_t>(j.get_int("id")),
+                  j.get_string("state"));
+  co_return out;
+}
+
+std::int64_t event_time(const Json& log, std::string_view name) {
+  for (const Json& e : log.as_array())
+    if (e.get_string("name") == name) return e.get_int("t");
+  return -1;
+}
+
+Task<JobResult> run_to_end(Handle* hd, JobSpec spec) {
+  JobHandle jh = co_await hd->job().spec(std::move(spec)).submit();
+  co_return co_await jh.wait();
+}
+
+TEST(Instance, RunsAppJobsToCompletion) {
+  SimSession s(center_config());
+  auto h = s.attach(0);
+  s.run([](Handle* hd) -> Task<void> {
+    std::vector<JobHandle> jobs;
+    for (int i = 0; i < 4; ++i)
+      jobs.push_back(co_await hd->job()
+                         .spec(JobSpec::app("app" + std::to_string(i), 8,
+                                            std::chrono::milliseconds(2)))
+                         .submit());
+    for (JobHandle& jh : jobs)
+      if ((co_await jh.wait()).state != JobState::Complete)
+        throw FluxException(Error(errc::proto, "app job did not complete"));
+  }(h.get()));
+  EXPECT_EQ(s.run(session_free(h.get())), 32);
+  EXPECT_EQ(s.stats(0).counter_value("job-manager.completed"), 4u);
+}
+
+TEST(Instance, NestedInstanceRunsSubjobs) {
+  SimSession s(center_config());
+  auto h = s.attach(3);
+  std::vector<JobSpec> subjobs;
+  for (int i = 0; i < 6; ++i)
+    subjobs.push_back(JobSpec::app("sub" + std::to_string(i), 4,
+                                   std::chrono::milliseconds(1)));
+  JobHandle inst;
+  JobResult r = s.run([](Handle* hd, std::vector<JobSpec> subs,
+                         JobHandle* out) -> Task<JobResult> {
+    *out = co_await hd->job()
+               .spec(JobSpec::instance("ensemble", 16, "fcfs", std::move(subs)))
+               .submit();
+    co_return co_await out->wait();
+  }(h.get(), subjobs, &inst));
+  EXPECT_EQ(r.state, JobState::Complete);
+  // 6 subjobs + the instance job itself, in the one job table.
+  EXPECT_EQ(s.stats(0).counter_value("job-manager.completed"), 7u);
+  EXPECT_EQ(s.stats(0).counter_value("job-manager.sched.completed"), 7u);
+  const auto subs = s.run(subjobs_of(h.get(), inst.id()));
+  ASSERT_EQ(subs.size(), 6u);
+  for (const auto& [id, state] : subs) {
+    EXPECT_EQ(state, "complete");
+    // Each subjob has its own KVS record and event log.
+    Json log = s.run(JobHandle(*h, id).events());
+    EXPECT_EQ(event_time(log, "submit") >= 0 && event_time(log, "finish") >= 0,
+              true);
+  }
+  EXPECT_EQ(s.run(session_free(h.get())), 32);
+}
+
+TEST(Instance, ThreeLevelHierarchy) {
+  SimSession s(center_config());
+  auto h = s.attach(0);
+  // session -> campaign instance -> uq instance -> apps
+  std::vector<JobSpec> leaves;
+  for (int i = 0; i < 4; ++i)
+    leaves.push_back(JobSpec::app("leaf" + std::to_string(i), 2,
+                                  std::chrono::milliseconds(1)));
+  JobSpec mid = JobSpec::instance("uq", 8, "easy", leaves);
+  JobHandle top;
+  JobResult r = s.run([](Handle* hd, JobSpec spec,
+                         JobHandle* out) -> Task<JobResult> {
+    *out = co_await hd->job().spec(std::move(spec)).submit();
+    co_return co_await out->wait();
+  }(h.get(), JobSpec::instance("campaign", 16, "fcfs", {mid}), &top));
+  EXPECT_EQ(r.state, JobState::Complete);
+  EXPECT_EQ(s.stats(0).counter_value("job-manager.completed"), 6u);
+  const auto level1 = s.run(subjobs_of(h.get(), top.id()));
+  ASSERT_EQ(level1.size(), 1u);
+  EXPECT_EQ(s.run(subjobs_of(h.get(), level1.begin()->first)).size(), 4u);
+}
+
+TEST(Instance, ParentBoundingRuleCapsChild) {
+  SimSession s(center_config());
+  auto h = s.attach(0);
+  // The child gets 4 nodes; a subjob needing 8 can never run there.
+  JobHandle inst;
+  JobResult r = s.run([](Handle* hd, JobHandle* out) -> Task<JobResult> {
+    std::vector<JobSpec> work;
+    work.push_back(JobSpec::app("too-wide", 8, std::chrono::milliseconds(1)));
+    JobSpec spec = JobSpec::instance("narrow", 4, "fcfs", std::move(work));
+    *out = co_await hd->job().spec(std::move(spec)).submit();
+    co_return co_await out->wait();
+  }(h.get(), &inst));
+  // The instance completes: the infeasible subjob was refused, not hung.
+  EXPECT_EQ(r.state, JobState::Complete);
+  EXPECT_EQ(s.stats(0).counter_value("job-manager.completed"), 1u);
+  Json log = s.run(inst.events());
+  bool refused = false;
+  for (const Json& e : log.as_array())
+    if (e.get_string("name") == "subjob_rejected") refused = true;
+  EXPECT_TRUE(refused) << log.dump();
+}
+
+TEST(Instance, SiblingInstancesScheduleConcurrently) {
+  // Two sibling instances each run a serial chain of full-width jobs; their
+  // levels schedule independently, so the makespan is one chain, not two.
+  SimSession s(center_config());
+  auto h = s.attach(0);
+  std::vector<JobSpec> chain;
+  for (int i = 0; i < 5; ++i)
+    chain.push_back(JobSpec::app("j" + std::to_string(i), 8,
+                                 std::chrono::milliseconds(10)));
+  const TimePoint t0 = s.ex().now();
+  std::vector<JobResult> results = s.run(
+      [](Handle* hd,
+         std::vector<JobSpec> work) -> Task<std::vector<JobResult>> {
+        JobHandle a = co_await hd->job()
+                          .spec(JobSpec::instance("childA", 8, "fcfs", work))
+                          .submit();
+        JobHandle b = co_await hd->job()
+                          .spec(JobSpec::instance("childB", 8, "fcfs", work))
+                          .submit();
+        std::vector<JobResult> out;
+        out.push_back(co_await a.wait());
+        out.push_back(co_await b.wait());
+        co_return out;
+      }(h.get(), chain));
+  const Duration makespan = s.ex().now() - t0;
+  EXPECT_EQ(results[0].state, JobState::Complete);
+  EXPECT_EQ(results[1].state, JobState::Complete);
+  // Serial would be >= 100 ms; concurrent ~50 ms.
+  EXPECT_LT(makespan, std::chrono::milliseconds(80));
+  EXPECT_GE(makespan, std::chrono::milliseconds(50));
+}
+
+TEST(Instance, GrowWithParentalConsent) {
+  SimSession s(center_config());
+  auto h = s.attach(0);
+  s.run([](Handle* hd) -> Task<void> {
+    // A long-lived instance (kept alive by a long subjob).
+    std::vector<JobSpec> work;
+    work.push_back(JobSpec::app("long", 2, std::chrono::milliseconds(50)));
+    JobSpec spec = JobSpec::instance("elastic", 4, "fcfs", std::move(work));
+    JobHandle inst = co_await hd->job().spec(std::move(spec)).submit();
+    Json st = co_await running_pool(hd, inst.id());
+    if (st.at("pool").get_int("nodes") != 4)
+      throw FluxException(Error(errc::proto, "child pool is not 4 nodes"));
+    const auto id = static_cast<std::int64_t>(inst.id());
+    Json more = Json::object({{"id", id}, {"nnodes", 3}});
+    Json grown = co_await call(hd, "job-manager.grow", std::move(more));
+    if (grown.get_int("nodes") != 7)
+      throw FluxException(Error(errc::proto, "grow: " + grown.dump()));
+    // The parent's books reflect the grant.
+    if (co_await session_free(hd) != 32 - 7)
+      throw FluxException(Error(errc::proto, "grant not taken from parent"));
+    Json back = Json::object({{"id", id}, {"nnodes", 3}});
+    Json shrunk = co_await call(hd, "job-manager.shrink", std::move(back));
+    if (shrunk.get_int("nodes") != 4)
+      throw FluxException(Error(errc::proto, "shrink: " + shrunk.dump()));
+    if (co_await session_free(hd) != 32 - 4)
+      throw FluxException(Error(errc::proto, "shrink not returned to parent"));
+    if ((co_await inst.wait()).state != JobState::Complete)
+      throw FluxException(Error(errc::proto, "elastic instance failed"));
+  }(h.get()));
+  EXPECT_EQ(s.run(session_free(h.get())), 32);
+}
+
+TEST(Instance, GrowDeniedWhenParentExhausted) {
+  SimSession s(center_config(8));
+  auto h = s.attach(0);
+  const errc code = s.run([](Handle* hd) -> Task<errc> {
+    std::vector<JobSpec> work;
+    work.push_back(JobSpec::app("long", 1, std::chrono::milliseconds(50)));
+    JobSpec spec = JobSpec::instance("greedy", 8, "fcfs", std::move(work));
+    JobHandle inst = co_await hd->job().spec(std::move(spec)).submit();
+    (void)co_await running_pool(hd, inst.id());
+    errc out{};
+    try {
+      const auto id = static_cast<std::int64_t>(inst.id());
+      Json more = Json::object({{"id", id}, {"nnodes", 1}});
+      (void)co_await call(hd, "job-manager.grow", std::move(more));
+    } catch (const FluxException& e) {
+      out = e.error().code;
+    }
+    (void)co_await inst.wait();
+    co_return out;
+  }(h.get()));
+  EXPECT_EQ(code, errc::no_spc);  // nothing left anywhere up the hierarchy
+}
+
+TEST(Instance, RootGrowHasNoParent) {
+  SimSession s(center_config());
+  auto h = s.attach(5);
+  const errc code = s.run([](Handle* hd) -> Task<errc> {
+    try {
+      Json more = Json::object({{"nnodes", 1}});
+      (void)co_await call(hd, "job-manager.grow", std::move(more));
+    } catch (const FluxException& e) {
+      co_return e.error().code;
+    }
+    co_return errc{};
+  }(h.get()));
+  EXPECT_EQ(code, errc::perm);
+}
+
+TEST(Instance, PowerCapShedsMalleableJobs) {
+  SimSession s(center_config());  // 32 nodes x 350 W
+  auto h = s.attach(0);
+  s.run([](Handle* hd) -> Task<void> {
+    JobSpec hungry =
+        JobSpec::app("hungry", 4, std::chrono::milliseconds(50), 4000);
+    hungry.malleable = true;
+    JobSpec rigid =
+        JobSpec::app("rigid", 4, std::chrono::milliseconds(50), 2000);
+    JobHandle a = co_await hd->job().spec(hungry).submit();
+    JobHandle b = co_await hd->job().spec(rigid).submit();
+    while (co_await a.state() != JobState::Running ||
+           co_await b.state() != JobState::Running)
+      co_await hd->sleep(std::chrono::microseconds(100));
+    Json before = co_await call(hd, "resvc.status", Json::object());
+    if (before.get_double("power_in_use_w") != 6000)
+      throw FluxException(Error(errc::proto, "power use " + before.dump()));
+    // A site-wide cap of 4000 W: the malleable job sheds ~2000 W.
+    Json cap = Json::object({{"watts", 4000}});
+    Json pool = co_await call(hd, "job-manager.power_cap", std::move(cap));
+    if (pool.get_double("power_in_use_w") > 4000.001 ||
+        pool.get_double("power_budget_w") != 4000)
+      throw FluxException(Error(errc::proto, "cap not honored " + pool.dump()));
+    (void)co_await a.wait();
+    (void)co_await b.wait();
+  }(h.get()));
+}
+
+TEST(Instance, PowerCapCascadesToChildren) {
+  SimSession s(center_config());
+  auto h = s.attach(0);
+  s.run([](Handle* hd) -> Task<void> {
+    std::vector<JobSpec> work;
+    work.push_back(JobSpec::app("long", 1, std::chrono::milliseconds(50)));
+    JobSpec spec = JobSpec::instance("powered", 8, "fcfs", std::move(work));
+    spec.child_power_budget_w = 2000;
+    spec.request.power_w = 2000;
+    JobHandle inst = co_await hd->job().spec(spec).submit();
+    Json st = co_await running_pool(hd, inst.id());
+    if (st.at("pool").get_double("power_budget_w") != 2000)
+      throw FluxException(Error(errc::proto, "child budget " + st.dump()));
+    Json cap = Json::object({{"watts", 1000}});  // below the child's budget
+    (void)co_await call(hd, "job-manager.power_cap", std::move(cap));
+    st = co_await job_state(hd, inst.id());
+    if (st.at("pool").get_double("power_budget_w") >= 2000)
+      throw FluxException(Error(errc::proto, "cap did not cascade"));
+    (void)co_await inst.wait();
+  }(h.get()));
+}
+
+TEST(Instance, SchedulingSpecializationPerChild) {
+  // §III: "specialize the scheduling behaviors on subsets of resources".
+  SimSession s(center_config());
+  auto h = s.attach(0);
+  const std::set<std::string> policies =
+      s.run([](Handle* hd) -> Task<std::set<std::string>> {
+        std::vector<JobSpec> xs, ys;
+        xs.push_back(JobSpec::app("x", 8, std::chrono::milliseconds(5)));
+        ys.push_back(JobSpec::app("y", 8, std::chrono::milliseconds(5)));
+        JobSpec strict = JobSpec::instance("strict", 8, "fcfs", std::move(xs));
+        JobSpec backfilling =
+            JobSpec::instance("backfilling", 8, "easy", std::move(ys));
+        JobHandle a = co_await hd->job().spec(std::move(strict)).submit();
+        JobHandle b = co_await hd->job().spec(std::move(backfilling)).submit();
+        std::set<std::string> out;
+        Json sa = co_await running_pool(hd, a.id());
+        out.insert(sa.at("pool").get_string("policy"));
+        Json sb = co_await running_pool(hd, b.id());
+        out.insert(sb.at("pool").get_string("policy"));
+        (void)co_await a.wait();
+        (void)co_await b.wait();
+        co_return out;
+      }(h.get()));
+  EXPECT_TRUE(policies.contains("fcfs"));
+  EXPECT_TRUE(policies.contains("easy"));
+}
+
+TEST(Instance, EmptyInstanceCompletesImmediately) {
+  SimSession s(center_config());
+  auto h = s.attach(0);
+  JobResult r = s.run(
+      run_to_end(h.get(), JobSpec::instance("empty", 4, "fcfs", {})));
+  EXPECT_EQ(r.state, JobState::Complete);
+  EXPECT_EQ(s.run(session_free(h.get())), 32);
+}
+
+TEST(Instance, CancelEndsSubjobsBeforeTheInstance) {
+  SimSession s(center_config(8));
+  auto h = s.attach(0);
+  JobHandle inst;
+  const JobResult r = s.run([](Handle* hd, JobHandle* out) -> Task<JobResult> {
+    JobSpec spin = JobSpec::app("spin", 4, std::chrono::milliseconds(1));
+    spin.command = "spin";
+    std::vector<JobSpec> work{spin, spin};
+    work.push_back(JobSpec::app("queued", 8, std::chrono::milliseconds(1)));
+    JobSpec spec = JobSpec::instance("doomed", 8, "fcfs", std::move(work));
+    *out = co_await hd->job().spec(std::move(spec)).submit();
+    // Both spinners run; the full-width subjob waits behind them.
+    for (int i = 0;; ++i) {
+      const auto subs = co_await subjobs_of(hd, out->id());
+      int running = 0;
+      for (const auto& [id, state] : subs) running += state == "running";
+      if (subs.size() == 3 && running == 2) break;
+      if (i == 200)
+        throw FluxException(Error(errc::proto, "spinners never started"));
+      co_await hd->sleep(std::chrono::microseconds(100));
+    }
+    co_await out->cancel();
+    co_return co_await out->wait();
+  }(h.get(), &inst));
+  EXPECT_EQ(r.state, JobState::Canceled);
+  const auto subs = s.run(subjobs_of(h.get(), inst.id()));
+  ASSERT_EQ(subs.size(), 3u);
+  const std::int64_t inst_end = event_time(s.run(inst.events()), "finish");
+  for (const auto& [id, state] : subs) {
+    EXPECT_EQ(state, "canceled") << "subjob " << id;
+    EXPECT_LE(event_time(s.run(JobHandle(*h, id).events()), "finish"),
+              inst_end);
+  }
+  EXPECT_EQ(s.run(session_free(h.get())), 8);
+}
+
+TEST(Instance, NodeDownFailsOnlyTheSubjobsOnThatRank) {
+  SessionConfig cfg = center_config(8);
+  cfg.module_config =
+      Json::object({{"hb", Json::object({{"period_us", 100}})},
+                    {"live", Json::object({{"missed_max", 3}})}});
+  SimSession s(cfg);
+  auto h = s.attach(0);
+  JobHandle inst;
+  NodeId victim = 0;
+  const JobResult r = s.run([](SimSession* sim, Handle* hd, JobHandle* out,
+                               NodeId* dead) -> Task<JobResult> {
+    std::vector<JobSpec> work;
+    for (int i = 0; i < 4; ++i)
+      work.push_back(JobSpec::app("w" + std::to_string(i), 1,
+                                  std::chrono::milliseconds(5)));
+    // Queued behind the four; runs on the three survivors afterwards.
+    work.push_back(JobSpec::app("after", 3, std::chrono::milliseconds(1)));
+    *out = co_await hd->job()
+               .spec(JobSpec::instance("resilient", 4, "fcfs", work))
+               .submit();
+    std::uint64_t target = 0;
+    KvsClient kvs(*hd);
+    for (int i = 0; i < 200 && target == 0; ++i) {
+      const auto subs = co_await subjobs_of(hd, out->id());
+      for (const auto& [id, state] : subs) {
+        if (state != "running") continue;
+        Json ranks = co_await kvs.get(job_kvs_path(id) + ".ranks");
+        const std::int64_t rank = ranks.as_array().front().as_int();
+        if (rank != 0) {
+          target = id;
+          *dead = static_cast<NodeId>(rank);
+          break;
+        }
+      }
+      if (target == 0) co_await hd->sleep(std::chrono::microseconds(100));
+    }
+    if (target == 0)
+      throw FluxException(Error(errc::proto, "no subjob off the root rank"));
+    sim->session().fail(*dead);
+    JobResult lost = co_await JobHandle(*hd, target).wait();
+    if (lost.state != JobState::Failed)
+      throw FluxException(Error(errc::proto, "subjob on the dead rank ran on"));
+    // The node is down in the instance's pool as well as the session's.
+    Json st = co_await job_state(hd, out->id());
+    if (st.at("pool").get_int("down") != 1)
+      throw FluxException(Error(errc::proto, "instance pool " + st.dump()));
+    co_return co_await out->wait();
+  }(&s, h.get(), &inst, &victim));
+  EXPECT_EQ(r.state, JobState::Complete);
+  int failed = 0, complete = 0;
+  for (const auto& [id, state] : s.run(subjobs_of(h.get(), inst.id()))) {
+    failed += state == "failed";
+    complete += state == "complete";
+  }
+  EXPECT_EQ(failed, 1);
+  EXPECT_EQ(complete, 4);
+  Json status = s.run(call(h.get(), "resvc.status", Json::object()));
+  EXPECT_EQ(status.get_int("down"), 1);
+  EXPECT_EQ(status.get_int("free"), 7);
+}
+
+TEST(Instance, CompletesOnlyAfterEverySubmissionIsAnswered) {
+  // Refused subjobs leave the child level idle from the start; the instance
+  // must still wait for every job.submit answer before it ends.
+  SimSession s(center_config());
+  auto h = s.attach(0);
+  JobHandle inst;
+  const JobResult r = s.run([](Handle* hd, JobHandle* out) -> Task<JobResult> {
+    std::vector<JobSpec> work;
+    for (int i = 0; i < 3; ++i)
+      work.push_back(JobSpec::app("wide" + std::to_string(i), 8,
+                                  std::chrono::milliseconds(1)));
+    JobSpec spec = JobSpec::instance("picky", 4, "fcfs", std::move(work));
+    *out = co_await hd->job().spec(std::move(spec)).submit();
+    co_return co_await out->wait();
+  }(h.get(), &inst));
+  EXPECT_EQ(r.state, JobState::Complete);
+  const Json log = s.run(inst.events());
+  const std::int64_t end = event_time(log, "finish");
+  int answered = 0;
+  for (const Json& e : log.as_array())
+    if (e.get_string("name") == "subjob_rejected") {
+      ++answered;
+      EXPECT_LE(e.get_int("t"), end);
+    }
+  EXPECT_EQ(answered, 3) << log.dump();
 }
 
 }  // namespace

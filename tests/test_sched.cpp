@@ -12,7 +12,7 @@ struct SchedFixture {
   SchedFixture(std::string policy, std::uint32_t nnodes = 16)
       : graph(ResourceGraph::build_center("c", 1, 1, nnodes, 16, 32, 350, 100)),
         pool(graph),
-        sched(ex, pool, make_policy(policy), stats, "sched") {}
+        sched(ex, pool, make_policy(policy), sched_stats) {}
 
   /// The scheduler's counter `sched.<name>`.
   [[nodiscard]] std::uint64_t count(const std::string& name) const {
@@ -23,6 +23,7 @@ struct SchedFixture {
   ResourceGraph graph;
   ResourcePool pool;
   obs::StatsRegistry stats;
+  SchedStats sched_stats{stats, "sched"};
   Scheduler sched;
 };
 
