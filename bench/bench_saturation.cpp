@@ -192,7 +192,7 @@ Cell run_threaded_cell(std::uint32_t nodes, int clients, int rounds) {
   cell.ops_per_sec_host =
       host_seconds > 0 ? static_cast<double>(cell.ops) / host_seconds : 0;
   SyncHandle probe(*session, 0);
-  read_batching(probe.request("kvs.stats.get").call().payload(), &cell);
+  read_batching(probe.call(probe.request("kvs.stats.get")).payload(), &cell);
   return cell;
 }
 

@@ -9,6 +9,7 @@
 //   $ ./flux_cli [-n brokers] script                     commands from stdin
 //
 //   $ ./flux_cli help                                    lists everything
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -16,6 +17,7 @@
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -47,6 +49,12 @@ int need(const Args& args, std::size_t n, const char* usage) {
   return 2;
 }
 
+// A malformed number in any argument throws std::invalid_argument or
+// std::out_of_range; run_command() turns either into the usage line.
+NodeId rank_arg(const std::string& text) {
+  return static_cast<NodeId>(std::stoul(text));
+}
+
 struct Command {
   const char* usage;
   const char* help;
@@ -56,23 +64,15 @@ struct Command {
 // Shared by run/submit: args are <cmd> [nnodes] [json-args] [priority].
 // Routes through the full lifecycle pipeline (job.submit -> job-manager).
 std::uint64_t submit_job(Cli& c, const Args& a) {
-  long long nnodes = 1;
-  if (a.size() > 1) {
-    try {
-      nnodes = std::stoll(a[1]);
-    } catch (const std::exception&) {
-      throw FluxException(
-          Error(errc::inval, "nnodes must be a number, got '" + a[1] +
-                                 "' (usage: <cmd> [nnodes] [json-args])"));
-    }
-  }
+  const long long nnodes = a.size() > 1 ? std::stoll(a[1]) : 1;
   JobSpec spec = JobSpec::app("cli", nnodes, std::chrono::seconds(60));
   spec.command = a[0];
   if (a.size() > 2) spec.args = parse_value(a[2]);
   if (a.size() > 3) spec.priority = std::stoi(a[3]);
   Json payload = Json::object({{"jobspec", spec.to_json()}});
-  Message r = c.h->rpc("job.submit", std::move(payload));
-  Handle::check(r);  // surface job_rejected / alloc_unsatisfiable as errors
+  // Checked: surfaces job_rejected / alloc_unsatisfiable as errors.
+  Message r =
+      c.h->call(c.h->request("job.submit").payload(std::move(payload)));
   return static_cast<std::uint64_t>(r.payload().get_int("id"));
 }
 
@@ -82,7 +82,7 @@ const std::map<std::string, Command>& commands() {
       {"info",
        {"info", "broker identity, size, depth",
         [](Cli& c, const Args&) {
-          Message r = c.h->rpc("cmb.info");
+          Message r = c.h->send(c.h->request("cmb.info"));
           std::printf("%s\n", r.payload().dump_pretty().c_str());
           return r.errnum;
         }}},
@@ -90,7 +90,7 @@ const std::map<std::string, Command>& commands() {
        {"ping <rank>", "ring-addressed round trip to a broker rank",
         [](Cli& c, const Args& a) {
           if (int rc = need(a, 1, "ping <rank>")) return rc;
-          Json pong = c.h->ping(static_cast<NodeId>(std::stoul(a[0])));
+          Json pong = c.h->ping(rank_arg(a[0]));
           std::printf("rank %lld: pong\n",
                       static_cast<long long>(pong.get_int("rank")));
           return 0;
@@ -99,16 +99,16 @@ const std::map<std::string, Command>& commands() {
        {"lsmod [rank]", "list comms modules loaded on a broker",
         [](Cli& c, const Args& a) {
           auto req = c.h->request("cmb.lsmod");
-          if (!a.empty()) req.to(static_cast<NodeId>(std::stoul(a[0])));
-          Message r = req.get();
+          if (!a.empty()) req.to(rank_arg(a[0]));
+          Message r = c.h->call(std::move(req));
           for (const Json& m : r.payload().at("modules").as_array())
             std::printf("%s\n", m.as_string().c_str());
-          return r.errnum;
+          return 0;
         }}},
       {"hb",
        {"hb", "current heartbeat epoch",
         [](Cli& c, const Args&) {
-          Message r = c.h->rpc("hb.get");
+          Message r = c.h->send(c.h->request("hb.get"));
           std::printf("epoch %lld (period %lld us)\n",
                       static_cast<long long>(r.payload().get_int("epoch")),
                       static_cast<long long>(r.payload().get_int("period_us")));
@@ -118,9 +118,7 @@ const std::map<std::string, Command>& commands() {
        {"live <rank>", "liveness status tracked by a broker",
         [](Cli& c, const Args& a) {
           if (int rc = need(a, 1, "live <rank>")) return rc;
-          Message r = c.h->request("live.status")
-                          .to(static_cast<NodeId>(std::stoul(a[0])))
-                          .get();
+          Message r = c.h->send(c.h->request("live.status").to(rank_arg(a[0])));
           std::printf("%s\n", r.payload().dump_pretty().c_str());
           return r.errnum;
         }}},
@@ -191,8 +189,8 @@ const std::map<std::string, Command>& commands() {
        {"kvs-stats [rank]", "kvs module statistics",
         [](Cli& c, const Args& a) {
           auto req = c.h->request("kvs.stats.get");
-          if (!a.empty()) req.to(static_cast<NodeId>(std::stoul(a[0])));
-          Message r = req.get();
+          if (!a.empty()) req.to(rank_arg(a[0]));
+          Message r = c.h->send(std::move(req));
           std::printf("%s\n", r.payload().dump_pretty().c_str());
           return r.errnum;
         }}},
@@ -200,9 +198,8 @@ const std::map<std::string, Command>& commands() {
        {"kvs-drop-cache <rank>", "drop a broker's slave cache",
         [](Cli& c, const Args& a) {
           if (int rc = need(a, 1, "kvs-drop-cache <rank>")) return rc;
-          Message r = c.h->request("kvs.drop_cache")
-                          .to(static_cast<NodeId>(std::stoul(a[0])))
-                          .get();
+          Message r =
+              c.h->send(c.h->request("kvs.drop_cache").to(rank_arg(a[0])));
           std::printf("evicted %lld\n",
                       static_cast<long long>(r.payload().get_int("evicted")));
           return r.errnum;
@@ -214,7 +211,8 @@ const std::map<std::string, Command>& commands() {
           if (int rc = need(a, 1, "run <cmd> [nnodes] [json-args]")) return rc;
           const std::uint64_t id = submit_job(c, a);
           Json wait = Json::object({{"id", static_cast<std::int64_t>(id)}});
-          Message r = c.h->rpc("job-manager.wait", std::move(wait));
+          Message r = c.h->send(
+              c.h->request("job-manager.wait").payload(std::move(wait)));
           std::printf("%s\n", r.payload().dump_pretty().c_str());
           return r.errnum;
         }}},
@@ -233,7 +231,8 @@ const std::map<std::string, Command>& commands() {
         [](Cli& c, const Args& a) {
           if (int rc = need(a, 1, "job-wait <id>")) return rc;
           Json payload = Json::object({{"id", std::stoll(a[0])}});
-          Message r = c.h->rpc("job-manager.wait", std::move(payload));
+          Message r = c.h->send(
+              c.h->request("job-manager.wait").payload(std::move(payload)));
           std::printf("%s\n", r.payload().dump_pretty().c_str());
           return r.errnum;
         }}},
@@ -242,7 +241,8 @@ const std::map<std::string, Command>& commands() {
         [](Cli& c, const Args& a) {
           if (int rc = need(a, 1, "job-state <id>")) return rc;
           Json payload = Json::object({{"id", std::stoll(a[0])}});
-          Message r = c.h->rpc("job-manager.state", std::move(payload));
+          Message r = c.h->send(
+              c.h->request("job-manager.state").payload(std::move(payload)));
           std::printf("%s\n", r.payload().get_string("state").c_str());
           return r.errnum;
         }}},
@@ -251,26 +251,25 @@ const std::map<std::string, Command>& commands() {
         [](Cli& c, const Args& a) {
           if (int rc = need(a, 1, "cancel <id>")) return rc;
           Json payload = Json::object({{"id", std::stoll(a[0])}});
-          Message r = c.h->rpc("job-manager.cancel", std::move(payload));
+          Message r = c.h->send(
+              c.h->request("job-manager.cancel").payload(std::move(payload)));
           return r.errnum;
         }}},
       {"jobs",
        {"jobs", "list active jobs known to the job manager",
         [](Cli& c, const Args&) {
-          Message r = c.h->rpc("job-manager.list");
+          Message r = c.h->call(c.h->request("job-manager.list"));
           for (const Json& j : r.payload().at("jobs").as_array())
             std::printf("%-8lld %s\n",
                         static_cast<long long>(j.get_int("id")),
                         j.get_string("state").c_str());
-          return r.errnum;
+          return 0;
         }}},
       {"ps",
        {"ps <rank>", "list running wexec tasks on a broker",
         [](Cli& c, const Args& a) {
           if (int rc = need(a, 1, "ps <rank>")) return rc;
-          Message r = c.h->request("wexec.ps")
-                          .to(static_cast<NodeId>(std::stoul(a[0])))
-                          .get();
+          Message r = c.h->send(c.h->request("wexec.ps").to(rank_arg(a[0])));
           std::printf("%s\n", r.payload().dump_pretty().c_str());
           return r.errnum;
         }}},
@@ -280,14 +279,15 @@ const std::map<std::string, Command>& commands() {
         [](Cli& c, const Args& a) {
           Json query =
               Json::object({{"max", a.empty() ? 20 : std::stoll(a[0])}});
-          Message r = c.h->rpc("log.get", std::move(query));
+          Message r = c.h->call(
+              c.h->request("log.get").payload(std::move(query)));
           for (const Json& rec : r.payload().at("records").as_array())
             std::printf("[%lld] rank%lld %s: %s\n",
                         static_cast<long long>(rec.get_int("level")),
                         static_cast<long long>(rec.get_int("rank")),
                         rec.get_string("component").c_str(),
                         rec.get_string("text").c_str());
-          return r.errnum;
+          return 0;
         }}},
       {"log-append",
        {"log-append <level> <component> <text>", "append a log record",
@@ -297,24 +297,23 @@ const std::map<std::string, Command>& commands() {
           Json rec = Json::object({{"level", std::stoll(a[0])},
                                    {"component", a[1]},
                                    {"text", a[2]}});
-          Message r = c.h->rpc("log.append", std::move(rec));
+          Message r = c.h->send(
+              c.h->request("log.append").payload(std::move(rec)));
           return r.errnum;
         }}},
       {"log-dump",
        {"log-dump <rank>", "dump a broker's circular debug buffer",
         [](Cli& c, const Args& a) {
           if (int rc = need(a, 1, "log-dump <rank>")) return rc;
-          Message r = c.h->request("log.dump")
-                          .to(static_cast<NodeId>(std::stoul(a[0])))
-                          .get();
+          Message r = c.h->call(c.h->request("log.dump").to(rank_arg(a[0])));
           std::printf("%zu records in ring\n", r.payload().at("records").size());
-          return r.errnum;
+          return 0;
         }}},
       // --- resources ----------------------------------------------------------
       {"resource-status",
        {"resource-status", "free/allocated/down node counts",
         [](Cli& c, const Args&) {
-          Message r = c.h->rpc("resvc.status");
+          Message r = c.h->send(c.h->request("resvc.status"));
           std::printf("%s\n", r.payload().dump_pretty().c_str());
           return r.errnum;
         }}},
@@ -324,7 +323,8 @@ const std::map<std::string, Command>& commands() {
           if (int rc = need(a, 2, "resource-alloc <jobid> <nnodes>")) return rc;
           Json payload =
               Json::object({{"jobid", a[0]}, {"nnodes", std::stoll(a[1])}});
-          Message r = c.h->rpc("resvc.alloc", std::move(payload));
+          Message r = c.h->send(
+              c.h->request("resvc.alloc").payload(std::move(payload)));
           std::printf("%s\n", r.payload().dump().c_str());
           return r.errnum;
         }}},
@@ -333,7 +333,8 @@ const std::map<std::string, Command>& commands() {
         [](Cli& c, const Args& a) {
           if (int rc = need(a, 1, "resource-free <jobid>")) return rc;
           Json payload = Json::object({{"jobid", a[0]}});
-          Message r = c.h->rpc("resvc.free", std::move(payload));
+          Message r = c.h->send(
+              c.h->request("resvc.free").payload(std::move(payload)));
           return r.errnum;
         }}},
       // --- groups -------------------------------------------------------------
@@ -343,7 +344,8 @@ const std::map<std::string, Command>& commands() {
           if (int rc = need(a, 1, "group-join <name>")) return rc;
           Json payload =
               Json::object({{"name", a[0]}, {"member", std::string("cli")}});
-          Message r = c.h->rpc("group.join", std::move(payload));
+          Message r = c.h->send(
+              c.h->request("group.join").payload(std::move(payload)));
           return r.errnum;
         }}},
       {"group-info",
@@ -351,17 +353,18 @@ const std::map<std::string, Command>& commands() {
         [](Cli& c, const Args& a) {
           if (int rc = need(a, 1, "group-info <name>")) return rc;
           Json payload = Json::object({{"name", a[0]}});
-          Message r = c.h->rpc("group.info", std::move(payload));
+          Message r = c.h->send(
+              c.h->request("group.info").payload(std::move(payload)));
           std::printf("%s\n", r.payload().dump_pretty().c_str());
           return r.errnum;
         }}},
       {"group-list",
        {"group-list", "list all groups",
         [](Cli& c, const Args&) {
-          Message r = c.h->rpc("group.list");
+          Message r = c.h->call(c.h->request("group.list"));
           for (const Json& g : r.payload().at("groups").as_array())
             std::printf("%s\n", g.as_string().c_str());
-          return r.errnum;
+          return 0;
         }}},
       // --- observability ------------------------------------------------------
       {"stats",
@@ -395,9 +398,9 @@ const std::map<std::string, Command>& commands() {
         [](Cli& c, const Args& a) {
           if (int rc = need(a, 1, "trace <topic> [rank] [json]")) return rc;
           auto req = c.h->request(a[0]).trace();
-          if (a.size() > 1) req.to(static_cast<NodeId>(std::stoul(a[1])));
+          if (a.size() > 1) req.to(rank_arg(a[1]));
           if (a.size() > 2) req.payload(parse_value(a[2]));
-          Message r = req.get();
+          Message r = c.h->send(std::move(req));
           std::int64_t prev = r.trace.empty() ? 0 : r.trace.front().t_ns;
           for (const TraceHop& hop : r.trace) {
             std::printf("rank %-4u %-6s t=%lldns (+%lldns)\n", hop.rank,
@@ -442,7 +445,21 @@ int run_command(Cli& cli, const std::string& name, const Args& args) {
   } catch (const FluxException& e) {
     std::fprintf(stderr, "flux %s: %s\n", name.c_str(), e.what());
     return 1;
+  } catch (const std::invalid_argument&) {
+    std::fprintf(stderr, "usage: %s\n", it->second.usage);
+    return 2;
+  } catch (const std::out_of_range&) {
+    std::fprintf(stderr, "usage: %s\n", it->second.usage);
+    return 2;
   }
+}
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: flux_cli [-n brokers] <subcommand> [args...]\n"
+               "       flux_cli [-n brokers] script   (commands on stdin)\n"
+               "       flux_cli help\n");
+  return 2;
 }
 
 }  // namespace
@@ -451,16 +468,14 @@ int main(int argc, char** argv) {
   std::uint32_t nbrokers = 4;
   int argi = 1;
   if (argi + 1 < argc && std::strcmp(argv[argi], "-n") == 0) {
-    nbrokers = static_cast<std::uint32_t>(std::atoi(argv[argi + 1]));
+    char* end = nullptr;
+    const unsigned long n = std::strtoul(argv[argi + 1], &end, 10);
+    if (*end != '\0' || argv[argi + 1][0] == '-' || n < 1 || n > UINT32_MAX)
+      return usage();
+    nbrokers = static_cast<std::uint32_t>(n);
     argi += 2;
   }
-  if (argi >= argc) {
-    std::fprintf(stderr,
-                 "usage: flux_cli [-n brokers] <subcommand> [args...]\n"
-                 "       flux_cli [-n brokers] script   (commands on stdin)\n"
-                 "       flux_cli help\n");
-    return 2;
-  }
+  if (argi >= argc) return usage();
   const std::string sub = argv[argi++];
   if (sub == "help") {
     Cli no_session;

@@ -7,9 +7,7 @@
 namespace flux {
 
 Handle::Handle(Broker& broker)
-    : broker_(broker),
-      sub_state_(std::make_shared<detail::SubOwner>()),
-      policy_(broker.session().config().rpc) {
+    : broker_(broker), sub_state_(std::make_shared<detail::SubOwner>()) {
   sub_state_->owner = this;
   endpoint_ = broker_.add_endpoint([this](Message msg) { deliver(std::move(msg)); });
 }
@@ -30,9 +28,8 @@ void Subscription::reset() noexcept {
 }
 
 RetryPolicy RequestBuilder::effective_policy() const noexcept {
-  RetryPolicy pol = handle_->retry_policy();
+  RetryPolicy pol = handle_->broker().session().config().rpc;
   if (timeout_.count() > 0) pol.timeout = timeout_;
-  if (timeout_.count() < 0) pol.timeout = Duration{0};  // .no_retry()
   if (retries_ >= 0) {
     pol.retries = retries_;
     pol.backoff = backoff_;
@@ -42,10 +39,11 @@ RetryPolicy RequestBuilder::effective_policy() const noexcept {
 
 namespace {
 
-/// Retry driver. Deliberately captures the Broker and endpoint id, not the
-/// Handle: the handle (and the builder) may be destroyed while an attempt is
-/// in flight, but brokers outlive all handles within a session.
-Task<void> retry_rpc(Broker& broker, std::uint64_t endpoint, Message req,
+/// Retry driver. Deliberately captures the Broker and the handle's return
+/// address, not the Handle: the handle (and the builder) may be destroyed
+/// while an attempt is in flight, but brokers outlive all handles within a
+/// session.
+Task<void> retry_rpc(Broker& broker, RouteHop origin, Message req,
                      RetryPolicy pol, Promise<Message> promise) {
   Duration wait = pol.backoff;
   for (int attempt = 0;; ++attempt) {
@@ -54,7 +52,7 @@ Task<void> retry_rpc(Broker& broker, std::uint64_t endpoint, Message req,
       // matchtag per attempt, so a straggler response to a timed-out
       // attempt is dropped as stale rather than matched to a retry.
       Message copy = req;
-      Message resp = co_await broker.rpc(endpoint, std::move(copy), pol.timeout);
+      Message resp = co_await broker.rpc(origin, std::move(copy), pol.timeout);
       promise.set_value(std::move(resp));
       co_return;
     } catch (const FluxException& e) {
@@ -79,19 +77,16 @@ Task<void> retry_rpc(Broker& broker, std::uint64_t endpoint, Message req,
 
 Future<Message> RequestBuilder::send() {
   Handle& h = *handle_;
-  RetryPolicy pol = effective_policy();
-  if (pol.has_retries()) {
-    Promise<Message> promise(h.executor());
-    Future<Message> fut = promise.future();
-    co_spawn(h.executor(),
-             retry_rpc(h.broker(), h.endpoint(), std::move(req_), pol,
-                       std::move(promise)),
-             "rpc.retry");
-    return fut;
-  }
-  if (pol.has_timeout())
-    return h.broker().rpc(h.endpoint(), std::move(req_), pol.timeout);
-  return h.broker().rpc(h.endpoint(), std::move(req_));
+  const RetryPolicy pol = effective_policy();
+  const RouteHop origin{RouteHop::Kind::Client, h.rank(), h.endpoint()};
+  if (!pol.has_retries())
+    return h.broker().rpc(origin, std::move(req_), pol.timeout);
+  Promise<Message> promise(h.executor());
+  Future<Message> fut = promise.future();
+  co_spawn(h.executor(),
+           retry_rpc(h.broker(), origin, std::move(req_), pol, std::move(promise)),
+           "rpc.retry");
+  return fut;
 }
 
 namespace {

@@ -104,11 +104,6 @@ class Handle {
   /// Throw FluxException if the response carries an error.
   static void check(const Message& response);
 
-  /// This handle's default RPC policy. Initialized from the session-wide
-  /// default (SessionConfig::rpc); per-request .timeout()/.retry() override.
-  [[nodiscard]] const RetryPolicy& retry_policy() const noexcept { return policy_; }
-  void set_retry_policy(RetryPolicy p) noexcept { policy_ = p; }
-
   /// Publish an event into the session.
   void publish(std::string topic, Json payload = Json::object());
 
@@ -145,16 +140,19 @@ class Handle {
   std::uint64_t next_sub_ = 1;
   std::vector<Sub> subs_;
   std::shared_ptr<detail::SubOwner> sub_state_;
-  RetryPolicy policy_;
 };
 
 /// Fluent request descriptor. Defaults: route upstream on the tree plane,
-/// empty payload, the handle's default retry policy, no trace. Setters return
-/// *this so requests read as one chain; the terminal operation is one of
+/// empty payload, the session's RPC policy (SessionConfig::rpc), no trace.
+/// Setters return *this so requests read as one chain; the terminal
+/// operation is one of
 ///  - co_await (or .send()): Future with the raw response (errnum may be set)
 ///  - co_await .call(): checked response; throws FluxException on errnum
+///  - SyncHandle::send()/call(): the same two, blocking, from a non-reactor
+///    thread
 /// Sending happens at the terminal call, so a builder can be prepared and
-/// fired later; each builder sends at most once.
+/// fired later; each builder sends at most once. Building only fills in a
+/// Message, so it is safe on any thread; sending must run on the reactor.
 class RequestBuilder {
  public:
   /// Destination rank: rides the ring plane (paper: "trivially reached
@@ -176,12 +174,6 @@ class RequestBuilder {
     return *this;
   }
 
-  /// Attach a bulk data frame (travels outside the JSON payload).
-  RequestBuilder& data(std::shared_ptr<const std::string> d) noexcept {
-    req_.set_data(std::move(d));
-    return *this;
-  }
-
   /// Attach a structured bulk attachment (e.g. a KVS ObjectBundle).
   RequestBuilder& attachment(std::shared_ptr<const Attachment> a) noexcept {
     req_.set_attachment(std::move(a));
@@ -189,7 +181,7 @@ class RequestBuilder {
   }
 
   /// Per-attempt deadline: resolve with errc::timeout if no response in
-  /// time. Overrides the handle/session default policy's timeout.
+  /// time. Overrides the session default policy's timeout.
   RequestBuilder& timeout(Duration d) noexcept {
     timeout_ = d;
     return *this;
@@ -198,17 +190,10 @@ class RequestBuilder {
   /// Retry a timed-out (or host-down) attempt up to `n` more times, waiting
   /// `backoff` before the first retry and doubling it each retry. Needs a
   /// deadline: pairs with .timeout() or the session default timeout.
-  /// Overrides the handle/session default policy's retry settings.
+  /// Overrides the session default policy's retry settings.
   RequestBuilder& retry(int n, Duration backoff = std::chrono::milliseconds(1)) noexcept {
     retries_ = n;
     backoff_ = backoff;
-    return *this;
-  }
-
-  /// Disable retries and the default deadline for this request.
-  RequestBuilder& no_retry() noexcept {
-    retries_ = 0;
-    timeout_ = Duration{-1};
     return *this;
   }
 
@@ -237,13 +222,13 @@ class RequestBuilder {
   RequestBuilder(Handle& h, std::string topic)
       : handle_(&h), req_(Message::request(std::move(topic))) {}
 
-  /// The policy this request will run under: the handle default overlaid
-  /// with this builder's .timeout()/.retry()/.no_retry() calls.
+  /// The policy this request will run under: the session default overlaid
+  /// with this builder's .timeout()/.retry() calls.
   [[nodiscard]] RetryPolicy effective_policy() const noexcept;
 
   Handle* handle_;
   Message req_;
-  Duration timeout_{0};   // 0 = inherit; <0 = explicitly none
+  Duration timeout_{0};   // 0 = inherit
   int retries_ = -1;      // -1 = inherit
   Duration backoff_{0};
 };

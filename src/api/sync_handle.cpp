@@ -61,31 +61,17 @@ SyncHandle::~SyncHandle() {
   done.future().wait();
 }
 
-Message SyncHandle::Request::get() {
-  return h_->run<Message>(
-      [h = h_, topic = std::move(topic_), payload = std::move(payload_),
-       nodeid = nodeid_, data = std::move(data_), timeout = timeout_,
-       retries = retries_, backoff = backoff_,
-       trace = trace_]() mutable -> Task<Message> {
-    RequestBuilder b = h->async().request(std::move(topic));
-    b.payload(std::move(payload)).to(nodeid).data(std::move(data)).trace(trace);
-    // Replicate this Request's overrides onto the builder; sentinel values
-    // (timeout 0 / retries -1) mean "inherit" in both places.
-    if (timeout.count() != 0) b.timeout(timeout);
-    if (retries >= 0) b.retry(retries, backoff);
-    Message resp = co_await b.send();
+Message SyncHandle::send(RequestBuilder req) {
+  return run<Message>([req = std::move(req)]() mutable -> Task<Message> {
+    Message resp = co_await req.send();
     co_return resp;
   });
 }
 
-Message SyncHandle::Request::call() {
-  Message resp = get();
+Message SyncHandle::call(RequestBuilder req) {
+  Message resp = send(std::move(req));
   Handle::check(resp);
   return resp;
-}
-
-Message SyncHandle::rpc(std::string topic, Json payload) {
-  return request(std::move(topic)).payload(std::move(payload)).get();
 }
 
 Json SyncHandle::ping(NodeId target) {

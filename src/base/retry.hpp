@@ -1,6 +1,7 @@
-// RPC retry/timeout/backoff policy — the single policy surface shared by the
-// fluent RequestBuilder, SyncHandle::Request, and the session-wide default
-// (SessionConfig::rpc).
+// RPC retry/timeout/backoff policy — the single policy surface: the
+// session-wide default (SessionConfig::rpc), which the fluent RequestBuilder
+// (async or sent through SyncHandle's blocking terminals) overrides per
+// request, and which KvsModule's kvs.load attempt loop reads.
 //
 // Semantics: each attempt gets `timeout`; a timed-out (or host-down) attempt
 // is retried up to `retries` more times, sleeping `backoff * 2^n` before the

@@ -176,55 +176,46 @@ void Broker::receive(Message msg) {
   }
 }
 
-Future<Message> Broker::rpc(std::uint64_t endpoint, Message req) {
+Future<Message> Broker::rpc(RouteHop origin, Message req, Duration timeout) {
+  assert(origin.rank == rank_ && origin.kind != RouteHop::Kind::Broker);
+  assert(origin.kind != RouteHop::Kind::Direct || req.nodeid < size());
   Promise<Message> promise(ex_);
   if (failed_) {
     // The local socket's peer is dead: refuse instead of registering a
     // pending entry no response will ever match (a module timer that
-    // outlives fail() would otherwise park its coroutine forever). The
-    // matchtag is still burned: the timeout overloads arm against
-    // next_matchtag_ - 1, which must not alias an older live RPC.
-    next_matchtag_++;
+    // outlives fail() would otherwise park its coroutine forever).
     promise.set_error(Error(errc::host_down, "broker failed"));
     return promise.future();
   }
-  req.matchtag = next_matchtag_++;
-  req.route.push_back(RouteHop{RouteHop::Kind::Client, rank_, endpoint});
-  pending_.emplace(req.matchtag, PendingRpc{promise, ex_.now()});
-  // The node-local hop: client -> broker (the paper's UNIX-domain socket).
-  session_.send(rank_, rank_, std::move(req));
+  const std::uint32_t tag = next_matchtag_++;
+  req.matchtag = tag;
+  req.route.push_back(origin);
+  PendingRpc& pending =
+      pending_.emplace(tag, PendingRpc{promise, ex_.now()}).first->second;
+  const bool direct = origin.kind == RouteHop::Kind::Direct;
+  if (direct) pending.target = req.nodeid;
+  // Armed before the request leaves: a Module-origin request answered inline
+  // cancels it in route_response like any other.
+  if (timeout.count() > 0) {
+    pending.timer = ex_.post_cancelable_after(
+        timeout, [this, tag, topic = req.topic] {
+          auto it = pending_.find(tag);
+          if (it == pending_.end()) return;
+          auto settled = it->second.promise;
+          pending_.erase(it);
+          rpc_timeouts_.inc();
+          settled.set_error(Error(errc::timeout, "rpc timeout: " + topic));
+        });
+  }
+  if (origin.kind == RouteHop::Kind::Client) {
+    // The node-local hop: client -> broker (the paper's UNIX-domain socket).
+    session_.send(rank_, rank_, std::move(req));
+  } else if (direct && req.nodeid != rank_) {
+    send(req.nodeid, std::move(req));
+  } else {
+    route_request(std::move(req));
+  }
   return promise.future();
-}
-
-Future<Message> Broker::rpc(std::uint64_t endpoint, Message req,
-                            Duration timeout) {
-  std::string topic = req.topic;
-  auto fut = rpc(endpoint, std::move(req));
-  arm_rpc_timeout(next_matchtag_ - 1, timeout, std::move(topic));
-  return fut;
-}
-
-void Broker::arm_rpc_timeout(std::uint32_t tag, Duration timeout,
-                             std::string topic) {
-  // A request to a module on this rank can be delivered and answered inline,
-  // in which case the RPC settled before we got here — arming would leave a
-  // dead timer pinning the simulation until the deadline.
-  auto armed = pending_.find(tag);
-  if (armed == pending_.end()) return;
-  armed->second.timer =
-      ex_.post_cancelable_after(timeout, [this, tag, topic = std::move(topic)] {
-        auto it = pending_.find(tag);
-        if (it == pending_.end()) return;
-        auto promise = it->second.promise;
-        pending_.erase(it);
-        rpc_timeouts_.inc();
-        promise.set_error(Error(errc::timeout, "rpc timeout: " + topic));
-      });
-}
-
-void Broker::submit(std::uint64_t endpoint, Message req) {
-  req.route.push_back(RouteHop{RouteHop::Kind::Client, rank_, endpoint});
-  session_.send(rank_, rank_, std::move(req));
 }
 
 // ---------------------------------------------------------------------------
@@ -346,57 +337,6 @@ void Broker::forward_upstream(Message req) {
   req.nodeid = kNodeAny;
   req.route.push_back(RouteHop{RouteHop::Kind::Broker, rank_, 0});
   send(*up, std::move(req));
-}
-
-Future<Message> Broker::module_rpc(Module& m, Message req) {
-  Promise<Message> promise(ex_);
-  if (failed_) {  // see rpc(): dead broker refuses, never strands a caller
-    next_matchtag_++;
-    promise.set_error(Error(errc::host_down, "broker failed"));
-    return promise.future();
-  }
-  req.matchtag = next_matchtag_++;
-  req.route.push_back(
-      RouteHop{RouteHop::Kind::Module, rank_, m.endpoint_id()});
-  pending_.emplace(req.matchtag, PendingRpc{promise, ex_.now()});
-  // Module requests originate inside the broker: route directly, no local
-  // transport hop (comms modules share the CMB address space).
-  route_request(std::move(req));
-  return promise.future();
-}
-
-Future<Message> Broker::module_rpc(Module& m, Message req, Duration timeout) {
-  std::string topic = req.topic;
-  auto fut = module_rpc(m, std::move(req));
-  arm_rpc_timeout(next_matchtag_ - 1, timeout, std::move(topic));
-  return fut;
-}
-
-Future<Message> Broker::direct_rpc(Module& m, NodeId to, Message req) {
-  Promise<Message> promise(ex_);
-  if (failed_) {  // see rpc(): dead broker refuses, never strands a caller
-    next_matchtag_++;
-    promise.set_error(Error(errc::host_down, "broker failed"));
-    return promise.future();
-  }
-  req.matchtag = next_matchtag_++;
-  req.nodeid = to;
-  req.route.push_back(
-      RouteHop{RouteHop::Kind::Direct, rank_, m.endpoint_id()});
-  pending_.emplace(req.matchtag, PendingRpc{promise, ex_.now(), to});
-  if (to == rank_)
-    route_request(std::move(req));
-  else
-    send(to, std::move(req));
-  return promise.future();
-}
-
-Future<Message> Broker::direct_rpc(Module& m, NodeId to, Message req,
-                                   Duration timeout) {
-  std::string topic = req.topic;
-  auto fut = direct_rpc(m, to, std::move(req));
-  arm_rpc_timeout(next_matchtag_ - 1, timeout, std::move(topic));
-  return fut;
 }
 
 void Broker::forward_direct(NodeId to, Message req) {

@@ -1,8 +1,10 @@
 // The Comms Message Broker (CMB).
 //
 // One Broker runs per (simulated or threaded) node of a comms session. It is
-// a pure reactor: all activity enters through receive()/submit() callbacks on
-// its executor. The broker implements the three overlay planes of Figure 1:
+// a pure reactor: all activity enters through receive() (transport delivery)
+// and rpc() (a request issued by a client, a module or a direct-edge peer
+// link) on its executor. The broker implements the three overlay planes of
+// Figure 1:
 //
 //  - request/response + reduction TREE: requests addressed to kNodeAny are
 //    dispatched to the first loaded module whose name matches the topic's
@@ -76,14 +78,23 @@ class Broker {
   // -- message entry points --------------------------------------------------
   /// Transport delivery (posted on this broker's executor).
   void receive(Message msg);
-  /// A local endpoint submits a request; the response resolves the future.
-  /// Travels through the node-local transport hop (models the UNIX-domain
-  /// socket clients use in the paper's prototype).
-  Future<Message> rpc(std::uint64_t endpoint, Message req);
-  /// rpc() with a deadline; resolves ETIMEDOUT if no response in time.
-  Future<Message> rpc(std::uint64_t endpoint, Message req, Duration timeout);
-  /// Submit a request expecting no response.
-  void submit(std::uint64_t endpoint, Message req);
+  /// Issue a request; the response resolves the future. Every request takes
+  /// this one path, whoever sends it; `origin` is the issuer's return
+  /// address (its rank must be this broker's) and its kind picks the first
+  /// hop:
+  ///  - Client: crosses the node-local transport hop (models the UNIX-domain
+  ///    socket clients use in the paper's prototype);
+  ///  - Module: routes in-process (comms modules share the CMB's address
+  ///    space), so a local service may answer before rpc() returns;
+  ///  - Direct: goes straight to `req.nodeid` over the transport and the
+  ///    response returns point-to-point. This is the sharded-KVS overlay hop:
+  ///    per-shard reduction trees are not session topology, so their edges
+  ///    bypass both tree and ring routing. If `req.nodeid` is later declared
+  ///    dead ("live.down"), the RPC settles with EHOSTDOWN instead of hanging.
+  /// A positive `timeout` is a deadline: the RPC resolves errc::timeout if no
+  /// response arrives in time. Without one, nothing is armed per request.
+  /// A failed broker refuses with errc::host_down.
+  Future<Message> rpc(RouteHop origin, Message req, Duration timeout = {});
 
   // -- services for modules ---------------------------------------------------
   /// Send a fully-built response on its way (unwinds the route stack).
@@ -97,21 +108,6 @@ class Broker {
   /// publish() that reaches the session root over a direct edge instead of
   /// climbing the tree: the sharded-KVS overlay's announce hop.
   void publish_direct(Message ev);
-  /// Module-initiated RPC (routed like any request).
-  Future<Message> module_rpc(Module& m, Message req);
-  /// module_rpc() with a per-attempt deadline; resolves errc::timeout if no
-  /// response in time (module-internal RPCs otherwise never fail locally,
-  /// which turns a dropped request into a permanent hang).
-  Future<Message> module_rpc(Module& m, Message req, Duration timeout);
-  /// Module-initiated RPC sent straight to `to` over the transport; the
-  /// response also returns direct (RouteHop::Kind::Direct). This is the
-  /// sharded-KVS overlay hop: per-shard reduction trees are not session
-  /// topology, so their edges bypass both tree and ring routing. If `to`
-  /// is later declared dead ("live.down"), the pending RPC settles with
-  /// EHOSTDOWN instead of hanging.
-  Future<Message> direct_rpc(Module& m, NodeId to, Message req);
-  /// direct_rpc() with a per-attempt deadline (see module_rpc overload).
-  Future<Message> direct_rpc(Module& m, NodeId to, Message req, Duration timeout);
   /// Fire-and-forget request sent straight to `to` (no response expected);
   /// the direct-edge analogue of forward_upstream.
   void forward_direct(NodeId to, Message req);
@@ -182,9 +178,6 @@ class Broker {
   /// re-admission event arrives, this broker fails, or a later restart
   /// supersedes `incarnation`.
   void request_rejoin(std::uint64_t incarnation);
-  /// Settle the pending RPC `tag` with errc::timeout after `timeout` passes
-  /// (no-op if the response already arrived).
-  void arm_rpc_timeout(std::uint32_t tag, Duration timeout, std::string topic);
 
   Session& session_;
   NodeId rank_;

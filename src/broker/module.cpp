@@ -4,7 +4,7 @@
 
 namespace flux {
 
-void ModuleBase::handle_request(Message msg) {
+void Module::handle_request(Message msg) {
   if (requests_counter_ == nullptr) {
     requests_counter_ = &stats_registry().counter(std::string(name()) + ".requests");
   }
@@ -24,22 +24,26 @@ void ModuleBase::handle_request(Message msg) {
   it->second(msg);
 }
 
-Json ModuleBase::stats_json() const {
+Json Module::stats_json() const {
   Json out = broker().stats_registry().snapshot(name());
   out["rank"] = broker().rank();
   return out;
 }
 
-obs::StatsRegistry& ModuleBase::stats_registry() noexcept {
+RouteHop Module::origin(RouteHop::Kind kind) const {
+  return RouteHop{kind, broker().rank(), endpoint_id_};
+}
+
+obs::StatsRegistry& Module::stats_registry() noexcept {
   return broker().stats_registry();
 }
 
-void ModuleBase::respond_error(const Message& req, errc code,
-                               std::string_view what) {
+void Module::respond_error(const Message& req, errc code,
+                           std::string_view what) {
   broker().respond(req.respond_error(code, what));
 }
 
-void ModuleBase::respond_ok(const Message& req, Json payload) {
+void Module::respond_ok(const Message& req, Json payload) {
   broker().respond(req.respond(std::move(payload)));
 }
 

@@ -21,6 +21,10 @@ namespace flux {
 
 class Broker;
 
+/// A comms module: a service name, a method-name handler table and small
+/// helpers. Every module answers "<name>.stats.get" with stats_json() and
+/// counts dispatched requests in the broker's observability registry as
+/// "<name>.requests".
 class Module {
  public:
   explicit Module(Broker& broker) : broker_(broker) {}
@@ -40,41 +44,31 @@ class Module {
   /// what a crash leaves on disk (see Injector::on_crash_unsynced).
   virtual void on_fail() {}
 
-  /// Dispatch a request addressed to this module.
-  virtual void handle_request(Message msg) = 0;
+  /// Dispatch a request addressed to this module to its "<name>.<method>"
+  /// handler; "stats.get" falls back to stats_json(), anything else gets
+  /// ENOSYS.
+  void handle_request(Message msg);
   /// Deliver an event matching one of this module's subscriptions.
   virtual void handle_event(const Message& msg) { (void)msg; }
-
-  /// Broker-assigned endpoint id for module-initiated RPCs.
-  [[nodiscard]] std::uint64_t endpoint_id() const noexcept { return endpoint_id_; }
-  void set_endpoint_id(std::uint64_t id) noexcept { endpoint_id_ = id; }
-
- protected:
-  [[nodiscard]] Broker& broker() noexcept { return broker_; }
-  [[nodiscard]] const Broker& broker() const noexcept { return broker_; }
-
- private:
-  Broker& broker_;
-  std::uint64_t endpoint_id_ = 0;
-};
-
-/// Convenience base: method-name handler table plus small helpers, the idiom
-/// every in-tree module uses. Every ModuleBase answers "<name>.stats.get"
-/// with stats_json() and counts dispatched requests in the broker's
-/// observability registry as "<name>.requests".
-class ModuleBase : public Module {
- public:
-  using Module::Module;
-
-  void handle_request(Message msg) override;
 
   /// The "<name>.stats.get" payload: this module's slice of the broker's
   /// registry ("<name>.*" instruments) plus {"rank"}. Override to fold in
   /// module-internal gauges; call the base and extend its result.
   [[nodiscard]] virtual Json stats_json() const;
 
+  /// Broker-assigned endpoint id for module-initiated RPCs.
+  [[nodiscard]] std::uint64_t endpoint_id() const noexcept { return endpoint_id_; }
+  void set_endpoint_id(std::uint64_t id) noexcept { endpoint_id_ = id; }
+
  protected:
   using Handler = std::function<void(Message&)>;
+
+  [[nodiscard]] Broker& broker() noexcept { return broker_; }
+  [[nodiscard]] const Broker& broker() const noexcept { return broker_; }
+
+  /// This module's return address for Broker::rpc(): Module routes the
+  /// request in-process, Direct sends it straight to its nodeid.
+  [[nodiscard]] RouteHop origin(RouteHop::Kind kind = RouteHop::Kind::Module) const;
 
   /// Register a handler for topic "<name>.<method>".
   void on(std::string method, Handler h) {
@@ -90,6 +84,8 @@ class ModuleBase : public Module {
   [[nodiscard]] obs::StatsRegistry& stats_registry() noexcept;
 
  private:
+  Broker& broker_;
+  std::uint64_t endpoint_id_ = 0;
   std::map<std::string, Handler, std::less<>> handlers_;
   obs::Counter* requests_counter_ = nullptr;  // lazy: name() needs a built vtable
 };

@@ -143,16 +143,19 @@ Task<void> KvsClient::mkdir(std::string key) {
   co_return;
 }
 
-Task<CommitResult> KvsClient::commit(KvsTxn txn) {
+Task<CommitResult> KvsClient::ship_txn(std::string topic, Json payload,
+                                       KvsTxn txn, check::OpKind kind,
+                                       std::string key) {
   check::OpRecord r;
   if (rec_) {
     r.client = rec_client_;
-    r.kind = check::OpKind::commit;
+    r.kind = kind;
+    r.key = std::move(key);
     r.vv_begin = sample_vv();
     r.t_ns = h_.executor().now().count();
   }
-  Json payload = Json::object({{"ops", tuples_to_json(txn.tuples_)}});
-  RequestBuilder req = h_.request("kvs.commit").payload(std::move(payload));
+  payload["ops"] = tuples_to_json(txn.tuples_);
+  RequestBuilder req = h_.request(std::move(topic)).payload(std::move(payload));
   if (!txn.objects_.empty())
     req.attachment(std::make_shared<ObjectBundle>(std::move(txn.objects_)));
   try {
@@ -174,6 +177,11 @@ Task<CommitResult> KvsClient::commit(KvsTxn txn) {
     }
     throw;
   }
+}
+
+Task<CommitResult> KvsClient::commit(KvsTxn txn) {
+  return ship_txn("kvs.commit", Json::object(), std::move(txn),
+                  check::OpKind::commit, {});
 }
 
 Task<CommitResult> KvsClient::commit() {
@@ -184,39 +192,9 @@ Task<CommitResult> KvsClient::commit() {
 
 Task<CommitResult> KvsClient::fence(std::string name, std::int64_t nprocs,
                                     KvsTxn txn) {
-  check::OpRecord r;
-  if (rec_) {
-    r.client = rec_client_;
-    r.kind = check::OpKind::fence;
-    r.key = name;
-    r.vv_begin = sample_vv();
-    r.t_ns = h_.executor().now().count();
-  }
-  Json payload = Json::object({{"name", std::move(name)},
-                               {"nprocs", nprocs},
-                               {"ops", tuples_to_json(txn.tuples_)}});
-  RequestBuilder req = h_.request("kvs.fence").payload(std::move(payload));
-  if (!txn.objects_.empty())
-    req.attachment(std::make_shared<ObjectBundle>(std::move(txn.objects_)));
-  try {
-    Message resp = co_await req.call();
-    CommitResult res = parse_commit_result(resp);
-    if (rec_) {
-      r.result_version = res.version;
-      r.result_vv = res.vv;
-      r.ref = res.rootref;
-      r.vv_end = sample_vv();
-      rec_->record(std::move(r));
-    }
-    co_return res;
-  } catch (const FluxException& e) {
-    if (rec_) {
-      r.err = e.error().code;
-      r.vv_end = sample_vv();
-      rec_->record(std::move(r));
-    }
-    throw;
-  }
+  Json payload = Json::object({{"name", name}, {"nprocs", nprocs}});
+  return ship_txn("kvs.fence", std::move(payload), std::move(txn),
+                  check::OpKind::fence, std::move(name));
 }
 
 Task<CommitResult> KvsClient::fence(std::string name, std::int64_t nprocs) {

@@ -27,6 +27,7 @@
 
 namespace flux::check {
 class HistoryRecorder;
+enum class OpKind : std::uint8_t;
 }
 
 namespace flux {
@@ -189,6 +190,12 @@ class KvsClient {
     bool in_flight = false;
     bool rerun = false;
   };
+
+  /// The one body behind commit(txn) and fence(name, nprocs, txn): ship
+  /// `txn` as a `topic` request (payload plus its "ops", objects as a
+  /// bundle) and record the op under `kind`/`key` for the DST oracles.
+  Task<CommitResult> ship_txn(std::string topic, Json payload, KvsTxn txn,
+                              check::OpKind kind, std::string key);
 
   Task<void> refresh_watch(Watch* w);
   void on_setroot();

@@ -46,7 +46,7 @@ std::vector<std::string> strings_of(const Json& array) {
 }
 }  // namespace
 
-KvsModule::KvsModule(Broker& b) : ModuleBase(b) {
+KvsModule::KvsModule(Broker& b) : Module(b) {
   ObjectBundle::register_codec();
 
   on("stage", [this](Message& m) { op_stage(m); });
@@ -990,7 +990,7 @@ Task<void> KvsModule::resync_after_rejoin() {
   try {
     Message req = Message::request("kvs.get_version", Json::object());
     req.nodeid = kNodeUpstream;
-    Message resp = co_await broker().module_rpc(*this, std::move(req));
+    Message resp = co_await broker().rpc(origin(), std::move(req));
     if (!resp.ok()) co_return;
     // Adopt masters first: shard-tree parent links and write authority both
     // key off them.
@@ -1117,11 +1117,9 @@ Task<std::vector<ObjPtr>> KvsModule::ensure_objects(
       if (up) {
         try {
           Message req = Message::request("kvs.load", payload);
-          if (policy.has_timeout())
-            resp = co_await broker().direct_rpc(*this, *up, std::move(req),
-                                                policy.timeout);
-          else
-            resp = co_await broker().direct_rpc(*this, *up, std::move(req));
+          req.nodeid = *up;
+          resp = co_await broker().rpc(origin(RouteHop::Kind::Direct),
+                                       std::move(req), policy.timeout);
         } catch (const FluxException&) {
           failed = true;
         }
@@ -1439,7 +1437,7 @@ void KvsModule::op_wait_version(Message& msg) {
 }
 
 Json KvsModule::stats_json() const {
-  Json out = ModuleBase::stats_json();
+  Json out = Module::stats_json();
   out["master"] = is_master();
   out["version"] = root_version_;
   out["store_objects"] = store_.count();

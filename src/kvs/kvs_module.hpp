@@ -73,7 +73,7 @@
 
 namespace flux {
 
-class KvsModule final : public ModuleBase {
+class KvsModule final : public Module {
  public:
   explicit KvsModule(Broker& broker);
   ~KvsModule() override;

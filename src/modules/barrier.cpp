@@ -5,7 +5,7 @@
 
 namespace flux::modules {
 
-Barrier::Barrier(Broker& b) : ModuleBase(b) {
+Barrier::Barrier(Broker& b) : Module(b) {
   on("enter", [this](Message& m) {
     const std::string bname = m.payload().get_string("name");
     const std::int64_t nprocs = m.payload().get_int("nprocs", 0);

@@ -17,7 +17,7 @@
 
 namespace flux::modules {
 
-class Barrier final : public ModuleBase {
+class Barrier final : public Module {
  public:
   explicit Barrier(Broker& broker);
 

@@ -13,7 +13,7 @@ std::string member_id(const Message& msg) {
 }
 }  // namespace
 
-Group::Group(Broker& b) : ModuleBase(b) {
+Group::Group(Broker& b) : Module(b) {
   on("join", [this](Message& m) {
     const std::string group = m.payload().get_string("name");
     if (group.empty()) {

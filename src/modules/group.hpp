@@ -15,7 +15,7 @@
 
 namespace flux::modules {
 
-class Group final : public ModuleBase {
+class Group final : public Module {
  public:
   explicit Group(Broker& broker);
 

@@ -4,7 +4,7 @@
 
 namespace flux::modules {
 
-Heartbeat::Heartbeat(Broker& b) : ModuleBase(b) {
+Heartbeat::Heartbeat(Broker& b) : Module(b) {
   on("get", [this](Message& m) {
     respond_ok(m, Json::object({{"epoch", epoch_},
                                 {"period_us", period_.count() / 1000}}));

@@ -16,7 +16,7 @@
 
 namespace flux::modules {
 
-class Heartbeat final : public ModuleBase {
+class Heartbeat final : public Module {
  public:
   explicit Heartbeat(Broker& broker);
 

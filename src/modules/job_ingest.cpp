@@ -42,7 +42,7 @@ std::string validate(const JobSpec& spec) {
 
 }  // namespace
 
-JobIngest::JobIngest(Broker& b) : ModuleBase(b) {
+JobIngest::JobIngest(Broker& b) : Module(b) {
   on("submit", [this](Message& m) { op_submit(m); });
 }
 
@@ -93,8 +93,8 @@ Task<void> JobIngest::submit_to_manager(Message req, std::uint64_t id) {
     fwd["parent"] = req.payload().at("parent");
   Message resp;
   try {
-    resp = co_await broker().module_rpc(
-        *this, Message::request("job-manager.submit", std::move(fwd)),
+    resp = co_await broker().rpc(
+        origin(), Message::request("job-manager.submit", std::move(fwd)),
         std::chrono::seconds(5));
   } catch (const FluxException& e) {
     respond_error(req, e.error().code, "job.submit: manager unreachable");

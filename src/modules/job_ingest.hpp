@@ -23,7 +23,7 @@
 
 namespace flux::modules {
 
-class JobIngest final : public ModuleBase {
+class JobIngest final : public Module {
  public:
   explicit JobIngest(Broker& broker);
 

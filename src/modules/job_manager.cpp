@@ -27,7 +27,7 @@ bool ended(JobState s) {
 
 }  // namespace
 
-JobManager::JobManager(Broker& b) : ModuleBase(b) {
+JobManager::JobManager(Broker& b) : Module(b) {
   on("submit", [this](Message& m) { op_submit(m); });
   on("cancel", [this](Message& m) { op_cancel(m); });
   on("state", [this](Message& m) { op_state(m); });
@@ -266,8 +266,8 @@ Task<void> JobManager::submit_subjob(std::uint64_t parent, JobSpec sub) {
                     {"parent", static_cast<std::int64_t>(parent)}});
   std::string refused;
   try {
-    Message resp = co_await broker().module_rpc(
-        *this, Message::request("job.submit", req), std::chrono::seconds(5));
+    Message resp = co_await broker().rpc(
+        origin(), Message::request("job.submit", req), std::chrono::seconds(5));
     if (resp.errnum != 0) refused = resp.payload().get_string("errmsg");
   } catch (const FluxException& e) {
     refused = e.what();
@@ -323,8 +323,8 @@ Task<void> JobManager::run(std::uint64_t id, Json ranks) {
       rec->spec.walltime * 2 + std::chrono::seconds(30);
   Message run_resp;
   try {
-    run_resp = co_await broker().module_rpc(
-        *this, Message::request("wexec.run", run_req), deadline);
+    run_resp = co_await broker().rpc(
+        origin(), Message::request("wexec.run", run_req), deadline);
   } catch (const FluxException&) {
     rec = find(id);
     if (rec != nullptr && !ended(rec->state))
@@ -400,8 +400,8 @@ Task<void> JobManager::kill_tasks(std::uint64_t id) {
   const Json req =
       Json::object({{"jobid", std::to_string(id)}, {"signum", 15}});
   try {
-    Message resp = co_await broker().module_rpc(
-        *this, Message::request("wexec.kill", req), std::chrono::seconds(5));
+    Message resp = co_await broker().rpc(
+        origin(), Message::request("wexec.kill", req), std::chrono::seconds(5));
     if (resp.errnum != 0)
       log::debug("job-manager", "wexec.kill miss for job ", id);
   } catch (const FluxException&) {
@@ -681,7 +681,7 @@ void JobManager::power_cap(Level& lv, double watts) {
 }
 
 Json JobManager::stats_json() const {
-  Json j = ModuleBase::stats_json();
+  Json j = Module::stats_json();
   if (root_.sched) {
     j["queue_depth"] = static_cast<std::int64_t>(root_.sched->queue_length());
     j["running"] = static_cast<std::int64_t>(root_.sched->running_count());

@@ -72,7 +72,7 @@ namespace flux::modules {
 
 class Resvc;
 
-class JobManager final : public ModuleBase {
+class JobManager final : public Module {
  public:
   explicit JobManager(Broker& broker);
   ~JobManager() override;

@@ -5,7 +5,7 @@
 
 namespace flux::modules {
 
-Live::Live(Broker& b) : ModuleBase(b) {
+Live::Live(Broker& b) : Module(b) {
   on("hello", [this](Message& m) {
     const auto child = static_cast<NodeId>(m.payload().get_int("rank", -1));
     const auto epoch = static_cast<std::uint64_t>(m.payload().get_int("epoch", 0));

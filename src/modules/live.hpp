@@ -16,7 +16,7 @@
 
 namespace flux::modules {
 
-class Live final : public ModuleBase {
+class Live final : public Module {
  public:
   explicit Live(Broker& broker);
 

@@ -22,7 +22,7 @@ LogRecord LogRecord::from_json(const Json& j) {
   return rec;
 }
 
-Log::Log(Broker& b) : ModuleBase(b) {
+Log::Log(Broker& b) : Module(b) {
   on("append", [this](Message& m) {
     // Single record from a local client, or a batch from downstream. A
     // batch flagged "context" (fault dumps) bypasses the severity filter.

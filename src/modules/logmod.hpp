@@ -28,7 +28,7 @@ struct LogRecord {
   static LogRecord from_json(const Json& j);
 };
 
-class Log final : public ModuleBase {
+class Log final : public Module {
  public:
   explicit Log(Broker& broker);
 

@@ -32,7 +32,7 @@ MonSample MonSample::from_json(const Json& j) {
                    j.get_double("sum"), j.get_int("count")};
 }
 
-Mon::Mon(Broker& b) : ModuleBase(b) {
+Mon::Mon(Broker& b) : Module(b) {
   // Built-in samplers standing in for the paper's Linux sampling scripts.
   register_sampler("load", [](NodeId rank, std::uint64_t epoch) {
     Rng rng(0x10adULL ^ (static_cast<std::uint64_t>(rank) << 20) ^ epoch);

@@ -36,7 +36,7 @@ struct MonSample {
   static MonSample single(double v) { return {v, v, v, 1}; }
 };
 
-class Mon final : public ModuleBase {
+class Mon final : public Module {
  public:
   using Sampler = std::function<double(NodeId rank, std::uint64_t epoch)>;
 

@@ -9,7 +9,7 @@
 
 namespace flux::modules {
 
-Resvc::Resvc(Broker& b) : ModuleBase(b) {
+Resvc::Resvc(Broker& b) : Module(b) {
   on("alloc", [this](Message& m) { op_alloc(m); });
   on("free", [this](Message& m) { op_free(m); });
   on("status", [this](Message& m) { op_status(m); });

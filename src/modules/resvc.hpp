@@ -37,7 +37,7 @@ class KvsTxn;
 
 namespace flux::modules {
 
-class Resvc final : public ModuleBase {
+class Resvc final : public Module {
  public:
   explicit Resvc(Broker& broker);
   ~Resvc() override;

@@ -94,7 +94,7 @@ CommandRegistry::CommandRegistry() {
 // Wexec module
 // ---------------------------------------------------------------------------
 
-Wexec::Wexec(Broker& b) : ModuleBase(b) {
+Wexec::Wexec(Broker& b) : Module(b) {
   on("run", [this](Message& m) { op_run(m); });
   on("kill", [this](Message& m) { op_kill(m); });
   on("complete", [this](Message& m) { op_complete(m); });

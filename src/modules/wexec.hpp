@@ -101,7 +101,7 @@ class CommandRegistry {
   std::map<std::string, Command, std::less<>> commands_;
 };
 
-class Wexec final : public ModuleBase {
+class Wexec final : public Module {
  public:
   explicit Wexec(Broker& broker);
 

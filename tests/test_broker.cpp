@@ -103,6 +103,27 @@ TEST(Broker, RpcTimeoutFires) {
   EXPECT_TRUE(timed_out);
 }
 
+TEST(Broker, InlineAnsweredDeadlineLeavesNoTimer) {
+  // A Module-origin request to a service on its own broker is answered
+  // inside rpc(). Its deadline is armed before the request leaves and
+  // canceled with the answer, so the simulation ends at the response's
+  // virtual time, not 5 s later at a dead deadline.
+  SimSession s(SimSession::default_config(4));
+  Broker& b = s.session().broker(0);
+  const RouteHop origin{RouteHop::Kind::Module, b.rank(),
+                        b.find_module("kvs")->endpoint_id()};
+  const TimePoint t0 = s.ex().now();
+  Message resp = s.run([](Broker* br, RouteHop from) -> Task<Message> {
+    Message r = co_await br->rpc(from, Message::request("cmb.info"),
+                                 std::chrono::seconds(5));
+    co_return r;
+  }(&b, origin));
+  EXPECT_EQ(resp.payload().get_int("rank"), 0);
+  EXPECT_EQ(s.ex().now(), t0);
+  EXPECT_TRUE(s.ex().idle());
+  EXPECT_EQ(s.stats(0).counter_value("cmb.rpc_timeouts"), 0u);
+}
+
 TEST(Broker, EventsAreGloballySequencedAndOrdered) {
   SimSession s(SimSession::default_config(8));
   auto pub = s.attach(5);

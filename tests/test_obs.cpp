@@ -315,9 +315,9 @@ TEST(ObsStats, RpcTimeoutCountsAndLateResponseIsDropped) {
 }
 
 // A module whose stats.get reply is well formed on every rank but one.
-class PeerStatsModule final : public ModuleBase {
+class PeerStatsModule final : public Module {
  public:
-  PeerStatsModule(Broker& b, NodeId bad_rank) : ModuleBase(b), bad_(bad_rank) {}
+  PeerStatsModule(Broker& b, NodeId bad_rank) : Module(b), bad_(bad_rank) {}
   [[nodiscard]] std::string_view name() const override { return "peer"; }
   [[nodiscard]] Json stats_json() const override {
     const bool bad = broker().rank() == bad_;

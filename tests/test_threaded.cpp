@@ -2,6 +2,7 @@
 // threads with wire-codec transport, driven through the blocking SyncHandle.
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <thread>
 
 #include "api/sync_handle.hpp"
@@ -106,6 +107,31 @@ TEST(Threaded, RpcErrorsSurfaceAsExceptions) {
   } catch (const FluxException& e) {
     EXPECT_EQ(e.error().code, errc::noent);
   }
+}
+
+TEST(Threaded, BlockingRequestTerminals) {
+  // A request is built off the reactor with the async API's RequestBuilder
+  // and sent through a blocking terminal: send() hands back an error
+  // response as-is, call() throws it.
+  auto session = Session::create_threaded(threaded_config(4));
+  ASSERT_TRUE(session->wait_online());
+  SyncHandle h(*session, 1);
+
+  Message info = h.call(h.request("cmb.info").to(3));
+  EXPECT_EQ(info.payload().get_int("rank"), 3);
+
+  Message raw = h.send(h.request("nosuch.method"));
+  EXPECT_EQ(raw.errnum, ENOSYS);
+
+  try {
+    (void)h.call(h.request("nosuch.method"));
+    FAIL() << "expected flux::errc::nosys";
+  } catch (const FluxException& e) {
+    EXPECT_EQ(e.error().code, errc::nosys);
+  }
+
+  Message traced = h.call(h.request("cmb.ping").to(3).trace());
+  EXPECT_FALSE(traced.trace.empty());
 }
 
 TEST(Threaded, FaultInjectorCoversWireTransport) {
