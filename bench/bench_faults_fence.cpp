@@ -95,15 +95,15 @@ Result run_scenario(const Scenario& sc, std::uint32_t nnodes, int writers,
     Round st;
     for (int w = 0; w < writers; ++w) {
       co_spawn(ex, [](SimExecutor* x, Handle* h, int id, int r, int n,
-                      Round* st) -> Task<void> {
+                      Round* out) -> Task<void> {
         KvsClient kvs(*h);
         try {
           co_await kvs.put("ff.w" + std::to_string(id), r);
           co_await kvs.fence("ff.r" + std::to_string(r), n);
-          ++st->ok;
-          if (x->now() > st->last) st->last = x->now();
+          ++out->ok;
+          if (x->now() > out->last) out->last = x->now();
         } catch (const FluxException&) {
-          ++st->bad;  // cleanly tainted (timeout / host_down), never hung
+          ++out->bad;  // cleanly tainted (timeout / host_down), never hung
         }
       }(&ex, handles[static_cast<std::size_t>(w)].get(), w, round, writers,
         &st),

@@ -1,6 +1,7 @@
 #include "modules/wexec.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "api/handle.hpp"
 #include "base/log.hpp"
@@ -94,6 +95,33 @@ CommandRegistry::CommandRegistry() {
 // Wexec module
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// The run's target ranks: `ranks` when present, else every rank. Empty when
+// `ranks` is not a list of distinct integer ranks below `size`: a rank out
+// of range or not an integer never runs, and a duplicate is counted twice but
+// spawned once, so each would leave the run unanswered.
+std::vector<NodeId> target_ranks(const Json& ranks, std::uint32_t size) {
+  std::vector<NodeId> out;
+  if (ranks.is_null()) {
+    out.resize(size);
+    std::iota(out.begin(), out.end(), NodeId{0});
+    return out;
+  }
+  if (!ranks.is_array()) return out;
+  std::vector<bool> seen(size);
+  for (const Json& r : ranks.as_array()) {
+    if (!r.is_int() || r.as_int() < 0 || r.as_int() >= size) return {};
+    const auto rank = static_cast<NodeId>(r.as_int());
+    if (seen[rank]) return {};
+    seen[rank] = true;
+    out.push_back(rank);
+  }
+  return out;
+}
+
+}  // namespace
+
 Wexec::Wexec(Broker& b) : Module(b) {
   on("run", [this](Message& m) { op_run(m); });
   on("kill", [this](Message& m) { op_kill(m); });
@@ -104,8 +132,19 @@ Wexec::Wexec(Broker& b) : Module(b) {
     respond_ok(m, Json::object({{"rank", broker().rank()},
                                 {"running", std::move(names)}}));
   });
-  broker().module_subscribe(*this, "wexec.exec");
-  broker().module_subscribe(*this, "wexec.signal");
+  on("exec", [this](Message& m) {
+    co_spawn(broker().executor(),
+             run_task(m.payload().get_string("jobid"),
+                      m.payload().get_string("kvs_dir"),
+                      m.payload().get_string("cmd"), m.payload().at("args"),
+                      m.payload().get_int("ntasks", 1)),
+             "wexec.task");
+  });
+  on("signal", [this](Message& m) {
+    const int signum = static_cast<int>(m.payload().get_int("signum", 15));
+    auto [lo, hi] = procs_.equal_range(m.payload().get_string("jobid"));
+    for (auto it = lo; it != hi; ++it) it->second.ctx->deliver_signal(signum);
+  });
   broker().module_subscribe(*this, "live.down");
 }
 
@@ -126,27 +165,35 @@ void Wexec::op_run(Message& msg) {
     respond_error(msg, errc::exist, "wexec.run: jobid in use");
     return;
   }
-  Json ranks = msg.payload().at("ranks");
-  const std::int64_t ntasks =
-      ranks.is_array() ? static_cast<std::int64_t>(ranks.size())
-                       : static_cast<std::int64_t>(broker().size());
-  if (ntasks == 0) {
-    respond_error(msg, errc::inval, "wexec.run: empty rank list");
+  std::vector<NodeId> ranks =
+      target_ranks(msg.payload().at("ranks"), broker().size());
+  if (ranks.empty()) {
+    respond_error(msg, errc::inval,
+                  "wexec.run: ranks must be a non-empty list of distinct ranks "
+                  "below " + std::to_string(broker().size()));
     return;
   }
+  // An exec sent to a rank already declared dead is lost, and nothing would
+  // answer the run.
+  for (NodeId r : ranks)
+    if (broker().dead_ranks().contains(r)) {
+      respond_error(msg, errc::host_down,
+                    "wexec.run: rank " + std::to_string(r) + " is down");
+      return;
+    }
+  const auto ntasks = static_cast<std::int64_t>(ranks.size());
   Job& job = jobs_[jobid];
-  job.ntasks = ntasks;
-  if (ranks.is_array())
-    for (const Json& r : ranks.as_array())
-      if (r.is_int()) job.ranks.push_back(static_cast<NodeId>(r.as_int()));
+  job.ranks = std::move(ranks);
   job.waiters.push_back(msg);
-  broker().publish("wexec.exec",
-                   Json::object({{"jobid", jobid},
-                                 {"kvs_dir", kvs_dir},
-                                 {"cmd", cmd},
-                                 {"args", msg.payload().at("args")},
-                                 {"ranks", std::move(ranks)},
-                                 {"ntasks", ntasks}}));
+  // One point-to-point request per target; the root's own rank dispatches
+  // in-process.
+  const Message exec = Message::request(
+      "wexec.exec", Json::object({{"jobid", jobid},
+                                  {"kvs_dir", kvs_dir},
+                                  {"cmd", cmd},
+                                  {"args", msg.payload().at("args")},
+                                  {"ntasks", ntasks}}));
+  for (NodeId r : job.ranks) broker().forward_direct(r, exec);
 }
 
 void Wexec::op_kill(Message& msg) {
@@ -159,42 +206,23 @@ void Wexec::op_kill(Message& msg) {
     respond_error(msg, errc::inval, "wexec.kill: need jobid");
     return;
   }
-  broker().publish(
-      "wexec.signal",
-      Json::object({{"jobid", jobid},
-                    {"signum", msg.payload().get_int("signum", 15)}}));
+  // A finished (or unknown) job has no tasks left to signal.
+  if (auto it = jobs_.find(jobid); it != jobs_.end())
+    send_signal(jobid, it->second.ranks,
+                static_cast<int>(msg.payload().get_int("signum", 15)));
   respond_ok(msg);
 }
 
+void Wexec::send_signal(const std::string& jobid,
+                        const std::vector<NodeId>& ranks, int signum) {
+  const Message sig = Message::request(
+      "wexec.signal", Json::object({{"jobid", jobid}, {"signum", signum}}));
+  for (NodeId r : ranks) broker().forward_direct(r, sig);
+}
+
 void Wexec::handle_event(const Message& msg) {
-  if (msg.topic == "wexec.exec") {
-    const Json& ranks = msg.payload().at("ranks");
-    bool mine = true;
-    if (ranks.is_array()) {
-      mine = false;
-      for (const Json& r : ranks.as_array())
-        if (r.is_int() && static_cast<NodeId>(r.as_int()) == broker().rank())
-          mine = true;
-    }
-    if (!mine) return;
-    co_spawn(broker().executor(),
-             run_task(msg.payload().get_string("jobid"),
-                      msg.payload().get_string("kvs_dir"),
-                      msg.payload().get_string("cmd"), msg.payload().at("args"),
-                      msg.payload().get_int("ntasks", 1)),
-             "wexec.task");
-    return;
-  }
-  if (msg.topic == "live.down") {
+  if (msg.topic == "live.down")
     fail_runs_on(static_cast<NodeId>(msg.payload().get_int("rank", -1)));
-    return;
-  }
-  if (msg.topic == "wexec.signal") {
-    const std::string jobid = msg.payload().get_string("jobid");
-    const int signum = static_cast<int>(msg.payload().get_int("signum", 15));
-    auto [lo, hi] = procs_.equal_range(jobid);
-    for (auto it = lo; it != hi; ++it) it->second.ctx->deliver_signal(signum);
-  }
 }
 
 void Wexec::on_fail() {
@@ -204,16 +232,14 @@ void Wexec::on_fail() {
 void Wexec::fail_runs_on(NodeId rank) {
   for (auto it = jobs_.begin(); it != jobs_.end();) {
     const std::vector<NodeId>& ranks = it->second.ranks;
-    if (!ranks.empty() &&
-        std::find(ranks.begin(), ranks.end(), rank) == ranks.end()) {
+    if (std::find(ranks.begin(), ranks.end(), rank) == ranks.end()) {
       ++it;
       continue;
     }
     for (const Message& waiter : it->second.waiters)
       respond_error(waiter, errc::host_down,
                     "wexec.run: rank " + std::to_string(rank) + " died");
-    broker().publish("wexec.signal",
-                     Json::object({{"jobid", it->first}, {"signum", 9}}));
+    send_signal(it->first, ranks, 9);
     it = jobs_.erase(it);
   }
 }
@@ -311,14 +337,15 @@ void Wexec::flush_complete(const std::string& jobid) {
   job.completed += pc.count;
   for (const auto& [code, n] : pc.exits) job.exits[code] += n;
   pending_complete_.erase(it);
-  if (job.completed < job.ntasks) return;
+  const auto ntasks = static_cast<std::int64_t>(job.ranks.size());
+  if (job.completed < ntasks) return;
 
   Json exits = Json::object();
   for (const auto& [code, n] : job.exits) exits[code] = n;
   const bool success = job.exits.size() == 1 && job.exits.contains("0");
   for (const Message& waiter : job.waiters)
     broker().respond(waiter.respond(Json::object({{"jobid", jobid},
-                                                  {"ntasks", job.ntasks},
+                                                  {"ntasks", ntasks},
                                                   {"success", success},
                                                   {"exits", exits}})));
   jobs_.erase(job_it);

@@ -17,10 +17,25 @@
 //                                          directory: job-manager passes
 //                                          job_kvs_path(id) + ".stdio", so a
 //                                          job's capture lives in its own
-//                                          bounded directory.
-//   wexec.exec  (event, root -> all)       per-rank spawn trigger
+//                                          bounded directory. ranks, when
+//                                          present, must be distinct ranks
+//                                          below the session size (else
+//                                          errc::inval); absent = every rank.
+//                                          A rank already declared dead
+//                                          fails it with errc::host_down.
+//   wexec.exec {jobid, kvs_dir, cmd, args, ntasks}
+//                                          root -> each target rank, one
+//                                          fire-and-forget direct request
+//                                          per rank: spawn the task
 //   wexec.complete {jobid, count, exits}   reduction back to the root
-//   wexec.kill {jobid, signum}             client -> root -> signal event
+//   wexec.kill {jobid, signum}             client -> root; answers ok
+//   wexec.signal {jobid, signum}           root -> each of the run's ranks,
+//                                          direct like the exec (nothing for
+//                                          a finished job)
+//
+// The exec and every later signal of a run take the same root -> rank link,
+// and each destination receives in send order, so a signal cannot overtake
+// the exec it follows.
 //
 // A run that loses a rank ("live.down") fails with errc::host_down, and its
 // surviving tasks are sent SIGKILL: its collective stdio fence can never
@@ -114,8 +129,7 @@ class Wexec final : public Module {
 
  private:
   struct Job {  // root-side coordination state
-    std::vector<NodeId> ranks;  // empty = every rank
-    std::int64_t ntasks = 0;
+    std::vector<NodeId> ranks;  // one task each
     std::int64_t completed = 0;
     std::map<std::string, std::int64_t> exits;  // exit code -> count
     std::vector<Message> waiters;
@@ -128,6 +142,9 @@ class Wexec final : public Module {
   void op_kill(Message& msg);
   void op_complete(Message& msg);
   void fail_runs_on(NodeId rank);
+  /// Send `signum` to the job's tasks on `ranks`.
+  void send_signal(const std::string& jobid, const std::vector<NodeId>& ranks,
+                   int signum);
   Task<void> run_task(std::string jobid, std::string kvs_dir,
                       std::string cmd, Json args, std::int64_t ntasks);
   void report_complete(const std::string& jobid, int exit_code);

@@ -100,7 +100,7 @@ TEST(BundleMalformed, TrailingBytesAreRejected) {
 
 TEST(BundleMalformed, MalformedObjectDocumentsAreRejected) {
   // Well-formed framing around bytes that are not a treeobj document.
-  for (const std::string obj : {std::string("not json at all"),
+  for (const std::string& obj : {std::string("not json at all"),
                                 std::string(R"({"t":"bogus"})"),
                                 std::string(R"([1,2,3])")}) {
     SCOPED_TRACE(obj);
@@ -120,7 +120,9 @@ TEST(BundleMalformed, ByteCorruptionSweepNeverCrashes) {
     // Must not crash or over-read; a typed error (or, for a flip that lands
     // harmlessly inside a value, success) are both acceptable.
     auto r = ObjectBundle::deserialize(bad);
-    if (!r.has_value()) EXPECT_NE(r.error().code, errc::ok);
+    if (!r.has_value()) {
+      EXPECT_NE(r.error().code, errc::ok);
+    }
   }
 }
 
@@ -234,7 +236,9 @@ TEST(WireMalformed, ByteCorruptionSweepNeverCrashes) {
     auto bad = wire;
     bad[i] ^= 0xff;
     auto r = decode(bad);
-    if (!r.has_value()) EXPECT_NE(r.error().code, errc::ok);
+    if (!r.has_value()) {
+      EXPECT_NE(r.error().code, errc::ok);
+    }
   }
 }
 

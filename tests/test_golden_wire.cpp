@@ -114,7 +114,9 @@ void expect_same_message(const Message& got, const Message& want) {
   EXPECT_EQ(got.trace, want.trace);
   EXPECT_EQ(got.payload().dump(), want.payload().dump());
   ASSERT_EQ(static_cast<bool>(got.data()), static_cast<bool>(want.data()));
-  if (want.data()) EXPECT_EQ(*got.data(), *want.data());
+  if (want.data()) {
+    EXPECT_EQ(*got.data(), *want.data());
+  }
   ASSERT_EQ(static_cast<bool>(got.attachment()),
             static_cast<bool>(want.attachment()));
   if (want.attachment()) {

@@ -174,10 +174,13 @@ void expect_same_message(const Message& a, const Message& b) {
   EXPECT_EQ(a.route, b.route);
   EXPECT_EQ(a.payload().dump(), b.payload().dump());
   ASSERT_EQ(!!a.data(), !!b.data());
-  if (a.data()) EXPECT_EQ(*a.data(), *b.data());
+  if (a.data()) {
+    EXPECT_EQ(*a.data(), *b.data());
+  }
   ASSERT_EQ(!!a.attachment(), !!b.attachment());
-  if (a.attachment())
+  if (a.attachment()) {
     EXPECT_EQ(a.attachment()->serialize(), b.attachment()->serialize());
+  }
 }
 
 }  // namespace

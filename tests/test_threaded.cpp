@@ -162,6 +162,25 @@ TEST(Threaded, FaultInjectorCoversWireTransport) {
   EXPECT_GT(plan.faults_injected(), 0u);
 }
 
+TEST(Threaded, TargetedLaunchRunsOverTheWire) {
+  // wexec's exec requests and completion reduction cross the codec and the
+  // per-destination inboxes; ranks 1 and 3 are both remote from the root.
+  auto session = Session::create_threaded(threaded_config(4));
+  ASSERT_TRUE(session->wait_online());
+  SyncHandle h(*session, 2);
+  Message r = h.call(h.request("wexec.run")
+                         .payload(Json::object({{"jobid", "thr-job"},
+                                                {"kvs_dir", "thr.job"},
+                                                {"cmd", "hostname"},
+                                                {"args", Json::object()},
+                                                {"ranks", Json::array({1, 3})}})));
+  EXPECT_EQ(r.payload().get_int("ntasks"), 2);
+  EXPECT_TRUE(r.payload().at("success").as_bool());
+  // The run answers after its capture fence committed at the root.
+  SyncHandle root(*session, 0);
+  EXPECT_EQ(root.kvs_get("thr.job.3.stdout"), Json::array({"node3"}));
+}
+
 TEST(Threaded, WireCodecCarriesAttachments) {
   // Fences ship ObjectBundles; in threaded mode they cross the codec.
   auto session = Session::create_threaded(threaded_config(4));

@@ -226,7 +226,7 @@ TEST(ObjectCache, ExpiryScansCandidatesNotWholeCache) {
     cache.put(objs.back(), 1);
   }
   // Keep half hot at epoch 10; the other half goes stale.
-  for (int i = 0; i < 50; ++i) (void)cache.get(objs[i]->id, 10);
+  for (std::size_t i = 0; i < 50; ++i) (void)cache.get(objs[i]->id, 10);
   const std::uint64_t hits_before = stats.counter_value("cache.hits");
 
   EXPECT_EQ(cache.expire(6, 5), 0u);    // cutoff 1: epoch-1 uses still fresh

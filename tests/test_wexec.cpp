@@ -3,7 +3,10 @@
 // (ingest -> queue -> schedule -> wexec -> KVS fold-back).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "api/job_client.hpp"
+#include "fault/injector.hpp"
 #include "modules/wexec.hpp"
 #include "sim_fixture.hpp"
 
@@ -11,6 +14,54 @@ namespace flux {
 namespace {
 
 using testing::SimSession;
+
+using namespace std::chrono_literals;
+
+using Link = std::pair<NodeId, NodeId>;  // (from, to)
+
+/// Pass-through injector that records the link of every message on one
+/// topic.
+class TopicLinks final : public fault::Injector {
+ public:
+  explicit TopicLinks(std::string topic) : topic_(std::move(topic)) {}
+  fault::Verdict on_send(NodeId from, NodeId to, const Message& msg) override {
+    if (msg.topic == topic_) links.emplace_back(from, to);
+    return fault::Verdict::deliver_v();
+  }
+  /// The recorded links, sorted.
+  [[nodiscard]] std::vector<Link> sorted() const {
+    auto out = links;
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+  std::vector<Link> links;
+
+ private:
+  std::string topic_;
+};
+
+/// A raw wexec.run request (no job pipeline) with a 50 ms deadline.
+RequestBuilder wexec_run(Handle& h, const std::string& jobid, std::string cmd,
+                         Json ranks) {
+  return std::move(
+      h.request("wexec.run")
+          .payload(Json::object({{"jobid", jobid},
+                                 {"kvs_dir", "wexec_test." + jobid},
+                                 {"cmd", std::move(cmd)},
+                                 {"args", Json::object()},
+                                 {"ranks", std::move(ranks)}}))
+          .timeout(50ms));
+}
+
+RequestBuilder wexec_kill(Handle& h, const std::string& jobid) {
+  return std::move(
+      h.request("wexec.kill").payload(Json::object({{"jobid", jobid}})));
+}
+
+Task<Message> wexec_run_raw(Handle* h, std::string jobid, std::string cmd,
+                            Json ranks) {
+  co_return co_await wexec_run(*h, jobid, std::move(cmd), std::move(ranks));
+}
 
 /// Submit through the fluent builder and wait for the terminal result.
 Task<JobResult> run_job(Handle* h, std::string cmd, Json args,
@@ -174,6 +225,88 @@ TEST(Wexec, CustomRegisteredCommand) {
     if (out.as_array().at(0) != Json("42"))
       throw FluxException(Error(errc::proto, "custom command output wrong"));
   }(h.get(), r.id));
+}
+
+TEST(Wexec, RunRejectsABadRankList) {
+  // Out of range, duplicated, not an integer, not a list, empty: each is
+  // refused before anything is sent, instead of a run that never completes.
+  TopicLinks execs("wexec.exec");  // outlives the session
+  SimSession s(SimSession::default_config(8));
+  auto h = s.attach(2);
+  s.session().set_fault_injector(&execs);
+  const std::vector<Json> bad = {
+      Json::array({99}), Json::array({3, 3}), Json::array({"x"}),
+      Json::array({-1}), Json(3),           Json::array()};
+  for (const Json& ranks : bad) {
+    Message r = s.run(wexec_run_raw(h.get(), "bad", "hostname", ranks));
+    EXPECT_EQ(r.error(), errc::inval) << ranks.dump();
+  }
+  EXPECT_TRUE(execs.links.empty());
+  // No rejected run kept the jobid: a good run may use it.
+  Message ok =
+      s.run(wexec_run_raw(h.get(), "bad", "hostname", Json::array({3})));
+  ASSERT_TRUE(ok.ok()) << ok.payload().dump();
+  EXPECT_EQ(ok.payload().get_int("ntasks"), 1);
+}
+
+TEST(Wexec, RunOnADeadRankFailsHostDown) {
+  // An exec sent to a broker already declared dead would be lost with it.
+  SessionConfig cfg = SimSession::default_config(8);
+  cfg.module_config =
+      Json::object({{"hb", Json::object({{"period_us", 100}})},
+                    {"live", Json::object({{"missed_max", 3}})}});
+  TopicLinks execs("wexec.exec");
+  SimSession s(cfg);
+  auto h = s.attach(2);
+  s.settle(1ms);
+  s.session().fail(5);
+  s.settle(2ms);  // detection + live.down
+  ASSERT_TRUE(s.session().broker(0).dead_ranks().contains(5));
+  s.session().set_fault_injector(&execs);
+  Message r =
+      s.run(wexec_run_raw(h.get(), "late", "hostname", Json::array({3, 5})));
+  EXPECT_EQ(r.error(), errc::host_down);
+  EXPECT_TRUE(execs.links.empty());
+}
+
+TEST(Wexec, LaunchReachesOnlyAllocatedRanks) {
+  // The launch goes root -> rank, once per allocated rank; no other broker
+  // sees it.
+  TopicLinks execs("wexec.exec");
+  SimSession s(SimSession::default_config(16));
+  auto h = s.attach(9);
+  s.session().set_fault_injector(&execs);
+  Message r =
+      s.run(wexec_run_raw(h.get(), "j1", "hostname", Json::array({5, 11})));
+  ASSERT_TRUE(r.ok()) << r.payload().dump();
+  EXPECT_EQ(r.payload().get_int("ntasks"), 2);
+  EXPECT_TRUE(r.payload().at("success").as_bool());
+  EXPECT_EQ(execs.sorted(), (std::vector<Link>{{0, 5}, {0, 11}}));
+}
+
+TEST(Wexec, KillReachesOnlyTheJobsRanks) {
+  TopicLinks signals("wexec.signal");
+  SimSession s(SimSession::default_config(8));
+  auto h = s.attach(4);
+  s.session().set_fault_injector(&signals);
+  Message r = s.run([](Handle* hd, Json ranks) -> Task<Message> {
+    Future<Message> run =
+        wexec_run(*hd, "spinner", "spin", std::move(ranks)).send();
+    co_await hd->sleep(1ms);  // both spinners are running
+    (void)co_await wexec_kill(*hd, "spinner").call();  // SIGTERM
+    co_return co_await run;
+  }(h.get(), Json::array({3, 7})));
+  ASSERT_TRUE(r.ok()) << r.payload().dump();
+  EXPECT_EQ(r.payload().at("exits").get_int("143"), 2);
+  EXPECT_EQ(signals.sorted(), (std::vector<Link>{{0, 3}, {0, 7}}));
+
+  // The job is finished: a kill answers ok and signals nobody.
+  signals.links.clear();
+  Message again = s.run([](Handle* hd) -> Task<Message> {
+    co_return co_await wexec_kill(*hd, "spinner").call();
+  }(h.get()));
+  EXPECT_TRUE(again.ok());
+  EXPECT_TRUE(signals.links.empty());
 }
 
 }  // namespace
