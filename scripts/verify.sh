@@ -1,23 +1,27 @@
 #!/usr/bin/env bash
 # Full verification sweep: every preset, plus explicit chaos and DST passes.
 #
-#   scripts/verify.sh            # default + asan + tsan, then chaos+dst under asan
+#   scripts/verify.sh            # default + asan + tsan, then the seeded labels under asan
 #   scripts/verify.sh default    # just one preset
 #   FLUX_CHAOS_SEEDS=200 scripts/verify.sh   # dial up the seeded schedules
 #   FLUX_DST_SEEDS=500 scripts/verify.sh     # dial up the simulation sweeps
 #   FLUX_PERSIST_SEEDS=200 scripts/verify.sh # dial up the persistence matrix
 #
-# The chaos suite (ctest -L chaos) runs seeded fault-injection schedules; on
-# failure, gtest SCOPED_TRACE prints "chaos seed N" so a single failing
-# schedule can be replayed in isolation:
+# The chaos, dst and persist suites (ctest -L chaos|dst|persist) are sweeps
+# of one harness, the DST explorer (src/check/explorer.hpp): each cell runs
+# seeded fault schedules through the consistency oracle and the post-run
+# recovery checks (270 dst schedules and 50 chaos schedules at the default
+# widths). A failing schedule prints "dst: seed N FAILED" (or "seed N:" in
+# the gtest failure) with its violations and fault plan. Replay that one
+# schedule by setting FLUX_TEST_SEED so the cell's
+# base seed (FLUX_TEST_SEED plus the offset in the cell's source) is N, with
+# the suite's seed count at 1:
 #
-#   FLUX_CHAOS_SEEDS=1 build-asan/tests/flux_chaos_tests \
-#     --gtest_filter='Chaos.CrashRestartSeeds'   # then bisect by seed range
+#   FLUX_TEST_SEED=<N - offset> FLUX_CHAOS_SEEDS=1 \
+#     build-asan/tests/flux_chaos_tests --gtest_filter='Chaos.CrashRestartSeeds'
 #
-# The DST suite (ctest -L dst) sweeps the deterministic-simulation harness
-# (240 schedules per run at the default widths) through the consistency
-# oracle; a failing seed prints in the gtest output and replays with
-# FLUX_TEST_SEED=<seed>. See DESIGN.md §5.
+# or commit it as a Repro under tests/repro/ (check/shrink.hpp), which
+# DstRepro.CommittedReprosStillReproduce replays on every run. See DESIGN.md §5.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

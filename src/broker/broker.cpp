@@ -431,11 +431,14 @@ void Broker::deliver_event(const Message& msg) {
     // its grandparent in this broker's topology replica, so the adopting
     // parent forwards this very event (and everything after it) to the
     // re-attached subtree. The computation is deterministic, so all
-    // replicas converge. A broker never heals around itself: a falsely-
-    // declared broker keeps its links and simply rejoins when hellos
-    // resume (full split-brain recovery is future work, matching the
-    // paper: "a design for comprehensive fault tolerance ... is a
-    // near-term project activity").
+    // replicas converge. A broker never heals around itself, so a falsely-
+    // declared broker keeps its links, but every other broker heals around
+    // it: it gets no more events, hb included, so it sends no hellos, and
+    // it never rejoins, because request_rejoin runs only from restart().
+    // It stays out of the session, serving an ever staler root, until it
+    // is restarted (ROADMAP, "Two failure gaps"; full split-brain recovery
+    // is future work, matching the paper: "a design for comprehensive
+    // fault tolerance ... is a near-term project activity").
     const auto dead = static_cast<NodeId>(msg.payload().get_int("rank", -1));
     if (dead < size() && dead != rank_) dead_ranks_.insert(dead);
     if (dead < size() && dead != 0 && dead != rank_ && topo_.parent(dead)) {

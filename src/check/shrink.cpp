@@ -33,8 +33,15 @@ Json Repro::to_json() const {
                        {"clients", opt.clients},
                        {"rounds", opt.rounds},
                        {"jitter_max_ns", opt.jitter_max.count()},
+                       {"crashes", opt.crashes},
+                       {"restarts", opt.restarts},
+                       {"drops", opt.drops},
+                       {"delays", opt.delays},
+                       {"max_crashes", opt.max_crashes},
                        {"persist", opt.persist},
                        {"master_crash", opt.master_crash},
+                       {"jobs", opt.jobs},
+                       {"jobs_per_client", opt.jobs_per_client},
                        {"fault_plan", fault_plan},
                        {"mutations", strings_to_json(mutations)},
                        {"expect", strings_to_json(expect)}});
@@ -43,17 +50,28 @@ Json Repro::to_json() const {
 Repro Repro::from_json(const Json& j) {
   if (!j.is_object())
     throw FluxException(Error(errc::inval, "repro: not an object"));
+  // An absent field keeps DstOptions' default, so older repro files load.
+  const DstOptions d;
   Repro r;
   r.seed = static_cast<std::uint64_t>(j.get_int("seed", 1));
-  r.opt.size = static_cast<std::uint32_t>(j.get_int("size", 4));
-  r.opt.arity = static_cast<std::uint32_t>(j.get_int("arity", 2));
-  r.opt.shards = static_cast<std::uint32_t>(j.get_int("shards", 1));
-  r.opt.failover = j.get_bool("failover", false);
-  r.opt.clients = static_cast<int>(j.get_int("clients", 3));
-  r.opt.rounds = static_cast<int>(j.get_int("rounds", 2));
-  r.opt.jitter_max = Duration{j.get_int("jitter_max_ns", 0)};
-  r.opt.persist = j.get_bool("persist", false);
-  r.opt.master_crash = j.get_bool("master_crash", false);
+  r.opt.size = static_cast<std::uint32_t>(j.get_int("size", d.size));
+  r.opt.arity = static_cast<std::uint32_t>(j.get_int("arity", d.arity));
+  r.opt.shards = static_cast<std::uint32_t>(j.get_int("shards", d.shards));
+  r.opt.failover = j.get_bool("failover", d.failover);
+  r.opt.clients = static_cast<int>(j.get_int("clients", d.clients));
+  r.opt.rounds = static_cast<int>(j.get_int("rounds", d.rounds));
+  r.opt.jitter_max =
+      Duration{j.get_int("jitter_max_ns", d.jitter_max.count())};
+  r.opt.crashes = j.get_bool("crashes", d.crashes);
+  r.opt.restarts = j.get_bool("restarts", d.restarts);
+  r.opt.drops = j.get_bool("drops", d.drops);
+  r.opt.delays = j.get_bool("delays", d.delays);
+  r.opt.max_crashes = static_cast<int>(j.get_int("max_crashes", d.max_crashes));
+  r.opt.persist = j.get_bool("persist", d.persist);
+  r.opt.master_crash = j.get_bool("master_crash", d.master_crash);
+  r.opt.jobs = j.get_bool("jobs", d.jobs);
+  r.opt.jobs_per_client =
+      static_cast<int>(j.get_int("jobs_per_client", d.jobs_per_client));
   r.fault_plan = j.at("fault_plan");
   r.mutations = strings_from_json(j.at("mutations"));
   r.expect = strings_from_json(j.at("expect"));

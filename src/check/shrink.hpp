@@ -8,8 +8,10 @@
 // keeping each deletion only if the run still fails — the classic
 // delta-debugging loop, converging on a local minimum.
 //
-// Repros serialize to JSON so a failing schedule can be committed under
-// tests/repro/ and replayed deterministically by a ctest forever after.
+// Repros serialize to JSON (every DstOptions field) so a schedule can be
+// committed under tests/repro/ and replayed deterministically by a ctest
+// forever after: a failure with the violations in `expect`, or, with an
+// empty `expect` and no mutations, a fixed bug that must replay clean.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +25,7 @@ namespace flux::check {
 
 struct Repro {
   std::uint64_t seed = 1;
-  DstOptions opt;                      ///< scenario shape (faults flags unused)
+  DstOptions opt;                      ///< scenario shape, every field kept
   Json fault_plan;                     ///< explicit plan; null = none
   std::vector<std::string> mutations;  ///< check/mutation.hpp names to enable
   std::vector<std::string> expect;     ///< properties violated when captured

@@ -5,7 +5,7 @@
 // message policies (probabilistic drop/delay/corrupt and exact
 // nth-message triggers). Everything a plan does derives from its seed and the
 // order of transport sends, so a simulated run replays bit-for-bit: rerunning
-// a failing chaos seed reproduces the failure.
+// a failing seed reproduces the failure.
 //
 // Construction is programmatic (fluent setters) or from JSON:
 //
@@ -19,7 +19,8 @@
 //   }
 //
 // (-1 is the wildcard rank.) FaultPlan::random(seed, opts) synthesizes a
-// schedule from a single seed — the chaos suite's generator.
+// schedule from a single seed — the DST explorer's generator
+// (check/explorer.hpp), which the dst, persist and chaos suites sweep.
 //
 // Usage: bring the session online first, then arm(session). Arming installs
 // the injector and posts the timed node events; link policies apply to every

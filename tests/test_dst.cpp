@@ -9,8 +9,8 @@
 //      test-only mutation that breaks exactly that property and require the
 //      oracle to flag it. An oracle that passes a mutated run is blind.
 //   3. repro — the shrinker minimizes a seeded failure to a small Repro, and
-//      every JSON repro committed under tests/repro/ replays as a failure
-//      with its recorded violations, forever.
+//      every JSON repro committed under tests/repro/ replays forever: as a
+//      failure with its recorded violations, or, for a fixed bug, clean.
 
 #include <gtest/gtest.h>
 
@@ -26,8 +26,9 @@
 #include "check/explorer.hpp"
 #include "check/mutation.hpp"
 #include "check/shrink.hpp"
+#include "dst_harness.hpp"
 #include "exec/sim_executor.hpp"
-#include "test_seed.hpp"
+#include "fault/plan.hpp"
 
 namespace flux::check {
 namespace {
@@ -35,62 +36,35 @@ namespace {
 using flux::testing::test_seed;
 
 /// Per-config sweep width; FLUX_DST_SEEDS overrides (e.g. 500 for a soak).
-int sweep(int dflt) {
-  if (const char* env = std::getenv("FLUX_DST_SEEDS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return dflt;
-}
-
-std::string describe(const DstResult& r) {
-  std::ostringstream os;
-  os << "seed " << r.seed << ": ";
-  if (r.workload_error) os << "workload error: " << r.error << "; ";
-  if (r.stalled_clients > 0) os << r.stalled_clients << " stalled; ";
-  os << r.report.to_string();
-  for (const std::string& v : r.job_violations) os << "\n  job oracle: " << v;
-  if (!r.fault_plan.is_null()) os << "\nfault plan: " << r.fault_plan.dump();
-  return os.str();
-}
-
-void expect_all_pass(std::uint64_t base, int n, const DstOptions& opt) {
-  const std::vector<DstResult> failures = explore(base, n, opt);
-  for (const DstResult& f : failures) ADD_FAILURE() << describe(f);
-  EXPECT_TRUE(failures.empty())
-      << failures.size() << "/" << n << " schedules failed (replay with "
-      << "FLUX_TEST_SEED; first failing seed printed above)";
-}
+int dst_seeds(int dflt) { return sweep("FLUX_DST_SEEDS", dflt); }
 
 // -- 1. exploration -----------------------------------------------------------
 
 TEST(DstExplore, CleanSchedulesPass) {
   DstOptions opt;
-  expect_all_pass(test_seed(), sweep(80), opt);
+  expect_all_pass(test_seed(), dst_seeds(80), opt);
 }
 
 TEST(DstExplore, ShardedSchedulesPass) {
   DstOptions opt;
   opt.size = 5;
   opt.shards = 2;
-  expect_all_pass(test_seed() + 0x10000, sweep(80), opt);
+  expect_all_pass(test_seed() + 0x10000, dst_seeds(80), opt);
 }
 
 TEST(DstExplore, FaultedSchedulesPass) {
   DstOptions opt;
-  opt.faults = true;
   opt.drops = true;
   opt.delays = true;
-  expect_all_pass(test_seed() + 0x20000, sweep(60), opt);
+  expect_all_pass(test_seed() + 0x20000, dst_seeds(60), opt);
 }
 
 TEST(DstExplore, CrashSchedulesPass) {
   DstOptions opt;
-  opt.faults = true;
   opt.crashes = true;
   opt.restarts = true;
   opt.delays = true;
-  expect_all_pass(test_seed() + 0x30000, sweep(20), opt);
+  expect_all_pass(test_seed() + 0x30000, dst_seeds(20), opt);
 }
 
 TEST(DstExplore, JobLifecycleSchedulesPass) {
@@ -100,7 +74,7 @@ TEST(DstExplore, JobLifecycleSchedulesPass) {
   DstOptions opt;
   opt.jobs = true;
   opt.size = 6;
-  expect_all_pass(test_seed() + 0x60000, sweep(20), opt);
+  expect_all_pass(test_seed() + 0x60000, dst_seeds(20), opt);
 }
 
 TEST(DstExplore, JobLifecycleSurvivesBrokerCrashes) {
@@ -111,23 +85,41 @@ TEST(DstExplore, JobLifecycleSurvivesBrokerCrashes) {
   DstOptions opt;
   opt.jobs = true;
   opt.size = 6;
-  opt.faults = true;
   opt.crashes = true;
-  expect_all_pass(test_seed() + 0x70000, sweep(10), opt);
+  expect_all_pass(test_seed() + 0x70000, dst_seeds(10), opt);
 }
 
 TEST(DstExplore, SameSeedIsDeterministic) {
-  DstOptions opt;
-  opt.faults = true;
-  opt.drops = true;
-  opt.delays = true;
-  const std::uint64_t seed = test_seed() + 0x40000;
-  const DstResult a = run_schedule(seed, opt);
-  const DstResult b = run_schedule(seed, opt);
-  EXPECT_EQ(a.history_len, b.history_len);
-  EXPECT_EQ(a.failed(), b.failed());
-  EXPECT_EQ(a.report.to_string(), b.report.to_string());
-  EXPECT_EQ(a.fault_plan.dump(), b.fault_plan.dump());
+  // Lossy links, a crash schedule, and a replayed corruption plan: the same
+  // seed gives the same history, verdict and plan every time.
+  const auto expect_same = [](const char* what, const auto& run) {
+    SCOPED_TRACE(what);
+    const DstResult a = run();
+    const DstResult b = run();
+    EXPECT_EQ(a.history_len, b.history_len);
+    EXPECT_EQ(a.failed(), b.failed());
+    EXPECT_EQ(a.report.to_string(), b.report.to_string());
+    EXPECT_EQ(a.recovery_violations, b.recovery_violations);
+    EXPECT_EQ(a.fault_plan.dump(), b.fault_plan.dump());
+  };
+  const std::uint64_t base = test_seed();
+  DstOptions lossy;
+  lossy.drops = true;
+  lossy.delays = true;
+  expect_same("lossy", [&] { return run_schedule(base + 0x40000, lossy); });
+  DstOptions crashing;
+  crashing.size = 10;
+  crashing.crashes = true;
+  crashing.restarts = true;
+  expect_same("crashing", [&] { return run_schedule(base + 12, crashing); });
+  DstOptions corrupted;
+  corrupted.size = 10;
+  fault::FaultPlan::RandomOptions corruption;
+  corruption.size = corrupted.size;
+  corruption.corruption = true;
+  const Json plan = fault::FaultPlan::random(base + 36, corruption).to_json();
+  expect_same("corrupted",
+              [&] { return run_schedule(base + 36, corrupted, plan); });
 }
 
 // -- 2. mutation teeth --------------------------------------------------------
@@ -211,6 +203,51 @@ TEST(DstJobsOracle, AckedJobsWithNoRecordsAreAViolation) {
 
 // -- 3. shrinker + committed repros ------------------------------------------
 
+TEST(DstRepro, JsonRoundTripKeepsEveryOption) {
+  // Every DstOptions field set off its default: a repro that dropped one
+  // (the job workload, say) would replay a different run than it captured.
+  Repro r;
+  r.seed = 77;
+  r.opt.size = 7;
+  r.opt.arity = 3;
+  r.opt.shards = 2;
+  r.opt.failover = true;
+  r.opt.clients = 5;
+  r.opt.rounds = 4;
+  r.opt.jitter_max = Duration{1234};
+  r.opt.crashes = true;
+  r.opt.restarts = true;
+  r.opt.drops = true;
+  r.opt.delays = true;
+  r.opt.max_crashes = 3;
+  r.opt.persist = true;
+  r.opt.master_crash = true;
+  r.opt.jobs = true;
+  r.opt.jobs_per_client = 6;
+  r.mutations = {"kvs.skip_apply"};
+  r.expect = {"read-your-writes"};
+  const Repro back = Repro::from_json(r.to_json());
+  EXPECT_EQ(back.seed, r.seed);
+  EXPECT_EQ(back.opt.size, r.opt.size);
+  EXPECT_EQ(back.opt.arity, r.opt.arity);
+  EXPECT_EQ(back.opt.shards, r.opt.shards);
+  EXPECT_EQ(back.opt.failover, r.opt.failover);
+  EXPECT_EQ(back.opt.clients, r.opt.clients);
+  EXPECT_EQ(back.opt.rounds, r.opt.rounds);
+  EXPECT_EQ(back.opt.jitter_max, r.opt.jitter_max);
+  EXPECT_EQ(back.opt.crashes, r.opt.crashes);
+  EXPECT_EQ(back.opt.restarts, r.opt.restarts);
+  EXPECT_EQ(back.opt.drops, r.opt.drops);
+  EXPECT_EQ(back.opt.delays, r.opt.delays);
+  EXPECT_EQ(back.opt.max_crashes, r.opt.max_crashes);
+  EXPECT_EQ(back.opt.persist, r.opt.persist);
+  EXPECT_EQ(back.opt.master_crash, r.opt.master_crash);
+  EXPECT_EQ(back.opt.jobs, r.opt.jobs);
+  EXPECT_EQ(back.opt.jobs_per_client, r.opt.jobs_per_client);
+  EXPECT_EQ(back.mutations, r.mutations);
+  EXPECT_EQ(back.expect, r.expect);
+}
+
 std::size_t plan_components(const Json& plan) {
   if (!plan.is_object()) return 0;
   return plan.at("events").size() + plan.at("links").size() +
@@ -224,7 +261,6 @@ TEST(DstShrink, MinimizesASeededFailure) {
   DstOptions opt;
   opt.size = 5;
   opt.shards = 2;
-  opt.faults = true;
   opt.drops = true;
   opt.delays = true;
 
@@ -291,6 +327,14 @@ TEST(DstRepro, CommittedReprosStillReproduce) {
     ASSERT_TRUE(parsed.has_value()) << parsed.error().to_string();
     const Repro repro = Repro::from_json(*parsed);
     const DstResult r = replay(repro);
+    // One rule: a repro that names violations must still fail with them; a
+    // repro of a fixed bug (no expect, no mutation) must replay clean.
+    if (repro.expect.empty()) {
+      EXPECT_TRUE(repro.mutations.empty())
+          << "a mutation repro must name the violations it expects";
+      EXPECT_FALSE(r.failed()) << "fixed-bug repro fails: " << describe(r);
+      continue;
+    }
     EXPECT_TRUE(r.failed()) << "committed repro no longer fails";
     for (const std::string& property : repro.expect)
       EXPECT_TRUE(r.report.violates(property))

@@ -15,13 +15,12 @@
 //      commit is recoverable from the on-disk log.
 //
 // FLUX_PERSIST_SEEDS scales the sweep widths; FLUX_TEST_SEED shifts every
-// base seed. Failing seeds are printed for replay (the chaos-suite idiom).
+// base seed. Failing seeds are printed for replay (dst_harness.hpp).
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -31,10 +30,10 @@
 #include "base/rng.hpp"
 #include "check/explorer.hpp"
 #include "check/mutation.hpp"
+#include "dst_harness.hpp"
 #include "kvs/content_backend.hpp"
 #include "kvs/content_store.hpp"
 #include "kvs/treeobj.hpp"
-#include "test_seed.hpp"
 
 namespace flux::check {
 namespace {
@@ -42,34 +41,7 @@ namespace {
 using flux::testing::test_seed;
 
 /// Sweep width; FLUX_PERSIST_SEEDS overrides (e.g. 500 for a soak).
-int sweep(int dflt) {
-  if (const char* env = std::getenv("FLUX_PERSIST_SEEDS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return dflt;
-}
-
-std::string describe(const DstResult& r) {
-  std::string out = "seed " + std::to_string(r.seed) + ": ";
-  if (r.workload_error) out += "workload error: " + r.error + "; ";
-  if (r.stalled_clients > 0)
-    out += std::to_string(r.stalled_clients) + " stalled; ";
-  out += r.report.to_string();
-  for (const std::string& v : r.job_violations) out += "\n  job oracle: " + v;
-  for (const std::string& v : r.durability_violations)
-    out += "\n  durability: " + v;
-  if (!r.fault_plan.is_null()) out += "\nfault plan: " + r.fault_plan.dump();
-  return out;
-}
-
-void expect_all_pass(std::uint64_t base, int n, const DstOptions& opt) {
-  const std::vector<DstResult> failures = explore(base, n, opt);
-  for (const DstResult& f : failures) ADD_FAILURE() << describe(f);
-  EXPECT_TRUE(failures.empty())
-      << failures.size() << "/" << n << " schedules failed (replay with "
-      << "FLUX_TEST_SEED; first failing seed printed above)";
-}
+int persist_seeds(int dflt) { return sweep("FLUX_PERSIST_SEEDS", dflt); }
 
 // -- 1. backend-level torn-crash suite ---------------------------------------
 
@@ -81,7 +53,7 @@ TEST(PersistTornCrash, RecoveryNeverLosesASyncedRoot) {
   // last synced ("acked") root, with that version's exact root ref and every
   // object synced before the crash intact.
   const std::uint64_t base = test_seed() + 0x9e0000;
-  const int seeds = sweep(50);
+  const int seeds = persist_seeds(50);
   for (int i = 0; i < seeds; ++i) {
     const std::uint64_t seed = base + static_cast<std::uint64_t>(i);
     SCOPED_TRACE(::testing::Message() << "torn-crash seed " << seed);
@@ -156,7 +128,7 @@ TEST(PersistTornCrash, RecoveryNeverLosesASyncedRoot) {
 TEST(PersistDst, CleanSchedulesPass) {
   DstOptions opt;
   opt.persist = true;
-  expect_all_pass(test_seed() + 0xa00000, sweep(25), opt);
+  expect_all_pass(test_seed() + 0xa00000, persist_seeds(25), opt);
 }
 
 TEST(PersistDst, ShardedSchedulesPass) {
@@ -166,27 +138,25 @@ TEST(PersistDst, ShardedSchedulesPass) {
   opt.persist = true;
   opt.size = 5;
   opt.shards = 2;
-  expect_all_pass(test_seed() + 0xa10000, sweep(15), opt);
+  expect_all_pass(test_seed() + 0xa10000, persist_seeds(15), opt);
 }
 
 TEST(PersistDst, FaultedSchedulesPass) {
   DstOptions opt;
   opt.persist = true;
-  opt.faults = true;
   opt.drops = true;
   opt.delays = true;
-  expect_all_pass(test_seed() + 0xa20000, sweep(15), opt);
+  expect_all_pass(test_seed() + 0xa20000, persist_seeds(15), opt);
 }
 
 TEST(PersistDst, NonRootCrashSchedulesPass) {
   // Crashing slave brokers must never disturb the master's durable state.
   DstOptions opt;
   opt.persist = true;
-  opt.faults = true;
   opt.crashes = true;
   opt.restarts = true;
   opt.delays = true;
-  expect_all_pass(test_seed() + 0xa30000, sweep(10), opt);
+  expect_all_pass(test_seed() + 0xa30000, persist_seeds(10), opt);
 }
 
 TEST(PersistDst, MasterKillAndRestartRecoversEveryAckedCommit) {
@@ -200,17 +170,16 @@ TEST(PersistDst, MasterKillAndRestartRecoversEveryAckedCommit) {
   opt.persist = true;
   opt.master_crash = true;
   opt.rounds = 3;
-  expect_all_pass(test_seed() + 0xa40000, sweep(20), opt);
+  expect_all_pass(test_seed() + 0xa40000, persist_seeds(20), opt);
 }
 
 TEST(PersistDst, MasterCrashUnderMessageChurnPass) {
   DstOptions opt;
   opt.persist = true;
   opt.master_crash = true;
-  opt.faults = true;
   opt.drops = true;
   opt.delays = true;
-  expect_all_pass(test_seed() + 0xa50000, sweep(10), opt);
+  expect_all_pass(test_seed() + 0xa50000, persist_seeds(10), opt);
 }
 
 TEST(PersistDst, ShardedMasterCrashSchedulesPass) {
@@ -224,7 +193,7 @@ TEST(PersistDst, ShardedMasterCrashSchedulesPass) {
   opt.shards = 2;
   opt.master_crash = true;
   opt.rounds = 3;
-  expect_all_pass(test_seed() + 0xa80000, sweep(10), opt);
+  expect_all_pass(test_seed() + 0xa80000, persist_seeds(10), opt);
 }
 
 TEST(PersistDst, SameSeedIsDeterministicWithPersistence) {
