@@ -70,7 +70,9 @@ FenceRun sharded_fence(std::uint32_t nnodes, std::uint32_t producers,
           Rng rng(0x5eedu ^ proc);
           // Unique top-level directory per producer: keys spread over the
           // shards by the rendezvous hash, like distinct jobs' keyspaces.
-          co_await kvs.put("p" + std::to_string(proc) + "/v", rng.bytes(vs));
+          co_await kvs.put(
+              std::string("p").append(std::to_string(proc)).append("/v"),
+              rng.bytes(vs));
           co_await kvs.fence("abl", nprocs);
           if (--*rem == 0) *done = h->executor().now();
         }(handles.back().get(), p, producers, vsize, &remaining, &done_at),

@@ -38,7 +38,7 @@ struct Outcome {
 };
 
 JobSpec small_job(int i) {
-  return JobSpec::app("j" + std::to_string(i), 1,
+  return JobSpec::app(std::string("j").append(std::to_string(i)), 1,
                       std::chrono::microseconds(200 + (i % 7) * 50));
 }
 

@@ -154,8 +154,10 @@ void BM_KvsApplyTransaction(benchmark::State& state) {
     for (std::size_t i = 0; i < ntuples; ++i) {
       ObjPtr obj = make_val_object(rng.bytes(16));
       store.put(obj);
-      tuples.push_back(Tuple{"d" + std::to_string(i / 128) + ".k" +
-                                 std::to_string(i),
+      tuples.push_back(Tuple{std::string("d")
+                                 .append(std::to_string(i / 128))
+                                 .append(".k")
+                                 .append(std::to_string(i)),
                              obj->id});
     }
     state.ResumeTiming();
@@ -165,6 +167,40 @@ void BM_KvsApplyTransaction(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_KvsApplyTransaction)->Arg(16)->Arg(256)->Arg(4096);
+
+// One job's commit in job-stream's shape: 4 tuples into the job's own
+// directory, one entry of a group directory holding N jobs. The apply parses
+// and rebuilds only the path; the group's N entries are copied into its new
+// object as stored, so what still grows with N is copying, serializing and
+// hashing that one object.
+void BM_KvsApplyIntoLargeDir(benchmark::State& state) {
+  const auto njobs = static_cast<std::size_t>(state.range(0));
+  ContentStore store;
+  store.put(empty_dir_object());
+  ObjPtr state_val = make_val_object("R");
+  store.put(state_val);
+  std::vector<Tuple> fill;
+  fill.reserve(njobs);
+  for (std::size_t i = 0; i < njobs; ++i)
+    fill.push_back(Tuple{std::string("g.j").append(std::to_string(i)).append(
+                             ".state"),
+                         state_val->id});
+  const Sha1 root = apply_transaction(store, empty_dir_object()->id, fill);
+  std::vector<Tuple> job;
+  for (const char* leaf : {"eventlog", "jobspec", "R", "state"}) {
+    ObjPtr v = make_val_object(leaf);
+    store.put(v);
+    job.push_back(Tuple{std::string("g.j").append(std::to_string(njobs / 2))
+                            .append(".")
+                            .append(leaf),
+                        v->id});
+  }
+  for (auto _ : state)
+    benchmark::DoNotOptimize(apply_transaction(store, root, job));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(job.size()));
+}
+BENCHMARK(BM_KvsApplyIntoLargeDir)->Arg(256)->Arg(4096);
 
 }  // namespace
 

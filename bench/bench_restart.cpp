@@ -72,7 +72,10 @@ SessionConfig persist_config(const std::string& path) {
 }
 
 std::string cell_key(int i) {
-  return "g" + std::to_string(i % 24) + ".k" + std::to_string(i % 96);
+  return std::string("g")
+      .append(std::to_string(i % 24))
+      .append(".k")
+      .append(std::to_string(i % 96));
 }
 
 Task<void> writer(KvsClient* kvs, int commits) {

@@ -36,7 +36,7 @@ for b in fig2_put fig3_fence fig4a_get_singledir fig4b_get_multidir \
 done
 
 echo "=== bench_micro (SHA1 / codec / KVS micro-cases) ==="
-micro_args=(--benchmark_filter='BM_Sha1|BM_Json|BM_Message|BM_KvsApplyTransaction'
+micro_args=(--benchmark_filter='BM_Sha1|BM_Json|BM_Message|BM_KvsApply'
             --benchmark_out="$out/BENCH_micro_codec.json"
             --benchmark_out_format=json)
 if [ "${FLUX_BENCH_QUICK:-0}" = 1 ]; then

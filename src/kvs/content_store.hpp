@@ -8,7 +8,15 @@
 //
 // Also includes the transaction-apply algorithm: the hash-tree update of the
 // paper's worked example (store new objects; rebuild directory objects
-// bottom-up; produce a new root reference).
+// bottom-up; produce a new root reference). The apply's work follows the
+// change, not the tree: each directory on a tuple's path keeps the stored
+// object it was loaded from plus an overlay of only the entries the
+// transaction touches (put, erased, or a child rebuilt below). Only refs on
+// a tuple's path are parsed; freeze() merges the stored entries, copied as
+// stored, with the overlay into an exactly sized object. Objects and refs
+// are byte-identical to a rebuild from fully parsed directories, because
+// every directory the framework writes already holds canonical lower-case
+// hex refs.
 #pragma once
 
 #include <cstdint>

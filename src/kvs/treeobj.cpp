@@ -64,18 +64,31 @@ ObjPtr make_object(Json doc) {
   return obj;
 }
 
-ObjPtr make_val_object(Json value) {
-  return make_object(Json::object({{"t", "val"}, {"d", std::move(value)}}));
+namespace {
+
+/// The two-entry document {"<key>": payload, "t": type}, built by move: an
+/// initializer list would deep-copy the payload (its elements are const).
+/// `key` sorts before "t", so both emplaces append in canonical order.
+Json typed_doc(const char* key, Json payload, const char* type) {
+  JsonObject doc;
+  doc.reserve(2);
+  doc.emplace(key, std::move(payload));
+  doc.emplace("t", type);
+  return doc;
 }
 
-ObjPtr make_dir_object(const std::map<std::string, Sha1, std::less<>>& entries) {
-  Json e = Json::object();
-  for (const auto& [name, ref] : entries) e[name] = ref.hex();
-  return make_object(Json::object({{"t", "dir"}, {"e", std::move(e)}}));
+}  // namespace
+
+ObjPtr make_val_object(Json value) {
+  return make_object(typed_doc("d", std::move(value), "val"));
+}
+
+ObjPtr make_dir_object(JsonObject entries) {
+  return make_object(typed_doc("e", std::move(entries), "dir"));
 }
 
 ObjPtr empty_dir_object() {
-  static const ObjPtr empty = make_dir_object({});
+  static const ObjPtr empty = make_dir_object(JsonObject{});
   return empty;
 }
 

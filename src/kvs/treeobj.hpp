@@ -12,7 +12,6 @@
 // identical values share one address: the dedup Figure 3 depends on.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -47,8 +46,8 @@ using ObjPtr = std::shared_ptr<const StoredObject>;
 ObjPtr make_object(Json doc);
 /// Build a value object holding `value`.
 ObjPtr make_val_object(Json value);
-/// Build a directory object from name -> ref entries.
-ObjPtr make_dir_object(const std::map<std::string, Sha1, std::less<>>& entries);
+/// Build a directory object from its name -> ref-hex entries, taken by move.
+ObjPtr make_dir_object(JsonObject entries);
 /// The canonical empty directory (the initial KVS root).
 ObjPtr empty_dir_object();
 

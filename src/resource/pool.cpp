@@ -25,6 +25,7 @@ ResourcePool::ResourcePool(const ResourceGraph& graph, ResourceId scope)
   const ResourceId from = (scope == kNoResource) ? graph.root() : scope;
   nodes_ = graph.find("node", from);
   free_.insert(nodes_.begin(), nodes_.end());
+  count_cores(nodes_);
   power_budget_ = graph.total_capacity("power", from);
   io_budget_ = graph.total_capacity("bandwidth", from);
 }
@@ -37,10 +38,16 @@ ResourcePool::ResourcePool(const ResourceGraph& graph,
       power_budget_(power_budget_w),
       io_budget_(io_bw_budget_gbs) {
   free_.insert(nodes_.begin(), nodes_.end());
+  count_cores(nodes_);
+}
+
+void ResourcePool::count_cores(const std::vector<ResourceId>& nodes) {
+  for (ResourceId n : nodes)
+    cores_[n] = static_cast<std::int64_t>(graph_.find("core", n).size());
 }
 
 std::int64_t ResourcePool::cores_of(ResourceId node) const {
-  return static_cast<std::int64_t>(graph_.find("core", node).size());
+  return cores_.at(node);
 }
 
 void ResourcePool::give_back(ResourceId node) {
@@ -189,6 +196,7 @@ void ResourcePool::adopt(const std::vector<ResourceId>& nodes, double power_w,
     nodes_.push_back(n);
     free_.insert(n);
   }
+  count_cores(nodes);
   power_budget_ += power_w;
   io_budget_ += io_bw_gbs;
 }
@@ -207,6 +215,7 @@ Expected<std::vector<ResourceId>> ResourcePool::cede(
     freed.push_back(*it);
     free_.erase(it);
     nodes_.erase(std::find(nodes_.begin(), nodes_.end(), freed.back()));
+    cores_.erase(freed.back());
   }
   power_budget_ -= delta.power_w;
   io_budget_ -= delta.io_bw_gbs;

@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "base/error.hpp"
@@ -111,6 +112,10 @@ class ResourcePool {
   }
 
  private:
+  /// Record each node's core count, walked once when the node enters the
+  /// pool (construction, adopt) so admission and allocation never re-walk
+  /// the graph.
+  void count_cores(const std::vector<ResourceId>& nodes);
   [[nodiscard]] std::int64_t cores_of(ResourceId node) const;
   void give_back(ResourceId node);
 
@@ -118,6 +123,7 @@ class ResourcePool {
   std::vector<ResourceId> nodes_;
   std::set<ResourceId> free_;
   std::set<ResourceId> down_;
+  std::unordered_map<ResourceId, std::int64_t> cores_;  ///< node -> cores
   double power_budget_ = 0;
   double power_used_ = 0;
   double io_budget_ = 0;

@@ -177,8 +177,10 @@ TEST(Failure, ShardMasterDeathHealsAndOtherShardsKeepServing) {
   std::vector<std::string> key_on(4);
   for (int i = 0; key_on[0].empty() || key_on[1].empty() ||
                   key_on[2].empty() || key_on[3].empty();
-       ++i)
-    key_on[map.shard_of("d" + std::to_string(i))] = "d" + std::to_string(i);
+       ++i) {
+    const std::string key = std::string("d").append(std::to_string(i));
+    key_on[map.shard_of(key)] = key;
+  }
   s.run([](Handle* hd, const std::vector<std::string>* keys) -> Task<void> {
     KvsClient kvs(*hd);
     for (const std::string& k : *keys) co_await kvs.put(k + ".v", k);
@@ -243,7 +245,7 @@ TEST(Failure, ShardMasterDeathSettlesInFlightFence) {
   // A key owned by rank 2's shard.
   std::string key;
   for (int i = 0;; ++i) {
-    key = "f" + std::to_string(i);
+    key = std::string("f").append(std::to_string(i));
     if (map.master_rank(map.shard_of(key)) == 2) break;
   }
 
@@ -304,7 +306,7 @@ TEST(Failure, ShardMasterDeathAfterAnnouncesFailsTheFence) {
   const ShardMap& map = leaf->shard_map();
   std::string key;
   for (int i = 0;; ++i) {
-    key = "g" + std::to_string(i);
+    key = std::string("g").append(std::to_string(i));
     if (map.master_rank(map.shard_of(key)) != 2) break;
   }
 

@@ -715,7 +715,7 @@ TEST(Instance, SiblingInstancesScheduleConcurrently) {
   auto h = s.attach(0);
   std::vector<JobSpec> chain;
   for (int i = 0; i < 5; ++i)
-    chain.push_back(JobSpec::app("j" + std::to_string(i), 8,
+    chain.push_back(JobSpec::app(std::string("j").append(std::to_string(i)), 8,
                                  std::chrono::milliseconds(10)));
   const TimePoint t0 = s.ex().now();
   std::vector<JobResult> results = s.run(

@@ -626,7 +626,8 @@ TEST(KvsSharded, TuplesLandOnOwningShardsOnly) {
   }
   std::set<std::uint32_t> owners;
   for (int d = 0; d < 12; ++d)
-    owners.insert(map.shard_of("t" + std::to_string(d) + ".v"));
+    owners.insert(
+        map.shard_of(std::string("t").append(std::to_string(d)).append(".v")));
   EXPECT_GT(owners.size(), 1u) << "12 dirs all hashed to one shard";
 }
 
@@ -724,7 +725,9 @@ TEST(KvsSharded, RelayThatSeesAnAnnounceFirstStillCompletesTheFence) {
   const Topology& topo = s.session().broker(0).topology();
   std::string key;  // a key on shard 1
   for (int i = 0; key.empty(); ++i)
-    if (map.shard_of("r" + std::to_string(i)) == 1) key = "r" + std::to_string(i);
+    if (const std::string r = std::string("r").append(std::to_string(i));
+        map.shard_of(r) == 1)
+      key = r;
   NodeId p = 0;
   NodeId x = 0;
   for (NodeId r = 1; r < 8 && x == 0; ++r) {

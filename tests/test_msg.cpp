@@ -153,7 +153,7 @@ Message random_message(Rng& rng) {
   if (rng.below(2) == 0)
     // Never empty: a zero-length data frame decodes as "no data".
     m.set_data(std::make_shared<const std::string>(
-        "d" + random_string(rng, 200)));
+        std::string("d").append(random_string(rng, 200))));
   if (rng.below(3) == 0) {
     std::vector<ObjPtr> objs;
     const std::size_t nobj = 1 + rng.below(3);

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "resource/pool.hpp"
 #include "resource/resource.hpp"
@@ -181,10 +183,11 @@ TEST(Pool, CoreConstraintSelectsWideNodes) {
   ResourceGraph g;
   const ResourceId root = g.add_root("cluster", "mixed");
   for (int i = 0; i < 4; ++i) {
-    const ResourceId n = g.add(root, "node", "n" + std::to_string(i));
+    const ResourceId n =
+        g.add(root, "node", std::string("n").append(std::to_string(i)));
     const int cores = i < 2 ? 32 : 8;
     for (int c = 0; c < cores; ++c)
-      g.add(n, "core", "c" + std::to_string(c));
+      g.add(n, "core", std::string("c").append(std::to_string(c)));
   }
   ResourcePool pool(g);
   ResourceRequest req;
@@ -198,6 +201,45 @@ TEST(Pool, CoreConstraintSelectsWideNodes) {
   ResourceRequest one_more = req;
   one_more.nnodes = 1;
   EXPECT_FALSE(pool.allocate(one_more).has_value());
+}
+
+TEST(Pool, CoreCountsFollowAdoptAndCede) {
+  // Two narrow nodes (4 cores) in the pool; a wide one (32 cores) outside.
+  ResourceGraph g;
+  const ResourceId root = g.add_root("cluster", "mixed");
+  auto add_node = [&](const std::string& name, int cores) {
+    const ResourceId n = g.add(root, "node", name);
+    for (int c = 0; c < cores; ++c) g.add(n, "core", std::to_string(c));
+    return n;
+  };
+  const ResourceId narrow0 = add_node("narrow0", 4);
+  const ResourceId narrow1 = add_node("narrow1", 4);
+  const ResourceId wide = add_node("wide", 32);
+  ResourcePool pool(g, {narrow0, narrow1}, 0, 0);
+
+  ResourceRequest req;
+  req.cores_per_node = 16;
+  EXPECT_FALSE(pool.feasible(req));
+  EXPECT_FALSE(pool.fits_now(req));
+
+  // Adopting the wide node brings its core count with it.
+  pool.adopt({wide}, 0, 0);
+  EXPECT_TRUE(pool.feasible(req));
+  auto alloc = pool.allocate(req);
+  ASSERT_TRUE(alloc.has_value());
+  EXPECT_EQ(alloc->nodes, std::vector<ResourceId>{wide});
+  ASSERT_TRUE(pool.release(alloc->id).has_value());
+
+  // Ceding it (the highest free id) takes the count away again.
+  auto ceded = pool.cede(ResourceRequest{});
+  ASSERT_TRUE(ceded.has_value());
+  EXPECT_EQ(*ceded, std::vector<ResourceId>{wide});
+  EXPECT_FALSE(pool.feasible(req));
+  EXPECT_FALSE(pool.allocate(req).has_value());
+  ResourceRequest narrow;
+  narrow.nnodes = 2;
+  narrow.cores_per_node = 4;
+  EXPECT_TRUE(pool.allocate(narrow).has_value());
 }
 
 TEST(Pool, FreeNodeMarkedDownIsNeverAllocated) {
