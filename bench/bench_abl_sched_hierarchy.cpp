@@ -8,7 +8,7 @@
 // job-manager, whose one scheduling level decides every job, and (b) as K
 // sibling instance jobs of N/K nodes each, whose J subjobs run through the
 // same pipeline in the instances' own levels. Scheduling passes cost
-// virtual time (the job-manager's default SchedCostModel) and serialize per
+// virtual time (the scheduler's fixed pass cost) and serialize per
 // level, so the centralized run pays the full decision load on one critical
 // path while sibling levels decide concurrently.
 //

@@ -1,5 +1,5 @@
 // Data-plane saturation: sustained mixed put/get/commit ops/sec versus
-// broker count, in both execution modes.
+// broker count on the simulator.
 //
 // The ROADMAP target is a million-ops data plane: the simulator is the
 // instrument (SST/CGSim argument), so per-op constant factors — JSON
@@ -7,29 +7,24 @@
 // bound every experiment the harness can run. This bench measures them
 // end to end:
 //
-//  - sim rows: N brokers on one SimExecutor, C concurrent clients each
-//    looping {put, commit, get own key, get shared key}. ops/sec_host
-//    (total ops over host wall-clock) is the headline: it is what the
-//    JSON fast path and KVS apply-batching buy. Virtual-time throughput
-//    is reported alongside (apply-batching also collapses root
-//    transitions, which virtual time sees).
-//  - threaded rows: real reactor threads + wire codec round-trip, driven
-//    by SyncHandle client threads. This is where transport drain
-//    batching (N messages per wakeup) shows up.
+// N brokers on one SimExecutor, C concurrent clients each looping {put,
+// commit, get own key, get shared key}. ops/sec_host (total ops over host
+// wall-clock) is the headline: it is what the JSON fast path and KVS
+// apply-batching buy. Virtual-time throughput is reported alongside
+// (apply-batching also collapses root transitions, which virtual time
+// sees). The real-thread path (wire codec, MsgInbox, ThreadExecutor) is
+// timed by hostbench's kvs-threaded workload, not here.
 //
 //   $ ./bench_saturation [--quick]
 //
 // Emits saturation.metrics.json (collected as BENCH_saturation.json).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "api/handle.hpp"
-#include "api/sync_handle.hpp"
 #include "bench_util.hpp"
 #include "broker/session.hpp"
 #include "exec/sim_executor.hpp"
@@ -49,19 +44,15 @@ struct Cell {
   double ops_per_sec_virtual = 0;
   std::int64_t apply_batches = 0;
   double apply_batch_mean = 0;
-  std::int64_t announces = 0;
-  double announce_batch_mean = 0;
 };
 
-// Master-side apply/announce coalescing from a kvs.stats.get reply: each is
-// a histogram of fences per batch (count = batches, mean = fences/batch).
+// Master-side apply coalescing from a kvs.stats.get reply: a histogram of
+// fences per batch (count = batches, each announced once; mean =
+// fences/batch).
 void read_batching(const Json& stats, Cell* out) {
   const Json& apply = stats.at("histograms").at("kvs.apply.batch_size");
-  const Json& announce = stats.at("histograms").at("kvs.announce.batch_size");
   out->apply_batches = apply.get_int("count", 0);
   out->apply_batch_mean = apply.get_double("mean", 0.0);
-  out->announces = announce.get_int("count", 0);
-  out->announce_batch_mean = announce.get_double("mean", 0.0);
 }
 
 // One client: `rounds` iterations of the mixed op sequence. Four ops per
@@ -144,65 +135,12 @@ Cell run_sim_cell(std::uint32_t nodes, int clients, int rounds) {
   return cell;
 }
 
-Cell run_threaded_cell(std::uint32_t nodes, int clients, int rounds) {
-  SessionConfig cfg;
-  cfg.size = nodes;
-  cfg.modules = {"hb", "live", "barrier", "kvs"};
-  // Wall-clock heartbeats; liveness detection effectively off (a client
-  // thread storm can deschedule a reactor past many periods).
-  cfg.module_config = Json::object(
-      {{"hb", Json::object({{"period_us", 2000}})},
-       {"live", Json::object({{"missed_max", 1 << 20}})}});
-  auto session = Session::create_threaded(cfg);
-  if (!session->wait_online()) return {};
-
-  {
-    SyncHandle seed(*session, 0);
-    seed.kvs_put("sat.shared", Json::object({{"seed", true}}));
-    (void)seed.kvs_commit();
-  }
-
-  std::atomic<std::int64_t> ops{0};
-  const auto host_start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&session, &ops, c, rounds, nodes] {
-      SyncHandle h(*session,
-                   static_cast<NodeId>(static_cast<std::uint32_t>(c) % nodes));
-      const std::string own = "sat.t" + std::to_string(c);
-      for (int r = 0; r < rounds; ++r) {
-        h.kvs_put(own, Json::object({{"r", r}, {"who", c}}));
-        (void)h.kvs_commit();
-        (void)h.kvs_get(own);
-        (void)h.kvs_get("sat.shared");
-        ops.fetch_add(4, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double host_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    host_start)
-          .count();
-
-  Cell cell;
-  cell.ops = ops.load();
-  cell.host_seconds = host_seconds;
-  cell.ops_per_sec_host =
-      host_seconds > 0 ? static_cast<double>(cell.ops) / host_seconds : 0;
-  SyncHandle probe(*session, 0);
-  read_batching(probe.call(probe.request("kvs.stats.get")).payload(), &cell);
-  return cell;
-}
-
 void emit(const char* mode, std::uint32_t nodes, int clients, int rounds,
           const Cell& c) {
-  std::printf("%9s %8u %8d %10lld %14.0f %14.0f %12.3f %9lld %8.2f %8.2f\n",
+  std::printf("%9s %8u %8d %10lld %14.0f %14.0f %12.3f %9lld %8.2f\n",
               mode, nodes, clients, static_cast<long long>(c.ops),
               c.ops_per_sec_host, c.ops_per_sec_virtual, c.host_seconds,
-              static_cast<long long>(c.apply_batches), c.apply_batch_mean,
-              c.announce_batch_mean);
+              static_cast<long long>(c.apply_batches), c.apply_batch_mean);
   metrics_add(Json::object(
       {{"mode", mode},
        {"brokers", static_cast<std::int64_t>(nodes)},
@@ -214,9 +152,7 @@ void emit(const char* mode, std::uint32_t nodes, int clients, int rounds,
        {"virtual_ms", c.virtual_ms},
        {"host_seconds", c.host_seconds},
        {"apply_batches", c.apply_batches},
-       {"apply_batch_mean", c.apply_batch_mean},
-       {"announces", c.announces},
-       {"announce_batch_mean", c.announce_batch_mean}}));
+       {"apply_batch_mean", c.apply_batch_mean}}));
 }
 
 }  // namespace
@@ -237,22 +173,14 @@ int main(int argc, char** argv) {
       quick_mode() ? std::vector<std::uint32_t>{1, 16, 64}
                    : std::vector<std::uint32_t>{1, 4, 16, 64, 256};
   const int sim_ops_target = quick_mode() ? 4000 : 16000;
-  const std::vector<std::uint32_t> thr_nodes =
-      quick_mode() ? std::vector<std::uint32_t>{2} : std::vector<std::uint32_t>{2, 8};
-  const int thr_rounds = quick_mode() ? 60 : 250;
 
-  std::printf("%9s %8s %8s %10s %14s %14s %12s %9s %8s %8s\n", "mode",
+  std::printf("%9s %8s %8s %10s %14s %14s %12s %9s %8s\n", "mode",
               "brokers", "clients", "ops", "ops/s_host", "ops/s_virt",
-              "host_s", "batches", "batch_mu", "ann_mu");
+              "host_s", "batches", "batch_mu");
   for (const std::uint32_t n : sim_nodes) {
     const int clients = static_cast<int>(std::min<std::uint32_t>(2 * n, 32));
     const int rounds = std::max(1, sim_ops_target / (4 * clients));
     emit("sim", n, clients, rounds, run_sim_cell(n, clients, rounds));
-  }
-  for (const std::uint32_t n : thr_nodes) {
-    const int clients = 8;
-    emit("threaded", n, clients, thr_rounds,
-         run_threaded_cell(n, clients, thr_rounds));
   }
   return 0;
 }

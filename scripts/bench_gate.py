@@ -11,9 +11,11 @@ one-line verdict per bench. Two formats are understood:
   - google-benchmark reports (BENCH_micro_codec.json): entries matched by
     benchmark name, compared on cpu_time.
 
-Tolerances are per-metric-class, not per-bench: virtual-time metrics are
-deterministic (discrete-event sim) and get a tight band; host wall-clock
-metrics are noisy on shared CI hardware and get a loose one. Improvements
+Tolerances are per-metric-class, not per-bench: virtual-time metrics and
+simulated traffic are deterministic (discrete-event sim, the same value on
+every run of the same code) and gate as equal-or-better, so any worsening
+fails and a change that moves them re-records the baseline; host wall-clock
+metrics are noisy on shared CI hardware and get a loose band. Improvements
 always pass. A few metrics also have an absolute limit (LIMITS) that every
 fresh row must meet, with or without a baseline row. Exit status is non-zero
 iff any metric regresses past its band or limit — the gate fails loudly, it
@@ -24,24 +26,27 @@ import math
 import os
 import sys
 
+# Allowed worsening factor of a deterministic field: none. A JSON round trip
+# of the same double compares equal, so this is exact equality or better.
+EXACT = 1.0
+
 # metric field -> (direction, allowed_worsening_factor)
 #   "lower"  = smaller is better;  fresh > base * factor  ==> FAIL
 #   "higher" = bigger is better;   fresh < base / factor  ==> FAIL
 METRICS = {
-    # Virtual-time (deterministic sim clock): tight band.
-    "wireup_us": ("lower", 1.25),
-    "producer_max_ms": ("lower", 1.25),
-    "sync_max_ms": ("lower", 1.25),
-    "consumer_max_ms": ("lower", 1.25),
-    "makespan_ms": ("lower", 1.25),
-    "virtual_ms": ("lower", 1.25),
-    "alloc_mean_us": ("lower", 1.25),
-    "jobs_per_sec": ("higher", 1.25),
-    "ops_per_sec_virtual": ("higher", 1.25),
-    "fence_ms": ("lower", 1.25),
-    # Deterministic traffic volume: batching may only shrink it (band
-    # absorbs incidental retries).
-    "net_messages": ("lower", 1.3),
+    # Virtual-time (deterministic sim clock): equal or better.
+    "wireup_us": ("lower", EXACT),
+    "producer_max_ms": ("lower", EXACT),
+    "sync_max_ms": ("lower", EXACT),
+    "consumer_max_ms": ("lower", EXACT),
+    "makespan_ms": ("lower", EXACT),
+    "virtual_ms": ("lower", EXACT),
+    "alloc_mean_us": ("lower", EXACT),
+    "jobs_per_sec": ("higher", EXACT),
+    "ops_per_sec_virtual": ("higher", EXACT),
+    "fence_ms": ("lower", EXACT),
+    # Deterministic traffic volume: equal or better.
+    "net_messages": ("lower", EXACT),
     # Host wall-clock: noisy, loose band. Still catches the 2x+ cliffs the
     # gate exists for.
     "host_seconds": ("lower", 2.0),

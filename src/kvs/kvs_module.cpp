@@ -101,20 +101,19 @@ void KvsModule::start() {
   recovered_versions_.assign(shards_, 0);
   failover_ = cfg.get_bool("failover", false);
 
-  // Apply/announce rate limit, per shard master. Deferral trades commit
-  // latency for throughput: it only pays when the O(tree) broadcasts and
-  // per-apply freeze dwarf the added wait. Every fence is announced by each
-  // of the k shards, so it costs k broadcasts of `size` deliveries each:
-  // the auto default stays OFF below 48 such deliveries per fence — at small
-  // and mid sizes the window shows up directly in latency-sensitive clients
-  // (measured: scheduler alloc RPCs +2-22 µs) for little host-side gain —
-  // and opens to 40 µs above, where each skipped round of announces saves
-  // k trees' worth of deliveries. 40 µs is the measured knee: wider keeps
-  // shrinking host work but costs more virtual throughput than the
-  // congestion relief returns.
-  std::int64_t win_us = cfg.get_int("announce_window_us", -1);
-  if (win_us < 0) win_us = broker().size() * shards_ < 48 ? 0 : 40;
-  announce_window_ = std::chrono::microseconds(win_us);
+  // Apply rate limit, per shard master; each apply's announce leaves in
+  // the same turn. Deferral trades commit latency for throughput: it only
+  // pays when the O(tree) broadcasts and per-apply freeze dwarf the added
+  // wait. Every fence is announced by each of the k shards, so it costs k
+  // broadcasts of `size` deliveries each: the window stays OFF below 48
+  // such deliveries per fence — at small and mid sizes the window shows up
+  // directly in latency-sensitive clients (measured: scheduler alloc RPCs
+  // +2-22 µs) for little host-side gain — and opens to 40 µs above, where
+  // each skipped round of announces saves k trees' worth of deliveries.
+  // 40 µs is the measured knee: wider keeps shrinking host work but costs
+  // more virtual throughput than the congestion relief returns.
+  apply_window_ = std::chrono::microseconds(
+      broker().size() * shards_ < 48 ? 0 : 40);
 
   // Durable content store (ROADMAP: checkpoint/restart + GC). Config shape:
   //   {"persist": {"path": "...", "checkpoint_every": N,
@@ -655,15 +654,15 @@ void KvsModule::schedule_master_apply(std::uint32_t shard) {
   if (m.apply_scheduled) return;
   m.apply_scheduled = true;
   Executor& ex = broker().executor();
-  // Rate-limit like the announce: the first flush after an idle window runs
-  // this turn (lone-op latency untouched); under sustained load, commits
-  // landing at distinct instants wait for one timer and share one apply —
-  // one directory freeze and one hash for the whole window.
-  if (m.last_apply == TimePoint{} || ex.now() - m.last_apply >= announce_window_) {
+  // Rate-limited: the first flush after an idle window runs this turn
+  // (lone-op latency untouched); under sustained load, commits landing at
+  // distinct instants wait for one timer and share one apply — one
+  // directory freeze, one hash and one announce for the whole window.
+  if (m.last_apply == TimePoint{} || ex.now() - m.last_apply >= apply_window_) {
     ex.post([this, shard] { flush_apply_batch(shard); });
     return;
   }
-  ex.post_at(m.last_apply + announce_window_,
+  ex.post_at(m.last_apply + apply_window_,
              [this, shard, tok = std::weak_ptr<const bool>(timer_token_)] {
                if (tok.expired()) return;  // module destroyed (restart)
                flush_apply_batch(shard);
@@ -712,44 +711,7 @@ void KvsModule::master_apply(std::uint32_t shard,
   // The master bumps its version here, so the adopt guard on the announce
   // path won't fire for it: refresh the scalar root and local waiters now.
   refresh_scalar_root();
-  Master& m = masters_[shard];
-  for (auto& f : fences) m.announce_names.push_back(std::move(f));
-  schedule_announce(shard);
-}
-
-void KvsModule::schedule_announce(std::uint32_t shard) {
-  Master& m = masters_[shard];
-  if (m.announce_armed) return;  // already armed; this apply joins it
-  Executor& ex = broker().executor();
-  const TimePoint now = ex.now();
-  if (m.last_announce == TimePoint{} || now - m.last_announce >= announce_window_) {
-    flush_announce(shard);
-    return;
-  }
-  m.announce_armed = true;
-  ex.post_at(m.last_announce + announce_window_,
-             [this, shard, tok = std::weak_ptr<const bool>(timer_token_)] {
-               if (tok.expired()) return;  // module destroyed (restart)
-               flush_announce(shard);
-             });
-}
-
-void KvsModule::flush_announce(std::uint32_t shard) {
-  Master& m = masters_[shard];
-  m.announce_armed = false;
-  if (m.announce_names.empty()) return;
-  if (broker().failed()) {
-    // Master crashed between apply and announce: committers settle with
-    // typed host-down errors through the broker failure path; the unsent
-    // announce dies with this instance.
-    m.announce_names.clear();
-    return;
-  }
-  announce_size_.record(m.announce_names.size());
-  m.last_announce = broker().executor().now();
-  std::vector<std::string> names = std::move(m.announce_names);
-  m.announce_names.clear();
-  announce_root(shard, std::move(names));
+  announce_root(shard, std::move(fences));
 }
 
 void KvsModule::announce_root(std::uint32_t shard,

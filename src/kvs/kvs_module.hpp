@@ -21,7 +21,8 @@
 // every hop (op_fence -> fence_add -> flush_fence); the shard master counts
 // distinct contributors and, at nprocs, queues the part into its apply batch
 // (flush_apply_batch -> master_apply), which coalesces fences under a
-// rate-limit window and announces the new root (flush_announce, DESIGN §4e).
+// rate-limit window and announces each new root in the turn it is applied
+// (announce_root, DESIGN §4e).
 // The announce is the paper's "kvs.setroot" event ("kvs.setroot.<s>" when
 // k > 1), and its "fences" list names the fences the new root includes.
 // Every broker adopts the root and completes a fence once every shard in
@@ -111,9 +112,12 @@ class KvsModule final : public Module {
     std::uint64_t faults_issued, flushes_forwarded, apply_batches,
         apply_batched_fences, announces;
   };
+  /// Every apply batch is announced in its own turn, so `announces` is the
+  /// apply histogram's count.
   [[nodiscard]] OpStats op_stats() const noexcept {
     return {faults_issued_.value(), flushes_forwarded_.value(),
-            apply_batch_size_.count(), apply_batch_size_.sum(), announce_size_.count()};
+            apply_batch_size_.count(), apply_batch_size_.sum(),
+            apply_batch_size_.count()};
   }
   // Read by hostbench only; goes when hostbench reads a registry dump.
   struct PersistStats {
@@ -228,19 +232,14 @@ class KvsModule final : public Module {
   struct Master {
     /// Parts ready to apply — {fence, tuples in readiness order}. Flushed by
     /// one posted task; under sustained load the flush is additionally
-    /// rate-limited to one per announce window, so commits arriving at
-    /// distinct instants still share one root transition (and one directory
-    /// freeze/hash).
+    /// rate-limited to one per apply window, so commits arriving at
+    /// distinct instants still share one root transition (one directory
+    /// freeze/hash and one O(tree) announce). The first flush after an idle
+    /// window stays synchronous, so lone-op latency is untouched. Zero
+    /// window disables deferral.
     std::vector<std::pair<std::string, std::vector<Tuple>>> batch;
     bool apply_scheduled = false;
     TimePoint last_apply{};
-    /// Deferred announce: the window rate-limits both the apply flush and
-    /// the O(tree) event broadcast to one per window under load; the first
-    /// flush after an idle window stays synchronous, so lone-op latency is
-    /// untouched. Zero window disables deferral.
-    bool announce_armed = false;
-    TimePoint last_announce{};
-    std::vector<std::string> announce_names;
     std::uint64_t applies_since_checkpoint = 0;
     std::uint64_t applies_since_gc = 0;
   };
@@ -254,16 +253,10 @@ class KvsModule final : public Module {
   /// apply_transaction + ONE version bump, so all coalesced committers
   /// observe the same new root.
   void flush_apply_batch(std::uint32_t shard);
-  /// Apply tuples, bump the shard's version, persist, schedule the announce.
+  /// Apply tuples, bump the shard's version, persist, announce the new
+  /// root naming `fences`.
   void master_apply(std::uint32_t shard, const std::vector<Tuple>& tuples,
                     std::vector<std::string> fences);
-  /// Announce now if the last announce is at least one window old, else arm
-  /// a timer at last_announce + window. Idle and sequential traffic stays on
-  /// the synchronous path; only commit bursts coalesce.
-  void schedule_announce(std::uint32_t shard);
-  /// Announce every root transition since the last announce: the latest
-  /// version/rootref plus all accumulated fence names.
-  void flush_announce(std::uint32_t shard);
   /// Publish shard `shard`'s current root and the `fences` it includes.
   /// `remaster` re-binds the shard to this broker on every rank
   /// (failover/rejoin).
@@ -369,8 +362,8 @@ class KvsModule final : public Module {
   ContentStore store_;              // shard masters only
   ObjectCache cache_{stats_registry(), "kvs.cache"};  // every broker
   // Instruments in the broker's registry, resolved at construction. A shard
-  // master's apply and announce batches are histograms of fences per batch:
-  // count = batches, sum = fences they covered.
+  // master's apply batches are a histogram of fences per batch: count =
+  // batches (and announces), sum = fences they covered.
   obs::Counter& puts_ = stats_registry().counter("kvs.puts");
   obs::Counter& gets_ = stats_registry().counter("kvs.gets");
   obs::Counter& commits_ = stats_registry().counter("kvs.commits");
@@ -385,7 +378,6 @@ class KvsModule final : public Module {
   obs::Counter& flushes_forwarded_ = stats_registry().counter("kvs.flushes_forwarded");
   obs::Histogram& apply_batch_size_ = stats_registry().histogram("kvs.apply.batch_size");
   obs::Histogram& apply_ns_ = stats_registry().histogram("kvs.apply.ns");
-  obs::Histogram& announce_size_ = stats_registry().histogram("kvs.announce.batch_size");
   // Recovery and GC (persisting masters; the content log counts its own
   // appends, syncs and checkpoints under "kvs.persist"). truncated_bytes is
   // the torn tail dropped at recovery; gc.pause_ns counts the GC passes.
@@ -418,9 +410,9 @@ class KvsModule final : public Module {
   bool failover_ = false;
   std::map<std::uint32_t, std::uint64_t> pending_failover_;
 
-  /// Apply/announce rate limit (module config "announce_window_us").
-  Duration announce_window_{};
-  /// Liveness token for the deferred apply/announce timers: ThreadExecutor
+  /// Apply rate limit: 0 while size × shards < 48, else 40 µs.
+  Duration apply_window_{};
+  /// Liveness token for the deferred apply timer: ThreadExecutor
   /// timers are not cancelable, and a broker restart destroys this module
   /// instance while an armed timer may still fire — the callbacks hold a
   /// weak_ptr and become no-ops once the token dies with the module.

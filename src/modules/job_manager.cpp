@@ -61,11 +61,8 @@ void JobManager::start() {
 void JobManager::build_level(Level& lv, std::string_view policy) {
   lv.sched = std::make_unique<Scheduler>(broker().executor(), *lv.pool,
                                          make_policy(policy), sched_stats_);
-  lv.sched->on_start([this, &lv](std::uint64_t sched_id,
-                                 const Allocation& alloc) {
-    auto it = lv.sched_to_job.find(sched_id);
-    if (it == lv.sched_to_job.end()) return;
-    if (JobRecord* rec = find(it->second)) start_job(*rec, alloc);
+  lv.sched->on_start([this](std::uint64_t id, const Allocation& alloc) {
+    if (JobRecord* rec = find(id)) start_job(*rec, alloc);
   });
 }
 
@@ -185,10 +182,7 @@ void JobManager::op_submit(Message& msg) {
                   "job-manager.submit: pending queue full");
     return;
   }
-  Expected<std::uint64_t> sid =
-      lv->sched->submit(spec.request, spec.walltime, spec.priority,
-                        /*manual_completion=*/true);
-  if (!sid) {
+  if (!lv->sched->submit(id, spec.request, spec.walltime, spec.priority)) {
     c_rejected_.inc();
     respond_error(msg, errc::alloc_unsatisfiable,
                   parent == 0
@@ -202,9 +196,7 @@ void JobManager::op_submit(Message& msg) {
   rec->id = id;
   rec->parent = parent;
   rec->spec = std::move(spec);
-  rec->sched_id = *sid;
   rec->submit_t = broker().executor().now();
-  lv->sched_to_job[*sid] = id;
   JobRecord& r = *rec;
   jobs_.emplace(id, std::move(rec));
 
@@ -360,10 +352,9 @@ void JobManager::finalize(JobRecord& rec, JobState terminal, Json exits,
   // nodes, which finish() returns to the pool (a down node stays out).
   Level& lv = level_of(rec);
   if (rec.state == JobState::Pending)
-    (void)lv.sched->cancel(rec.sched_id);
+    (void)lv.sched->cancel(rec.id);
   else
-    lv.sched->finish(rec.sched_id);
-  lv.sched_to_job.erase(rec.sched_id);
+    lv.sched->finish(rec.id);
   rec.child.reset();  // an ending instance's level is idle
   rec.state = terminal;
   const bool success = terminal == JobState::Complete;
@@ -533,6 +524,17 @@ void JobManager::handle_event(const Message& msg) {
     event(*rec, "node_down", context);
     finalize(*rec, JobState::Failed, Json::object(), 0, "node_down");
   }
+  // A down node never returns, so a pending job wider than its level's
+  // survivors would wait forever (and hold its instance open): fail it.
+  // resvc, loaded first, has already marked the node down in the session
+  // pool, and the loop above in every instance pool holding it.
+  std::vector<std::uint64_t> stuck;
+  for (const auto& [id, rec] : jobs_)
+    if (rec->state == JobState::Pending &&
+        !level_of(*rec).pool->feasible(rec->spec.request))
+      stuck.push_back(id);
+  for (std::uint64_t id : stuck)
+    finalize(*find(id), JobState::Failed, Json::object(), 0, "unsatisfiable");
 }
 
 JobManager::JobRecord* JobManager::running_instance(Message& msg) {
@@ -634,9 +636,9 @@ void JobManager::power_cap(Level& lv, double watts) {
   if (!lv.pool->over_power_budget()) return;
   double excess = lv.pool->power_in_use() - watts;
   std::vector<JobRecord*> running;
-  for (const auto& [sched_id, id] : lv.sched_to_job)
-    if (JobRecord* rec = find(id); rec && rec->state == JobState::Running)
-      running.push_back(rec);
+  for (const auto& [id, rec] : jobs_)
+    if (rec->state == JobState::Running && &level_of(*rec) == &lv)
+      running.push_back(rec.get());
 
   // Shed 1: shrink malleable running jobs' power proportionally.
   double malleable_power = 0;

@@ -7,8 +7,9 @@
 //   - one scheduling level per instance: a Scheduler over a ResourcePool,
 //     reusing src/sched/policy (fcfs / firstfit / easy policies, priority
 //     ordering inside the queue). The session level schedules directly on
-//     resvc's pool, the session's only allocator; the scheduler's
-//     allocation is the job's allocation, and Scheduler::finish returns it,
+//     resvc's pool, the session's only allocator. The scheduler queues
+//     jobs under their job ids; its allocation is the job's allocation,
+//     and Scheduler::finish, called when the job ends, returns it,
 //   - the dispatch path: schedule -> wexec.run -> finish,
 //   - the JobState machine Pending -> Running -> Complete/Failed/Canceled,
 //     with every transition appended to a KVS event log,
@@ -49,7 +50,9 @@
 // running app job whose allocation includes the dead rank and releases the
 // allocation; resvc has marked the dead node down in the pool, so it never
 // comes back, and wexec fails the job's run with host_down. An instance
-// marks the node down in its own pool and runs on.
+// marks the node down in its own pool and runs on. A pending job, at any
+// level, that no longer fits its level's surviving nodes fails
+// ("unsatisfiable") instead of waiting forever.
 #pragma once
 
 #include <cstdint>
@@ -89,7 +92,6 @@ class JobManager final : public Module {
     ResourcePool* pool = nullptr;
     std::unique_ptr<ResourcePool> owned;  ///< an instance's child pool
     std::unique_ptr<Scheduler> sched;
-    std::map<std::uint64_t, std::uint64_t> sched_to_job;
   };
 
   struct JobRecord {
@@ -97,7 +99,6 @@ class JobManager final : public Module {
     std::uint64_t parent = 0;  ///< enclosing instance job; 0 = the session
     JobSpec spec;
     JobState state = JobState::Pending;
-    std::uint64_t sched_id = 0;  ///< the level Scheduler's job id
     std::uint64_t alloc_id = 0;  ///< allocation in the level's pool
     std::vector<NodeId> ranks;   ///< allocated ranks (empty until Running)
     bool canceled = false;       ///< cancel requested

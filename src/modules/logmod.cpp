@@ -64,13 +64,12 @@ Log::Log(Broker& b) : Module(b) {
 
 void Log::start() {
   const Json cfg = broker().module_config("log");
-  ring_capacity_ = static_cast<std::size_t>(cfg.get_int("ring_capacity", 256));
   forward_level_ = static_cast<int>(cfg.get_int("forward_level", 6));
 }
 
 void Log::append(LogRecord rec, bool force) {
   ring_.push_back(rec);
-  if (ring_.size() > ring_capacity_) ring_.pop_front();
+  if (ring_.size() > kRingCapacity) ring_.pop_front();
 
   if (broker().is_root()) {
     session_log_.push_back(std::move(rec));

@@ -45,7 +45,7 @@ class Log final : public Module {
   void append(LogRecord rec, bool force = false);
   void flush();
 
-  std::size_t ring_capacity_ = 256;
+  static constexpr std::size_t kRingCapacity = 256;
   int forward_level_ = 6;         ///< forward records with level <= this
   std::size_t session_log_max_ = 65536;
 

@@ -17,10 +17,9 @@ Resvc::Resvc(Broker& b) : Module(b) {
   if (!broker().is_root()) return;
   const Json cfg = broker().module_config("resvc");
   cores_per_node_ = cfg.get_int("cores_per_node", 16);
-  mem_per_node_gb_ = cfg.get_int("mem_per_node_gb", 32);
   graph_ = ResourceGraph::build_center(
       "session", 1, 1, broker().size(), static_cast<unsigned>(cores_per_node_),
-      static_cast<double>(mem_per_node_gb_));
+      static_cast<double>(kMemPerNodeGb));
   node_of_rank_ = graph_.find("node");  // creation order == rank order
   pool_ = std::make_unique<ResourcePool>(graph_);
 }
@@ -51,7 +50,7 @@ std::vector<NodeId> Resvc::ranks_of(const Allocation& alloc) const {
 
 Json Resvc::node_record(std::string_view state) const {
   return Json::object({{"cores", cores_per_node_},
-                       {"mem_gb", mem_per_node_gb_},
+                       {"mem_gb", kMemPerNodeGb},
                        {"state", std::string(state)}});
 }
 

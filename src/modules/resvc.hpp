@@ -3,7 +3,7 @@
 //
 // The root instance owns the session's node inventory and is its only
 // allocator: one ResourcePool over a flat rack with one node per broker
-// rank (cores_per_node / mem_per_node_gb from the resvc config), built in
+// rank (cores_per_node from the resvc config, 32 GB each), built in
 // the constructor so it exists before any module's start() reads it. The
 // root job-manager schedules directly on this pool (it finds the module
 // through Broker::find_module); resvc.alloc/free serve direct callers from
@@ -70,7 +70,7 @@ class Resvc final : public Module {
 
   // Root-only state.
   std::int64_t cores_per_node_ = 16;
-  std::int64_t mem_per_node_gb_ = 32;
+  static constexpr std::int64_t kMemPerNodeGb = 32;
   ResourceGraph graph_;
   std::unique_ptr<ResourcePool> pool_;
   std::vector<ResourceId> node_of_rank_;

@@ -63,12 +63,14 @@ bool ResourcePool::mark_down(ResourceId node) {
 }
 
 bool ResourcePool::feasible(const ResourceRequest& req) const {
-  if (req.nnodes <= 0 || std::cmp_greater(req.nnodes, nodes_.size()))
+  if (req.nnodes <= 0 ||
+      std::cmp_greater(req.nnodes, nodes_.size() - down_.size()))
     return false;
   if (req.power_w > power_budget_ || req.io_bw_gbs > io_budget_) return false;
   std::int64_t wide_enough = 0;
   for (ResourceId n : nodes_)
-    if (cores_of(n) >= req.cores_per_node) ++wide_enough;
+    if (!down_.contains(n) && cores_of(n) >= req.cores_per_node)
+      ++wide_enough;
   return wide_enough >= req.nnodes;
 }
 

@@ -54,7 +54,8 @@ class ResourcePool {
   [[nodiscard]] double io_bw_budget() const noexcept { return io_budget_; }
   [[nodiscard]] double io_bw_in_use() const noexcept { return io_used_; }
 
-  /// Can `req` ever fit this pool (even when currently busy)?
+  /// Can `req` ever fit this pool's nodes that are not down (even when
+  /// currently busy)?
   [[nodiscard]] bool feasible(const ResourceRequest& req) const;
   /// Does `req` fit right now?
   [[nodiscard]] bool fits_now(const ResourceRequest& req) const;
@@ -70,8 +71,9 @@ class ResourcePool {
   /// Take a node out of service for good (its host died). A free node
   /// leaves the free set now; an allocated one stays in its allocation and
   /// is never handed back to the free set by release() or a shrink.
-  /// feasible() still counts it, so admission does not change. Returns
-  /// false (and changes nothing) for a node this pool does not hold.
+  /// feasible() stops counting it, so a request wider than the survivors
+  /// is refused from then on. Returns false (and changes nothing) for a
+  /// node this pool does not hold.
   bool mark_down(ResourceId node);
 
   /// Grow an existing allocation in place; returns the node ids added.

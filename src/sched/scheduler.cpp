@@ -15,27 +15,27 @@ SchedStats::SchedStats(obs::StatsRegistry& registry, std::string_view prefix)
       busy_ns(registry.counter(std::string(prefix) + ".busy_ns")),
       wait_ns(registry.histogram(std::string(prefix) + ".wait_ns")) {}
 
-Scheduler::Scheduler(Executor& ex, ResourcePool& pool,
-                     std::unique_ptr<Policy> policy, SchedStats& stats,
-                     CostModel cost)
-    : ex_(ex),
-      pool_(pool),
-      policy_(std::move(policy)),
-      cost_(cost),
-      stats_(stats) {}
+namespace {
+// Virtual-time cost of a scheduling pass.
+constexpr Duration kPassBase = std::chrono::microseconds(10);
+constexpr Duration kPerQueuedJob = std::chrono::nanoseconds(400);
+constexpr Duration kPerFreeNode = std::chrono::nanoseconds(80);
+}  // namespace
 
-Expected<std::uint64_t> Scheduler::submit(ResourceRequest request,
-                                          Duration walltime, int priority,
-                                          bool manual_completion) {
+Scheduler::Scheduler(Executor& ex, ResourcePool& pool,
+                     std::unique_ptr<Policy> policy, SchedStats& stats)
+    : ex_(ex), pool_(pool), policy_(std::move(policy)), stats_(stats) {}
+
+Status Scheduler::submit(std::uint64_t jobid, ResourceRequest request,
+                         Duration walltime, int priority) {
   if (!pool_.feasible(request))
     return Error(errc::no_spc, "submit: request can never fit this pool");
   PendingJob job;
-  job.jobid = next_jobid_++;
+  job.jobid = jobid;
   job.request = request;
   job.walltime = walltime;
   job.submit_time = ex_.now();
   job.priority = priority;
-  const std::uint64_t jobid = job.jobid;
   // Priority-ordered queue: insert before the first lower-priority entry
   // (stable — equal priorities keep submission order, so the default
   // priority 0 preserves pure FCFS and the policies, which respect queue
@@ -44,10 +44,9 @@ Expected<std::uint64_t> Scheduler::submit(ResourceRequest request,
       queue_.begin(), queue_.end(),
       [priority](const PendingJob& j) { return j.priority < priority; });
   queue_.insert(pos, std::move(job));
-  manual_[jobid] = manual_completion;
   stats_.submitted.inc();
   kick();
-  return jobid;
+  return {};
 }
 
 Status Scheduler::cancel(std::uint64_t jobid) {
@@ -56,13 +55,18 @@ Status Scheduler::cancel(std::uint64_t jobid) {
   if (it == queue_.end())
     return Error(errc::noent, "cancel: job not pending");
   queue_.erase(it);
-  manual_.erase(jobid);
   stats_.canceled.inc();
-  check_idle();
   return {};
 }
 
-void Scheduler::finish(std::uint64_t jobid) { complete(jobid); }
+void Scheduler::finish(std::uint64_t jobid) {
+  auto it = running_.find(jobid);
+  if (it == running_.end()) return;
+  pool_.release(it->second.alloc_id).value();
+  running_.erase(it);
+  stats_.completed.inc();
+  if (!queue_.empty()) kick();
+}
 
 void Scheduler::kick() {
   if (pass_scheduled_) return;
@@ -70,9 +74,8 @@ void Scheduler::kick() {
   // A pass costs virtual time and passes serialize per scheduler — the
   // centralized-scheduler bottleneck the paper's hierarchy removes.
   const Duration cost =
-      cost_.pass_base +
-      cost_.per_queued_job * static_cast<Duration::rep>(queue_.size()) +
-      cost_.per_free_node * static_cast<Duration::rep>(pool_.free_nodes());
+      kPassBase + kPerQueuedJob * static_cast<Duration::rep>(queue_.size()) +
+      kPerFreeNode * static_cast<Duration::rep>(pool_.free_nodes());
   const TimePoint start = std::max(ex_.now(), busy_until_);
   busy_until_ = start + cost;
   stats_.busy_ns.inc(static_cast<std::uint64_t>(cost.count()));
@@ -86,10 +89,7 @@ void Scheduler::kick() {
 void Scheduler::pass() {
   pass_scheduled_ = false;
   stats_.passes.inc();
-  if (queue_.empty()) {
-    check_idle();
-    return;
-  }
+  if (queue_.empty()) return;
 
   std::vector<RunningJob> running;
   running.reserve(running_.size());
@@ -126,36 +126,11 @@ void Scheduler::pass() {
     r.alloc_id = alloc->id;
     r.nnodes = job.request.nnodes;
     r.expected_end = ex_.now() + job.walltime;
-    r.manual = manual_[job.jobid];
-    manual_.erase(job.jobid);
     running_.emplace(job.jobid, r);
     stats_.started.inc();
     stats_.wait_ns.record(ex_.now() - job.submit_time);
     if (on_start_) on_start_(job.jobid, *alloc);
-    if (!r.manual) {
-      const std::uint64_t jobid = job.jobid;
-      ex_.post_after(job.walltime,
-                     [this, jobid, tok = std::weak_ptr<const bool>(alive_)] {
-                       if (tok.expired()) return;
-                       complete(jobid);
-                     });
-    }
   }
-  check_idle();
-}
-
-void Scheduler::complete(std::uint64_t jobid) {
-  auto it = running_.find(jobid);
-  if (it == running_.end()) return;
-  pool_.release(it->second.alloc_id).value();
-  running_.erase(it);
-  stats_.completed.inc();
-  if (!queue_.empty()) kick();
-  check_idle();
-}
-
-void Scheduler::check_idle() {
-  if (idle() && on_idle_) on_idle_();
 }
 
 }  // namespace flux

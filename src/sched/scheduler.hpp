@@ -1,12 +1,16 @@
 // Event-driven per-instance scheduler.
 //
-// Each Flux instance runs one Scheduler over its (bounded) ResourcePool.
-// The scheduler is a reactor citizen: submissions and job completions kick a
-// scheduling pass, and each pass *costs virtual time* (base + per-queued-job
-// + per-free-node), serialized per scheduler — which is what makes the
-// centralized-vs-hierarchical comparison meaningful: a single center-wide
-// scheduler's passes serialize, while sibling instances' schedulers run
-// concurrently in virtual time ("scheduler parallelism", §II/§III).
+// Each Flux instance runs one Scheduler over its (bounded) ResourcePool,
+// owned by that instance's job-manager level. The scheduler queues the
+// owner's jobs under the owner's job ids, starts them through on_start, and
+// frees their nodes when the owner calls finish(): it never ends a job by
+// itself. It is a reactor citizen: submissions and job completions kick a
+// scheduling pass, and each pass *costs virtual time* (10 µs + 400 ns per
+// queued job + 80 ns per free node), serialized per scheduler — which is
+// what makes the centralized-vs-hierarchical comparison meaningful: a
+// single center-wide scheduler's passes serialize, while sibling
+// instances' schedulers run concurrently in virtual time ("scheduler
+// parallelism", §II/§III).
 #pragma once
 
 #include <cstdint>
@@ -20,14 +24,6 @@
 #include "sched/policy.hpp"
 
 namespace flux {
-
-/// Virtual-time cost of a scheduling pass (at namespace scope: gcc 12
-/// rejects `= {}` default arguments for nested aggregates with NSDMIs).
-struct SchedCostModel {
-  Duration pass_base{std::chrono::microseconds(10)};
-  Duration per_queued_job{std::chrono::nanoseconds(400)};
-  Duration per_free_node{std::chrono::nanoseconds(80)};
-};
 
 /// A scheduler's registry instruments: `<prefix>.{submitted,started,
 /// completed,canceled,passes,busy_ns}` and the queue-wait histogram
@@ -45,33 +41,26 @@ struct SchedStats {
 
 class Scheduler {
  public:
-  using CostModel = SchedCostModel;
-
   using StartFn =
       std::function<void(std::uint64_t jobid, const Allocation& alloc)>;
-  using IdleFn = std::function<void()>;
 
   /// Counts into `stats`, which must outlive the scheduler.
   Scheduler(Executor& ex, ResourcePool& pool, std::unique_ptr<Policy> policy,
-            SchedStats& stats, CostModel cost = {});
+            SchedStats& stats);
 
-  /// Submit; returns the job id. Infeasible requests are rejected. With
-  /// `manual_completion` the job does NOT auto-complete after walltime — the
-  /// owner calls finish() (instance jobs end when the child goes quiescent;
-  /// walltime then only informs backfill planning).
-  Expected<std::uint64_t> submit(ResourceRequest request, Duration walltime,
-                                 int priority = 0,
-                                 bool manual_completion = false);
+  /// Queue the owner's job `jobid`. Infeasible requests are rejected. The
+  /// job runs until the owner calls finish(); walltime only informs
+  /// backfill planning.
+  Status submit(std::uint64_t jobid, ResourceRequest request,
+                Duration walltime, int priority = 0);
 
-  /// Cancel a pending job (running jobs complete normally).
+  /// Cancel a pending job (running jobs end through finish()).
   Status cancel(std::uint64_t jobid);
 
-  /// Owner signals that a manually-completed job is done.
+  /// The owner's running job is done: return its nodes to the pool.
   void finish(std::uint64_t jobid);
 
   void on_start(StartFn fn) { on_start_ = std::move(fn); }
-  /// Fires whenever queue and running set both become empty.
-  void on_idle(IdleFn fn) { on_idle_ = std::move(fn); }
 
   /// Request a scheduling pass (coalesced; costs virtual time).
   void kick();
@@ -89,29 +78,22 @@ class Scheduler {
     std::uint64_t alloc_id = 0;
     std::int64_t nnodes = 0;
     TimePoint expected_end{0};
-    bool manual = false;
   };
 
   void pass();
-  void complete(std::uint64_t jobid);
-  void check_idle();
 
   Executor& ex_;
   ResourcePool& pool_;
   std::unique_ptr<Policy> policy_;
-  CostModel cost_;
-  std::uint64_t next_jobid_ = 1;
   std::vector<PendingJob> queue_;
-  std::map<std::uint64_t, bool> manual_;  // jobid -> manual completion
   std::map<std::uint64_t, Running> running_;
   bool pass_scheduled_ = false;
   TimePoint busy_until_{0};
   // Timers are not cancelable; the owning module can be destroyed (broker
-  // restart) with a pass or walltime completion still queued. Callbacks hold
-  // a weak_ptr to this token and no-op once the scheduler is gone.
+  // restart) with a pass still queued. The callback holds a weak_ptr to
+  // this token and no-ops once the scheduler is gone.
   std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
   StartFn on_start_;
-  IdleFn on_idle_;
   SchedStats& stats_;
 };
 

@@ -464,15 +464,47 @@ TEST(Chaos, MasterCrashMidBatchNeverHalfApplies) {
 }
 
 TEST(Chaos, WindowedApplyCoalescesWithoutLosingAckedCommits) {
-  // With an explicit coalescing window, commits landing at distinct sim
-  // instants share one deferred apply flush and one root announce on every
-  // shard master — the single master (k = 1) and each of k = 4 alike. The
-  // batching must be visible in the stats AND invisible to the oracle:
-  // every acked transaction is present whole in its shard master's tree.
-  for (const std::int64_t shards : {std::int64_t{1}, std::int64_t{4}}) {
+  // Where the apply window is open (size × shards >= 48), commits landing at
+  // distinct sim instants share one deferred apply and one root announce on
+  // every shard master — the single master (k = 1, 48 brokers) and each of
+  // k = 4 (12 brokers) alike. The batching must be visible in the stats AND
+  // invisible to the oracle: every acked transaction is present whole in
+  // its shard master's tree, and every applied root is announced — each
+  // shard's kvs.setroot* versions step by exactly 1, one announce per apply.
+  struct Cell {
+    std::uint32_t size;
+    std::int64_t shards;
+  };
+  for (const Cell cell : {Cell{48, 1}, Cell{12, 4}}) {
+    const std::int64_t shards = cell.shards;
     SCOPED_TRACE(::testing::Message() << "shards " << shards);
-    SimSession s(chaos_config(
-        6, Json::object({{"announce_window_us", 60}, {"shards", shards}})));
+    SimSession s(chaos_config(cell.size, Json::object({{"shards", shards}})));
+    s.ex().run();  // settle boot-time commits before observing
+
+    auto kvs_at = [&s](NodeId rank) {
+      return dynamic_cast<KvsModule*>(s.session().broker(rank).find_module("kvs"));
+    };
+    const KvsModule* k0 = kvs_at(0);
+    ASSERT_NE(k0, nullptr);
+    ASSERT_EQ(k0->shards(), static_cast<std::uint32_t>(shards));
+    const NodeId observer_rank = cell.size - 1;
+    std::vector<std::uint64_t> version = kvs_at(observer_rank)->shard_versions();
+    std::vector<std::uint64_t> applies_before;
+    for (const NodeId rank : k0->shard_masters())
+      applies_before.push_back(
+          s.stats(rank).histogram_value("kvs.apply.batch_size").count());
+    std::vector<std::uint64_t> announces(version.size(), 0);
+    auto observer = s.attach(observer_rank);
+    Subscription sub = observer->subscribe("kvs.setroot", [&](const Message& ev) {
+      const std::size_t shard =
+          ev.topic == "kvs.setroot" ? 0 : std::stoul(ev.topic.substr(12));
+      const auto v = static_cast<std::uint64_t>(ev.payload().get_int("version"));
+      EXPECT_EQ(v, version[shard] + 1) << "shard " << shard
+                                       << " setroot version jumped";
+      version[shard] = v;
+      ++announces[shard];
+    });
+
     Tally out;
     int done = 0;
     bool acked[kWriters][kRounds] = {};
@@ -489,27 +521,20 @@ TEST(Chaos, WindowedApplyCoalescesWithoutLosingAckedCommits) {
     EXPECT_EQ(out.unexpected, 0);
     EXPECT_EQ(out.ok, kWriters * kRounds) << "no faults injected, no failures";
 
-    auto kvs_at = [&s](NodeId rank) {
-      return dynamic_cast<KvsModule*>(s.session().broker(rank).find_module("kvs"));
-    };
-    const KvsModule* k0 = kvs_at(0);
-    ASSERT_NE(k0, nullptr);
-    ASSERT_EQ(k0->shards(), static_cast<std::uint32_t>(shards));
-    for (const NodeId rank : k0->shard_masters()) {
+    for (std::uint32_t shard = 0; shard < k0->shards(); ++shard) {
+      const NodeId rank = k0->shard_masters()[shard];
       SCOPED_TRACE(::testing::Message() << "shard master rank " << rank);
-      // Histograms of fences per batch: count = batches, sum = fences.
+      // A histogram of fences per batch: count = batches, sum = fences.
       const obs::Histogram apply =
           s.stats(rank).histogram_value("kvs.apply.batch_size");
-      const obs::Histogram announce =
-          s.stats(rank).histogram_value("kvs.announce.batch_size");
-      // All 16 writer commits (plus any module boot-time commit) flowed
-      // through this master's batch path — every fence carries a part, empty
-      // or not, to every shard — and the window must have merged concurrent
-      // ones: strictly fewer root transitions and announces than fences.
+      // All 16 writer commits flowed through this master's batch path —
+      // every fence carries a part, empty or not, to every shard — and the
+      // window must have merged concurrent ones: strictly fewer root
+      // transitions than fences, each announced once.
       EXPECT_GE(apply.sum(), static_cast<std::uint64_t>(kWriters) * kRounds);
       EXPECT_LT(apply.count(), apply.sum()) << "window never coalesced an apply";
-      EXPECT_LT(announce.count(), announce.sum())
-          << "window never coalesced an announce";
+      EXPECT_EQ(announces[shard], apply.count() - applies_before[shard])
+          << "an applied root went unannounced";
     }
     for (int w = 0; w < kWriters; ++w) {
       for (int r = 0; r < kRounds; ++r) {
@@ -529,19 +554,20 @@ TEST(Chaos, WindowedApplyCoalescesWithoutLosingAckedCommits) {
 }
 
 TEST(Chaos, WindowedApplyCrashRestartLeavesNoStaleTimer) {
-  // A root bounce while the apply/announce timer is armed destroys the
-  // KvsModule instance with the timer still due: the stale callback must
-  // degrade to a no-op (weak liveness token — ThreadExecutor timers are not
-  // cancelable) and the pending batch dies whole. The restart lands INSIDE
-  // the window (30 µs after the crash, window 60 µs) so seeds split between
-  // timer-fires-on-failed-broker and timer-fires-after-destruction; ASan
-  // turns any stale-timer dereference into a hard failure. Root restart is
-  // session-fatal by design (plans spare rank 0), so no post-restart
-  // service is asserted — only typed settlement and no-UAF.
+  // A root bounce while the apply timer is armed destroys the KvsModule
+  // instance with the timer still due: the stale callback must degrade to
+  // a no-op (weak liveness token — ThreadExecutor timers are not
+  // cancelable) and the pending batch dies whole. On 48 brokers the window
+  // is open (40 µs), and the restart lands INSIDE it (30 µs after the
+  // crash), so seeds split between timer-fires-on-failed-broker and
+  // timer-fires-after-destruction; ASan turns any stale-timer dereference
+  // into a hard failure. Root restart is session-fatal by design (plans
+  // spare rank 0), so no post-restart service is asserted — only typed
+  // settlement and no-UAF.
   for (int i = 0; i < chaos_seeds(); ++i) {
     const std::uint64_t seed = test_seed() + 60 + static_cast<std::uint64_t>(i);
     SCOPED_TRACE(::testing::Message() << "chaos seed " << seed);
-    SimSession s(chaos_config(6, Json::object({{"announce_window_us", 60}})));
+    SimSession s(chaos_config(48));
     Rng rng(seed);
     const auto crash_at = std::chrono::microseconds(120 + rng.below(600));
 

@@ -3,9 +3,11 @@
 // h.job() client API (ctest -L jobs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -991,6 +993,76 @@ TEST(Instance, NodeDownFailsOnlyTheSubjobsOnThatRank) {
   Json status = s.run(call(h.get(), "resvc.status", Json::object()));
   EXPECT_EQ(status.get_int("down"), 1);
   EXPECT_EQ(status.get_int("free"), 7);
+}
+
+TEST(Instance, NodeDownFailsAPendingSubjobThatCanNoLongerFit) {
+  // A down node never returns: a pending subjob as wide as the whole
+  // instance can never run once one of the instance's nodes dies. It must
+  // fail, not wait forever, so the instance still drains.
+  SessionConfig cfg = center_config(8);
+  cfg.module_config =
+      Json::object({{"hb", Json::object({{"period_us", 100}})},
+                    {"live", Json::object({{"missed_max", 3}})}});
+  SimSession s(cfg);
+  auto h = s.attach(0);
+  JobHandle inst;
+  std::uint64_t wide = 0;
+  const JobResult r = s.run([](SimSession* sim, Handle* hd, JobHandle* out,
+                               std::uint64_t* wide_id) -> Task<JobResult> {
+    std::vector<JobSpec> work{
+        JobSpec::app("narrow", 2, std::chrono::milliseconds(5)),
+        JobSpec::app("wide", 4, std::chrono::milliseconds(1))};
+    *out = co_await hd->job()
+               .spec(JobSpec::instance("shrinking", 4, "fcfs", work))
+               .submit();
+    // The narrow subjob runs; the wide one waits behind it.
+    std::uint64_t narrow = 0;
+    for (int i = 0; narrow == 0 || *wide_id == 0; ++i) {
+      if (i == 200)
+        throw FluxException(Error(errc::proto, "subjobs never settled"));
+      co_await hd->sleep(std::chrono::microseconds(100));
+      narrow = *wide_id = 0;
+      const auto subs = co_await subjobs_of(hd, out->id());
+      for (const auto& [id, state] : subs) {
+        if (state == "running") narrow = id;
+        if (state == "pending") *wide_id = id;
+      }
+    }
+    // Kill an instance node the narrow subjob does not use (never rank 0,
+    // the session root).
+    KvsClient kvs(*hd);
+    const Json inst_ranks = co_await kvs.get(job_kvs_path(out->id()) + ".ranks");
+    const Json busy = co_await kvs.get(job_kvs_path(narrow) + ".ranks");
+    std::optional<NodeId> victim;
+    for (const Json& rank : inst_ranks.as_array()) {
+      const bool used = std::find(busy.as_array().begin(), busy.as_array().end(),
+                                  rank) != busy.as_array().end();
+      if (rank.as_int() != 0 && !used)
+        victim = static_cast<NodeId>(rank.as_int());
+    }
+    if (!victim)
+      throw FluxException(Error(errc::proto, "no idle instance node to kill"));
+    sim->session().fail(*victim);
+    if ((co_await JobHandle(*hd, narrow).wait()).state != JobState::Complete)
+      throw FluxException(Error(errc::proto, "narrow subjob did not complete"));
+    // Bounded: a wide subjob left pending would hold the instance open.
+    for (int i = 0; (co_await job_state(hd, out->id())).get_string("state") ==
+                     "running";
+         ++i) {
+      if (i == 200)
+        throw FluxException(Error(errc::proto, "the instance never drained"));
+      co_await hd->sleep(std::chrono::microseconds(100));
+    }
+    co_return co_await out->wait();
+  }(&s, h.get(), &inst, &wide));
+  EXPECT_EQ(r.state, JobState::Complete);
+  const JobResult lost = s.run(JobHandle(*h, wide).wait());
+  EXPECT_EQ(lost.state, JobState::Failed);
+  const Json log = s.run(JobHandle(*h, wide).events());
+  ASSERT_FALSE(log.as_array().empty());
+  EXPECT_EQ(log.as_array().back().get_string("why"), "unsatisfiable")
+      << log.dump();
+  EXPECT_EQ(event_time(log, "start"), -1) << "the wide subjob never ran";
 }
 
 TEST(Instance, CompletesOnlyAfterEverySubmissionIsAnswered) {

@@ -256,11 +256,12 @@ TEST(Pool, FreeNodeMarkedDownIsNeverAllocated) {
   EXPECT_EQ(std::count(alloc->nodes.begin(), alloc->nodes.end(), dead), 0);
   ResourceRequest one;
   EXPECT_FALSE(pool.allocate(one).has_value());
-  // Admission still counts the down node.
+  // A down node never returns, so admission stops counting it.
   ResourceRequest full;
   full.nnodes = 16;
-  EXPECT_TRUE(pool.feasible(full));
+  EXPECT_FALSE(pool.feasible(full));
   EXPECT_FALSE(pool.fits_now(full));
+  EXPECT_TRUE(pool.feasible(all_up));
 }
 
 TEST(Pool, AllocatedNodeMarkedDownStaysOutAfterRelease) {

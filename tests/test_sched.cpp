@@ -1,6 +1,9 @@
 // Scheduling policies and the per-instance event-driven scheduler.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "exec/sim_executor.hpp"
 #include "resource/pool.hpp"
 #include "sched/scheduler.hpp"
@@ -8,11 +11,28 @@
 namespace flux {
 namespace {
 
+/// A scheduler over a 16-node pool, owned the way job-manager owns one: the
+/// fixture hands out job ids, records each start, and finishes every
+/// started job once its walltime has passed (job-manager does so when the
+/// job's wexec run ends).
 struct SchedFixture {
   SchedFixture(std::string policy, std::uint32_t nnodes = 16)
       : graph(ResourceGraph::build_center("c", 1, 1, nnodes, 16, 32, 350, 100)),
         pool(graph),
-        sched(ex, pool, make_policy(policy), sched_stats) {}
+        sched(ex, pool, make_policy(policy), sched_stats) {
+    sched.on_start([this](std::uint64_t id, const Allocation&) {
+      started.push_back(id);
+      ex.post_after(walltimes.at(id), [this, id] { sched.finish(id); });
+    });
+  }
+
+  /// Submit the next job id; returns it.
+  std::uint64_t submit(const ResourceRequest& req, Duration walltime) {
+    const std::uint64_t id = walltimes.size() + 1;
+    walltimes.emplace(id, walltime);
+    EXPECT_TRUE(sched.submit(id, req, walltime).has_value());
+    return id;
+  }
 
   /// The scheduler's counter `sched.<name>`.
   [[nodiscard]] std::uint64_t count(const std::string& name) const {
@@ -25,21 +45,18 @@ struct SchedFixture {
   obs::StatsRegistry stats;
   SchedStats sched_stats{stats, "sched"};
   Scheduler sched;
+  std::map<std::uint64_t, Duration> walltimes;
+  std::vector<std::uint64_t> started;
 };
 
 TEST(Scheduler, FcfsRunsJobsInOrder) {
   SchedFixture f("fcfs");
-  std::vector<std::uint64_t> started;
-  f.sched.on_start([&](std::uint64_t id, const Allocation&) {
-    started.push_back(id);
-  });
   ResourceRequest req;
   req.nnodes = 4;
-  for (int i = 0; i < 6; ++i)
-    ASSERT_TRUE(f.sched.submit(req, std::chrono::milliseconds(1)).has_value());
+  for (int i = 0; i < 6; ++i) f.submit(req, std::chrono::milliseconds(1));
   f.ex.run();
-  ASSERT_EQ(started.size(), 6u);
-  EXPECT_TRUE(std::is_sorted(started.begin(), started.end()));
+  ASSERT_EQ(f.started.size(), 6u);
+  EXPECT_TRUE(std::is_sorted(f.started.begin(), f.started.end()));
   EXPECT_EQ(f.count("completed"), 6u);
   EXPECT_EQ(f.pool.free_nodes(), 16u);
 }
@@ -48,19 +65,18 @@ TEST(Scheduler, InfeasibleSubmissionRejected) {
   SchedFixture f("fcfs");
   ResourceRequest req;
   req.nnodes = 999;
-  EXPECT_FALSE(f.sched.submit(req, std::chrono::milliseconds(1)).has_value());
+  EXPECT_FALSE(f.sched.submit(1, req, std::chrono::milliseconds(1)).has_value());
+  EXPECT_EQ(f.count("submitted"), 0u);
 }
 
 TEST(Scheduler, CancelPendingJob) {
   SchedFixture f("fcfs");
   ResourceRequest wide;
   wide.nnodes = 16;
-  ResourceRequest blocked = wide;
-  auto first = f.sched.submit(wide, std::chrono::milliseconds(5));
-  auto second = f.sched.submit(blocked, std::chrono::milliseconds(5));
-  ASSERT_TRUE(first.has_value() && second.has_value());
+  f.submit(wide, std::chrono::milliseconds(5));
+  const std::uint64_t second = f.submit(wide, std::chrono::milliseconds(5));
   f.ex.run_for(std::chrono::milliseconds(1));  // first started, second queued
-  ASSERT_TRUE(f.sched.cancel(*second).has_value());
+  ASSERT_TRUE(f.sched.cancel(second).has_value());
   f.ex.run();
   EXPECT_EQ(f.count("completed"), 1u);
   EXPECT_EQ(f.count("canceled"), 1u);
@@ -74,20 +90,16 @@ TEST(Scheduler, StrictFcfsHeadBlocksQueue) {
   full.nnodes = 16;
   ResourceRequest small;
   small.nnodes = 1;
-  std::vector<std::uint64_t> started;
-  f.sched.on_start([&](std::uint64_t id, const Allocation&) {
-    started.push_back(id);
-  });
-  auto a = f.sched.submit(half, std::chrono::milliseconds(10));
-  auto b = f.sched.submit(full, std::chrono::milliseconds(1));   // blocked head
-  auto c = f.sched.submit(small, std::chrono::milliseconds(1));  // behind it
-  (void)a; (void)c;
+  f.submit(half, std::chrono::milliseconds(10));
+  // b is the blocked head; c waits behind it.
+  const std::uint64_t b = f.submit(full, std::chrono::milliseconds(1));
+  f.submit(small, std::chrono::milliseconds(1));
   f.ex.run_for(std::chrono::milliseconds(5));
   // Under strict FCFS, c must NOT jump ahead of the blocked b.
-  EXPECT_EQ(started.size(), 1u);
+  EXPECT_EQ(f.started.size(), 1u);
   f.ex.run();
   EXPECT_EQ(f.count("completed"), 3u);
-  EXPECT_EQ(started[1], *b);
+  EXPECT_EQ(f.started[1], b);
 }
 
 TEST(Scheduler, EasyBackfillsShortNarrowJobs) {
@@ -98,18 +110,13 @@ TEST(Scheduler, EasyBackfillsShortNarrowJobs) {
   full.nnodes = 16;
   ResourceRequest small;
   small.nnodes = 2;
-  std::vector<std::uint64_t> started;
-  f.sched.on_start([&](std::uint64_t id, const Allocation&) {
-    started.push_back(id);
-  });
-  auto a = f.sched.submit(half, std::chrono::milliseconds(10));
-  auto b = f.sched.submit(full, std::chrono::milliseconds(1));
+  f.submit(half, std::chrono::milliseconds(10));
+  f.submit(full, std::chrono::milliseconds(1));
   // Short job fits in the hole and finishes before the shadow time.
-  auto c = f.sched.submit(small, std::chrono::milliseconds(2));
-  (void)a; (void)b;
+  const std::uint64_t c = f.submit(small, std::chrono::milliseconds(2));
   f.ex.run_for(std::chrono::milliseconds(5));
-  ASSERT_GE(started.size(), 2u);
-  EXPECT_EQ(started[1], *c);  // backfilled ahead of the blocked head
+  ASSERT_GE(f.started.size(), 2u);
+  EXPECT_EQ(f.started[1], c);  // backfilled ahead of the blocked head
   f.ex.run();
   EXPECT_EQ(f.count("completed"), 3u);
 }
@@ -122,21 +129,16 @@ TEST(Scheduler, EasyDoesNotDelayReservation) {
   full.nnodes = 16;
   ResourceRequest long_narrow;
   long_narrow.nnodes = 10;  // would collide with the head's reservation
-  std::vector<std::uint64_t> started;
-  f.sched.on_start([&](std::uint64_t id, const Allocation&) {
-    started.push_back(id);
-  });
-  auto a = f.sched.submit(half, std::chrono::milliseconds(10));
-  auto b = f.sched.submit(full, std::chrono::milliseconds(1));
-  auto c = f.sched.submit(long_narrow, std::chrono::milliseconds(100));
-  (void)a; (void)c;
+  f.submit(half, std::chrono::milliseconds(10));
+  const std::uint64_t b = f.submit(full, std::chrono::milliseconds(1));
+  f.submit(long_narrow, std::chrono::milliseconds(100));
   f.ex.run_for(std::chrono::milliseconds(5));
   // c is long and wide enough to delay b: it must not have started.
-  EXPECT_EQ(started.size(), 1u);
+  EXPECT_EQ(f.started.size(), 1u);
   f.ex.run();
   // Eventually order is a, b, c.
-  ASSERT_EQ(started.size(), 3u);
-  EXPECT_EQ(started[1], *b);
+  ASSERT_EQ(f.started.size(), 3u);
+  EXPECT_EQ(f.started[1], b);
 }
 
 TEST(Scheduler, FirstFitStartsAnythingThatFits) {
@@ -147,18 +149,13 @@ TEST(Scheduler, FirstFitStartsAnythingThatFits) {
   full.nnodes = 16;
   ResourceRequest small;
   small.nnodes = 2;
-  std::vector<std::uint64_t> started;
-  f.sched.on_start([&](std::uint64_t id, const Allocation&) {
-    started.push_back(id);
-  });
-  (void)f.sched.submit(half, std::chrono::milliseconds(10));
-  auto blocked_head = f.sched.submit(full, std::chrono::milliseconds(1));
-  auto tiny = f.sched.submit(small, std::chrono::milliseconds(30));
-  (void)blocked_head;
+  f.submit(half, std::chrono::milliseconds(10));
+  f.submit(full, std::chrono::milliseconds(1));  // blocked head
+  const std::uint64_t tiny = f.submit(small, std::chrono::milliseconds(30));
   f.ex.run_for(std::chrono::milliseconds(5));
   // first-fit skips the blocked full-size head and starts the tiny job.
-  ASSERT_EQ(started.size(), 2u);
-  EXPECT_EQ(started[1], *tiny);
+  ASSERT_EQ(f.started.size(), 2u);
+  EXPECT_EQ(f.started[1], tiny);
   f.ex.run();
   EXPECT_EQ(f.count("completed"), 3u);
 }
@@ -167,8 +164,8 @@ TEST(Scheduler, WaitTimeAccounting) {
   SchedFixture f("fcfs");
   ResourceRequest full;
   full.nnodes = 16;
-  (void)f.sched.submit(full, std::chrono::milliseconds(4));
-  (void)f.sched.submit(full, std::chrono::milliseconds(4));
+  f.submit(full, std::chrono::milliseconds(4));
+  f.submit(full, std::chrono::milliseconds(4));
   f.ex.run();
   // Second job waited ~4ms for the first to finish.
   const obs::Histogram wait = f.stats.histogram_value("sched.wait_ns");
@@ -181,41 +178,29 @@ TEST(Scheduler, PassesCostVirtualTimeAndSerialize) {
   SchedFixture f("fcfs");
   ResourceRequest one;
   one.nnodes = 1;
-  for (int i = 0; i < 50; ++i)
-    (void)f.sched.submit(one, std::chrono::microseconds(10));
+  for (int i = 0; i < 50; ++i) f.submit(one, std::chrono::microseconds(10));
   f.ex.run();
   EXPECT_EQ(f.count("completed"), 50u);
   EXPECT_GT(f.count("passes"), 0u);
   EXPECT_GT(f.count("busy_ns"), 0u);
 }
 
-TEST(Scheduler, IdleCallbackFiresWhenDrained) {
-  SchedFixture f("fcfs");
-  int idle_events = 0;
-  f.sched.on_idle([&] { ++idle_events; });
-  ResourceRequest one;
-  one.nnodes = 1;
-  (void)f.sched.submit(one, std::chrono::microseconds(5));
-  f.ex.run();
-  EXPECT_GE(idle_events, 1);
-  EXPECT_TRUE(f.sched.idle());
-}
-
-TEST(Scheduler, ManualCompletionJobs) {
+TEST(Scheduler, JobRunsUntilOwnerFinishes) {
+  // The scheduler never ends a job itself: past its walltime a started job
+  // still holds its nodes until the owner calls finish().
   SchedFixture f("fcfs");
   std::uint64_t started_id = 0;
-  f.sched.on_start([&](std::uint64_t id, const Allocation&) {
-    started_id = id;
-  });
-  auto id = f.sched.submit({.nnodes = 2}, std::chrono::milliseconds(1), 0,
-                           /*manual_completion=*/true);
-  ASSERT_TRUE(id.has_value());
+  f.sched.on_start([&](std::uint64_t id, const Allocation&) { started_id = id; });
+  ASSERT_TRUE(
+      f.sched.submit(7, {.nnodes = 2}, std::chrono::milliseconds(1)).has_value());
   f.ex.run();
-  EXPECT_EQ(started_id, *id);
+  EXPECT_EQ(started_id, 7u);
   EXPECT_EQ(f.sched.running_count(), 1u);  // walltime elapsed but still alive
-  f.sched.finish(*id);
+  EXPECT_EQ(f.pool.free_nodes(), 14u);
+  f.sched.finish(7);
   f.ex.run();
   EXPECT_EQ(f.count("completed"), 1u);
+  EXPECT_EQ(f.pool.free_nodes(), 16u);
   EXPECT_TRUE(f.sched.idle());
 }
 
