@@ -7,7 +7,8 @@ Compares every BENCH_<name>.json present in both directories and prints a
 one-line verdict per bench. Two formats are understood:
 
   - bench_util sidecars: {"bench": ..., "rows": [...]} — rows are matched
-    by their identity fields (config knobs) and compared metric by metric.
+    by their identity fields (config knobs) and compared metric by metric;
+    a fresh or baseline row with no partner of the same identity fails.
   - google-benchmark reports (BENCH_micro_codec.json): entries matched by
     benchmark name, compared on cpu_time.
 
@@ -45,8 +46,9 @@ METRICS = {
     "jobs_per_sec": ("higher", EXACT),
     "ops_per_sec_virtual": ("higher", EXACT),
     "fence_ms": ("lower", EXACT),
-    # Deterministic traffic volume: equal or better.
+    # Deterministic traffic volume and completed work: equal or better.
     "net_messages": ("lower", EXACT),
+    "jobs_completed": ("higher", EXACT),
     # Host wall-clock: noisy, loose band. Still catches the 2x+ cliffs the
     # gate exists for.
     "host_seconds": ("lower", 2.0),
@@ -112,7 +114,14 @@ def check_limits(fresh):
 
 def compare_sidecar(name, base, fresh):
     base_rows = {identity(r): r for r in base.get("rows", [])}
-    fails, worst = [], (0.0, "")
+    fresh_ids = {identity(r) for r in fresh.get("rows", [])}
+    # A row without a partner is a failure, not a skip: a cell that vanished,
+    # or one whose identity moved, would otherwise leave the gate silent.
+    fails = ["fresh row @%s has no baseline row" % row_label(r)
+             for r in fresh.get("rows", []) if identity(r) not in base_rows]
+    fails += ["baseline row @%s has no fresh row" % row_label(r)
+              for key, r in base_rows.items() if key not in fresh_ids]
+    worst = (0.0, "")
     compared = 0
     for row in fresh.get("rows", []):
         b = base_rows.get(identity(row))

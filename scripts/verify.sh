@@ -22,6 +22,9 @@
 #
 # or commit it as a Repro under tests/repro/ (check/shrink.hpp), which
 # DstRepro.CommittedReprosStillReproduce replays on every run. See DESIGN.md §5.
+# ctest stops any case after 120 s (TIMEOUT, tests/CMakeLists.txt); under
+# asan a sweep widened past ~5x its default takes longer, so soak it by
+# running the suite binary (build-asan/tests/flux_*_tests) directly.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -38,13 +38,18 @@ constexpr auto kNibbles = make_nibbles();
 
 std::string hex_encode(std::span<const std::uint8_t> bytes) {
   std::string out;
-  out.resize(bytes.size() * 2);
-  char* p = out.data();
+  hex_encode_to(out, bytes);
+  return out;
+}
+
+void hex_encode_to(std::string& out, std::span<const std::uint8_t> bytes) {
+  const std::size_t at = out.size();
+  out.resize(at + bytes.size() * 2);
+  char* p = out.data() + at;
   for (std::uint8_t b : bytes) {
     *p++ = kPairs[b][0];
     *p++ = kPairs[b][1];
   }
-  return out;
 }
 
 bool hex_decode_into(std::string_view hex, std::span<std::uint8_t> out) {

@@ -12,6 +12,8 @@ namespace flux {
 
 /// Lower-case hex encoding of a byte span.
 std::string hex_encode(std::span<const std::uint8_t> bytes);
+/// Append the lower-case hex encoding of `bytes` to `out`.
+void hex_encode_to(std::string& out, std::span<const std::uint8_t> bytes);
 
 /// Decode `hex` (either case) into `out`, which must hold exactly
 /// hex.size() / 2 bytes. Returns false for odd length, a size mismatch or a

@@ -634,6 +634,7 @@ void Broker::restart() {
   // it with the root's authoritative (healed) parent relation.
   topo_ = session_.topology();
 
+  ++incarnation_;
   session_.add_modules(*this);
   for (auto& m : modules_) m->start();
 
@@ -646,7 +647,7 @@ void Broker::restart() {
     return;
   }
   log::info("broker", "rank ", rank_, ": restarting, requesting rejoin");
-  request_rejoin(++incarnation_);
+  request_rejoin(incarnation_);
 }
 
 void Broker::request_rejoin(std::uint64_t incarnation) {

@@ -126,6 +126,11 @@ class Broker {
   /// request repeats until that event arrives: an announcement broadcast
   /// while an ancestor is down but not yet declared dead is lost with it.
   void restart();
+  /// Restarts so far: 0 in the first incarnation. Set before the fresh
+  /// modules start, so their start() can tell a restart from a first boot.
+  [[nodiscard]] std::uint64_t incarnation() const noexcept {
+    return incarnation_;
+  }
   /// Ranks this broker has seen declared dead (via "live.down") and not yet
   /// rejoined. The root consults this to pick a rejoin parent.
   [[nodiscard]] const std::set<NodeId>& dead_ranks() const noexcept {

@@ -266,11 +266,7 @@ std::optional<Json> resolve_key(const ContentStore& store, const Sha1& root,
   Sha1 cur = root;
   for (const std::string& comp : split_key(key)) {
     ObjPtr obj = store.get(cur);
-    if (!obj || !obj->is_dir()) return std::nullopt;
-    const JsonObject& entries = obj->entries();
-    const auto it = entries.find(comp);
-    if (it == entries.end()) return std::nullopt;
-    const std::optional<Sha1> ref = Sha1::parse(it->second.as_string());
+    const std::optional<Sha1> ref = obj ? obj->child(comp) : std::nullopt;
     if (!ref) return std::nullopt;
     cur = *ref;
   }

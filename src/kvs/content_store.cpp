@@ -155,9 +155,9 @@ namespace {
 
 /// A directory being rebuilt by one apply: the stored object it was loaded
 /// from plus an overlay of only the entries this transaction touches.
-/// Untouched entries stay in `base` as stored (name -> hex ref); freeze()
-/// copies them into the new object without parsing or re-encoding them, so
-/// an apply's work grows with the change, not with the directory's size.
+/// Untouched entries stay in `base`; freeze() copies them into the new
+/// object as they are, so an apply's work grows with the change, not with
+/// the directory's size.
 struct MutNode {
   struct Slot {
     Sha1 ref;                        // a put, valid when child == nullptr
@@ -173,12 +173,7 @@ struct MutNode {
 std::optional<Sha1> current_ref(const MutNode& node, std::string_view name,
                                 const MutNode::Slot* slot) {
   if (slot) return slot->erased ? std::nullopt : std::optional(slot->ref);
-  const JsonObject& stored = node.base->entries();
-  auto it = stored.find(name);
-  if (it == stored.end()) return std::nullopt;
-  auto ref = Sha1::parse(it->second.as_string());
-  if (!ref) throw std::runtime_error("kvs apply: bad ref in directory");
-  return ref;
+  return node.base->child(name);
 }
 
 /// Descend to the parent directory of the tuple's leaf. With `create`,
@@ -208,27 +203,26 @@ MutNode* descend(const ContentStore& store, MutNode* node,
 }
 
 /// Serialize a mutated subtree bottom-up; returns the new ref. The stored
-/// entries (sorted) and the overlay (sorted) merge into an object reserved
+/// entries (sorted) and the overlay (sorted) merge into a vector reserved
 /// to its exact final size, so the stored directory keeps no growth slack.
 Sha1 freeze(ContentStore& store, MutNode& node) {
-  const JsonObject& stored = node.base->entries();
+  const DirEntries& stored = node.base->entries();
   std::size_t n = stored.size();
   for (const auto& [name, slot] : node.overlay) {
     if (!slot.erased) ++n;
-    if (stored.contains(name)) --n;
+    if (node.base->child(name)) --n;
   }
-  JsonObject entries;
+  DirEntries entries;
   entries.reserve(n);
   auto b = stored.begin();
   for (auto& [name, slot] : node.overlay) {
-    for (; b != stored.end() && b->first < name; ++b)
-      entries.emplace(b->first, b->second);
-    if (b != stored.end() && b->first == name) ++b;
+    for (; b != stored.end() && b->name < name; ++b) entries.push_back(*b);
+    if (b != stored.end() && b->name == name) ++b;
     if (slot.erased) continue;
     if (slot.child) slot.ref = freeze(store, *slot.child);
-    entries.emplace(name, slot.ref.hex());
+    entries.push_back(DirEntry{name, slot.ref});
   }
-  for (; b != stored.end(); ++b) entries.emplace(b->first, b->second);
+  entries.insert(entries.end(), b, stored.end());
   ObjPtr dir = make_dir_object(std::move(entries));
   const Sha1 id = dir->id;
   store.put(std::move(dir));
@@ -284,12 +278,9 @@ GcStats mark_and_sweep(ContentStore& store, const std::vector<Sha1>& roots,
       marked.erase(id);  // count only objects actually present
       continue;
     }
-    if (obj->is_dir()) {
-      for (const auto& [name, refhex] : obj->entries()) {
-        auto ref = Sha1::parse(refhex.as_string());
-        if (ref && !marked.contains(*ref)) stack.push_back(*ref);
-      }
-    }
+    if (obj->is_dir())
+      for (const DirEntry& e : obj->entries())
+        if (!marked.contains(e.ref)) stack.push_back(e.ref);
   }
   stats.marked = marked.size();
 

@@ -11,12 +11,9 @@
 // bottom-up; produce a new root reference). The apply's work follows the
 // change, not the tree: each directory on a tuple's path keeps the stored
 // object it was loaded from plus an overlay of only the entries the
-// transaction touches (put, erased, or a child rebuilt below). Only refs on
-// a tuple's path are parsed; freeze() merges the stored entries, copied as
-// stored, with the overlay into an exactly sized object. Objects and refs
-// are byte-identical to a rebuild from fully parsed directories, because
-// every directory the framework writes already holds canonical lower-case
-// hex refs.
+// transaction touches (put, erased, or a child rebuilt below). freeze()
+// merges the stored (name, SHA1) entries with the overlay into an exactly
+// sized entry vector, and make_dir_object writes its canonical bytes once.
 #pragma once
 
 #include <cstdint>

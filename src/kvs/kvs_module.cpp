@@ -136,6 +136,7 @@ void KvsModule::start() {
     }
   }
 
+  rejoining_ = broker().incarnation() > 0 && !broker().is_root();
   if (const auto s = shard_map_.shard_of_master(broker().rank()))
     start_master(*s);
 }
@@ -153,6 +154,13 @@ void KvsModule::start_master(std::uint32_t shard) {
     store_.set_birth_version(1);
     store_.put(std::move(empty));
     shard_versions_[shard] = 1;
+  }
+  // A restarted non-root master announces nothing yet: the shard may have
+  // moved far past this version while it was down. resync_after_rejoin
+  // adopts the session's masters and versions, then re-announces one above.
+  if (rejoining_) {
+    refresh_scalar_root();
+    return;
   }
   persist_root(shard);
   refresh_scalar_root();
@@ -673,7 +681,7 @@ void KvsModule::flush_apply_batch(std::uint32_t shard) {
   Master& m = masters_[shard];
   m.apply_scheduled = false;
   m.last_apply = broker().executor().now();
-  if (m.batch.empty()) return;
+  if (m.batch.empty() || rejoining_) return;  // resync reschedules it
   if (broker().failed()) {
     // Master crashed mid-batch: never half-apply. The coalesced committers'
     // RPCs settle with typed host-down errors through the failure path (a
@@ -953,7 +961,8 @@ Task<void> KvsModule::resync_after_rejoin() {
     Message req = Message::request("kvs.get_version", Json::object());
     req.nodeid = kNodeUpstream;
     Message resp = co_await broker().rpc(origin(), std::move(req));
-    if (!resp.ok()) co_return;
+    if (!resp.ok())
+      throw FluxException(Error(resp.error(), "kvs.get_version refused"));
     // Adopt masters first: shard-tree parent links and write authority both
     // key off them.
     const Json& ms = resp.payload().at("masters");
@@ -994,6 +1003,12 @@ Task<void> KvsModule::resync_after_rejoin() {
     log::warn("kvs", "rank ", broker().rank(),
               ": post-rejoin resync failed: ", ex.what());
   }
+  // Fences that completed here while the resync ran apply now, above the
+  // re-announced version (or, if the resync failed, above the local one).
+  rejoining_ = false;
+  for (std::uint32_t s = 0; s < shards_; ++s)
+    if (is_shard_master(s) && !masters_[s].batch.empty())
+      schedule_master_apply(s);
 }
 
 // ---------------------------------------------------------------------------
@@ -1163,11 +1178,7 @@ Task<void> KvsModule::serve_load(Message req, std::vector<Sha1> refs,
   ObjPtr node = objs.empty() ? nullptr : objs[0];
   std::size_t wi = 0;
   while (node && wi < walk.size()) {
-    if (!node->is_dir()) break;
-    const auto& entries = node->entries();
-    auto it = entries.find(walk[wi]);
-    if (it == entries.end()) break;
-    const auto ref = Sha1::parse(it->second.as_string());
+    const auto ref = node->child(walk[wi]);
     if (!ref) break;
     ObjPtr next = authoritative ? store_.get(*ref) : cache_.get(*ref, epoch_);
     if (!next) {
@@ -1259,7 +1270,7 @@ Task<void> KvsModule::do_get_root(Message req, bool ref_only, bool want_dir) {
     }
     ObjPtr dir = co_await lookup_chain(shard_roots_[s], {}, s);
     if (!dir || !dir->is_dir()) continue;
-    for (const auto& [name, ref] : dir->entries()) merged.insert(name);
+    for (const DirEntry& e : dir->entries()) merged.insert(e.name);
   }
   Json names = Json::array();
   for (const std::string& name : merged) names.push_back(name);
@@ -1313,15 +1324,9 @@ Task<void> KvsModule::do_get(Message req, bool ref_only) {
       respond_error(req, errc::not_dir, "get: '" + key + "' crosses a value");
       co_return;
     }
-    const auto& entries = dir->entries();
-    auto it = entries.find(component);
-    if (it == entries.end()) {
-      respond_error(req, errc::noent, "get: no such key '" + key + "'");
-      co_return;
-    }
-    const auto ref = Sha1::parse(it->second.as_string());
+    const auto ref = dir->child(component);
     if (!ref) {
-      respond_error(req, errc::proto, "get: corrupt directory entry");
+      respond_error(req, errc::noent, "get: no such key '" + key + "'");
       co_return;
     }
     cur = *ref;
@@ -1346,7 +1351,7 @@ Task<void> KvsModule::do_get(Message req, bool ref_only) {
       co_return;
     }
     Json names = Json::array();
-    for (const auto& [name, ref] : obj->entries()) names.push_back(name);
+    for (const DirEntry& e : obj->entries()) names.push_back(e.name);
     respond_ok(req, Json::object({{"dir", true}, {"entries", std::move(names)}}));
     co_return;
   }

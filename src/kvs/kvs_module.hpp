@@ -430,6 +430,10 @@ class KvsModule final : public Module {
   /// resync_after_rejoin to keep recovered data instead of re-bootstrapping
   /// empty.
   std::vector<std::uint64_t> recovered_versions_;
+  /// A restarted non-root instance until resync_after_rejoin finishes: its
+  /// masters neither announce nor apply, so no shard version it publishes
+  /// falls below one the session already saw.
+  bool rejoining_ = false;
 };
 
 }  // namespace flux

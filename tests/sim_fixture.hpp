@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <exception>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 
 #include "api/handle.hpp"
 #include "broker/session.hpp"
@@ -43,17 +45,23 @@ class SimSession {
     return session_->broker(rank).stats_registry();
   }
 
-  /// Run a client coroutine until it completes; rethrows its exception.
-  /// Fails the test (throws) if the simulator goes idle first.
+  /// Virtual time one run() may take. A task still pending then has
+  /// stalled, even while leftover timers (a killed simulated task's sleep)
+  /// keep the simulator from going idle. The longest run() of any passing
+  /// test takes 70 ms of virtual time.
+  static constexpr Duration kRunDeadline = std::chrono::milliseconds(250);
+
+  /// Run a client coroutine until it completes and the simulator is idle;
+  /// rethrows its exception. Fails the test (throws) if the simulator goes
+  /// idle first, or if the task is still pending after kRunDeadline.
   template <class T>
   T run(Task<T> task) {
     std::optional<T> out;
     std::exception_ptr error;
     bool done = false;
     co_spawn(ex_, wrap(std::move(task), &out, &error, &done), "test-task");
-    ex_.run();
+    drive(done);
     if (error) std::rethrow_exception(error);
-    if (!done) throw std::runtime_error("test task stalled (simulator idle)");
     return std::move(*out);
   }
 
@@ -61,9 +69,8 @@ class SimSession {
     std::exception_ptr error;
     bool done = false;
     co_spawn(ex_, wrap_void(std::move(task), &error, &done), "test-task");
-    ex_.run();
+    drive(done);
     if (error) std::rethrow_exception(error);
-    if (!done) throw std::runtime_error("test task stalled (simulator idle)");
   }
 
   /// Let background (daemon-driven) activity proceed for simulated time d.
@@ -89,6 +96,18 @@ class SimSession {
       *error = std::current_exception();
     }
     *done = true;
+  }
+
+  void drive(const bool& done) {
+    // A daemon event marks the deadline: it keeps no run going, and fires
+    // harmlessly later if this run ends first.
+    auto expired = std::make_shared<bool>(false);
+    ex_.post_daemon_at(ex_.now() + kRunDeadline, [expired] { *expired = true; });
+    while (!ex_.idle() && !*expired && ex_.run_one()) {
+    }
+    if (!done)
+      throw std::runtime_error(
+          "test task stalled (simulator idle or past its deadline)");
   }
 
   SimExecutor ex_;

@@ -128,10 +128,11 @@ TEST(Chaos, ShardMasterFailoverSeeds) {
   // A targeted schedule per seed: which non-root shard master dies, when,
   // and whether it comes back. The explorer's post-run checks require a new
   // master for its shards that every live rank agrees on, and a restarted
-  // victim back online. The oracle does not judge these runs: the promoted
-  // master restarts the shard from an empty root, losing acked data by
-  // design (DESIGN §4c), which the oracle reads as read-your-writes or
-  // fence-atomicity violations.
+  // victim back online. The oracle judges only setroot-sequence here: the
+  // promoted master restarts the shard from an empty root, losing acked data
+  // by design (DESIGN §4c), which the oracle reads as read-your-writes or
+  // fence-atomicity violations. Versions still only rise: a restarted
+  // victim announces nothing until its resync adopts the current ones.
   DstOptions opt = chaos_cell(12);
   opt.shards = 3;
   opt.failover = true;
@@ -155,7 +156,9 @@ TEST(Chaos, ShardMasterFailoverSeeds) {
                               1500 + static_cast<std::int64_t>(pick.below(1500))));
     if (pick.uniform() < 0.4)
       plan.restart_at(victim, std::chrono::milliseconds(8));
-    expect_live(check::run_schedule(seed, opt, plan.to_json()));
+    const DstResult r = check::run_schedule(seed, opt, plan.to_json());
+    expect_live(r);
+    EXPECT_FALSE(r.report.violates("setroot-sequence")) << describe(r);
   }
 }
 

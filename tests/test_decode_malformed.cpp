@@ -112,6 +112,28 @@ TEST(BundleMalformed, MalformedObjectDocumentsAreRejected) {
   }
 }
 
+TEST(BundleMalformed, DirectoryRefsMustBeFortyHexDigits) {
+  // parse_object is the one place a directory ref is decoded; a directory
+  // with a ref that is not a string of exactly 40 hex digits never becomes
+  // an object, alone or inside a bundle.
+  const std::string hex = Sha1::of("x").hex();
+  for (const std::string& ref :
+       {std::string("7"), std::string("null"), std::string("[]"),
+        std::string("{}"), "\"" + hex.substr(1) + "\"",
+        "\"" + hex + "0\"", "\"" + hex.substr(1) + "g\"", std::string("\"\"")}) {
+    SCOPED_TRACE(ref);
+    const std::string obj = R"({"e":{"k":)" + ref + R"(},"t":"dir"})";
+    EXPECT_EQ(parse_object(obj), nullptr);
+    std::string body;
+    put_u32le(body, 1);
+    put_u32le(body, static_cast<std::uint32_t>(obj.size()));
+    body += obj;
+    expect_proto(ObjectBundle::deserialize(body), "bad directory ref");
+  }
+  EXPECT_NE(parse_object(R"({"e":{"k":")" + hex + R"("},"t":"dir"})"),
+            nullptr);
+}
+
 TEST(BundleMalformed, ByteCorruptionSweepNeverCrashes) {
   const std::string body = bundle_bytes();
   for (std::size_t i = 0; i < body.size(); ++i) {

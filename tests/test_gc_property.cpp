@@ -42,8 +42,7 @@ std::set<Sha1> reachable_from(const ContentStore& store,
     const ObjPtr obj = store.get(id);
     if (!obj) continue;
     if (obj->is_dir())
-      for (const auto& [name, ref] : obj->entries())
-        if (auto r = Sha1::parse(ref.as_string())) stack.push_back(*r);
+      for (const DirEntry& e : obj->entries()) stack.push_back(e.ref);
   }
   // Only objects actually present count (a pinned-but-absent ref is not an
   // object to retain).

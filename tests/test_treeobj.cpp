@@ -2,7 +2,10 @@
 // worked example plus hash-tree invariants as properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <chrono>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -45,9 +48,85 @@ TEST(TreeObj, ManyLiveObjectsStayCheapToCreate) {
 
 TEST(TreeObj, DirObjectShape) {
   const Sha1 ref = Sha1::of("x");
-  ObjPtr d = make_dir_object(JsonObject{{"alpha", ref.hex()}});
+  ObjPtr d = make_dir_object({{"alpha", ref}});
   EXPECT_TRUE(d->is_dir());
-  EXPECT_EQ(d->entries().at("alpha").as_string(), ref.hex());
+  EXPECT_EQ(d->child("alpha"), ref);
+  EXPECT_EQ(d->child("beta"), std::nullopt);
+  EXPECT_EQ(d->bytes, R"({"e":{"alpha":")" + ref.hex() + R"("},"t":"dir"})");
+}
+
+// The in-memory form a directory had before it was typed: a JSON document
+// of name -> 40-hex refs. Its Json::dump is the reference for the bytes.
+Json reference_dir_doc(const DirEntries& entries) {
+  JsonObject e;
+  for (const DirEntry& d : entries) e.emplace(d.name, d.ref.hex());
+  return Json::object({{"e", Json(std::move(e))}, {"t", "dir"}});
+}
+
+// A name made of pieces that need JSON escaping (quote, backslash, control
+// bytes) and multi-byte UTF-8 among plain ones.
+std::string random_name(Rng& rng) {
+  static const char* const kPieces[] = {
+      "a", "Z", "0", "_", "-", ".", " ", "\"", "\\", "\n", "\t", "\x01",
+      "\x1f", "\x7f", "\xc3\xa9", "\xe2\x82\xac", "\xf0\x9f\x98\x80"};
+  std::string name;
+  const std::uint64_t pieces = 1 + rng.below(12);
+  for (std::uint64_t i = 0; i < pieces; ++i)
+    name += kPieces[rng.below(std::size(kPieces))];
+  return name;
+}
+
+TEST(TreeObj, TypedDirectoryIsByteIdenticalToTheJsonDocument) {
+  Rng rng(2026);
+  std::vector<std::size_t> sizes{0, 1, 2, 4096};
+  for (int i = 0; i < 20; ++i) sizes.push_back(1 + rng.below(300));
+  for (const std::size_t n : sizes) {
+    SCOPED_TRACE(n);
+    std::map<std::string, Sha1> sorted;
+    while (sorted.size() < n)
+      sorted.emplace(random_name(rng), Sha1::of(rng.bytes(8)));
+    DirEntries entries;
+    for (const auto& [name, ref] : sorted) entries.push_back({name, ref});
+    const std::string expect = reference_dir_doc(entries).dump();
+
+    ObjPtr built = make_dir_object(entries);
+    EXPECT_EQ(built->bytes, expect);
+    EXPECT_EQ(built->id, Sha1::of(expect));
+    const Sha1 id = built->id;
+    // Drop the built object so parsing decodes the bytes instead of hitting
+    // the parse memo (the empty directory stays alive as a static).
+    built.reset();
+    ObjPtr parsed = parse_object(expect);
+    ASSERT_NE(parsed, nullptr);
+    ASSERT_TRUE(parsed->is_dir());
+    EXPECT_EQ(parsed->id, id);
+    EXPECT_EQ(parsed->entries(), entries);
+    for (const DirEntry& e : entries) EXPECT_EQ(parsed->child(e.name), e.ref);
+  }
+}
+
+TEST(TreeObj, UpperCaseRefsAreAcceptedAndRebuiltLowerCase) {
+  const Sha1 ref = Sha1::of("upper");
+  std::string upper = ref.hex();
+  std::transform(upper.begin(), upper.end(), upper.begin(),
+                 [](unsigned char c) { return std::toupper(c); });
+  const std::string bytes = R"({"e":{"k":")" + upper + R"("},"t":"dir"})";
+  ObjPtr dir = parse_object(bytes);
+  ASSERT_NE(dir, nullptr);
+  EXPECT_EQ(dir->child("k"), ref);
+  EXPECT_EQ(dir->bytes, bytes);  // kept, and addressed, as received
+  EXPECT_EQ(dir->id, Sha1::of(bytes));
+
+  // An apply that touches a sibling rebuilds the directory: every ref it
+  // writes, the untouched one included, is canonical lower-case hex.
+  ContentStore store;
+  store.put(dir);
+  ObjPtr v = make_val_object(1);
+  store.put(v);
+  const Sha1 root = apply_transaction(store, dir->id, {{"other", v->id}});
+  EXPECT_EQ(store.get(root)->bytes, R"({"e":{"k":")" + ref.hex() +
+                                        R"(","other":")" + v->id.hex() +
+                                        R"("},"t":"dir"})");
 }
 
 TEST(TreeObj, ParseRejectsMalformed) {
@@ -63,7 +142,7 @@ TEST(TreeObj, ParseRoundTripsSerialization) {
   ObjPtr back = parse_object(v->bytes);
   ASSERT_NE(back, nullptr);
   EXPECT_EQ(back->id, v->id);
-  EXPECT_EQ(back->doc, v->doc);
+  EXPECT_EQ(back->value(), v->value());
 }
 
 TEST(TreeObj, SplitKey) {
@@ -104,11 +183,11 @@ TEST(Apply, PaperWorkedExample) {
   // Walk: root -> a -> b -> c, exactly as the paper's lookup enumerates.
   ObjPtr root = store.get(root1);
   ASSERT_TRUE(root && root->is_dir());
-  ObjPtr a = store.get(*Sha1::parse(root->entries().at("a").as_string()));
+  ObjPtr a = store.get(*root->child("a"));
   ASSERT_TRUE(a && a->is_dir());
-  ObjPtr b = store.get(*Sha1::parse(a->entries().at("b").as_string()));
+  ObjPtr b = store.get(*a->child("b"));
   ASSERT_TRUE(b && b->is_dir());
-  ObjPtr c = store.get(*Sha1::parse(b->entries().at("c").as_string()));
+  ObjPtr c = store.get(*b->child("c"));
   ASSERT_TRUE(c && c->is_val());
   EXPECT_EQ(c->value(), Json(42));
 
@@ -122,9 +201,9 @@ TEST(Apply, PaperWorkedExample) {
   // Old and new snapshots coexist ("both new and old objects coexist in the
   // caches, the switch from old to new root is atomic").
   ObjPtr old_root = store.get(root1);
-  ObjPtr old_a = store.get(*Sha1::parse(old_root->entries().at("a").as_string()));
-  ObjPtr old_b = store.get(*Sha1::parse(old_a->entries().at("b").as_string()));
-  ObjPtr old_c = store.get(*Sha1::parse(old_b->entries().at("c").as_string()));
+  ObjPtr old_a = store.get(*old_root->child("a"));
+  ObjPtr old_b = store.get(*old_a->child("b"));
+  ObjPtr old_c = store.get(*old_b->child("c"));
   EXPECT_EQ(old_c->value(), Json(42));
 }
 
@@ -137,8 +216,8 @@ TEST(Apply, UnlinkAndMissingUnlink) {
                                 {{"x", v->id}, {"y", v->id}});
   root = apply_transaction(store, root, {Tuple{"x", Sha1{}}});
   ObjPtr dir = store.get(root);
-  EXPECT_FALSE(dir->entries().contains("x"));
-  EXPECT_TRUE(dir->entries().contains("y"));
+  EXPECT_FALSE(dir->child("x"));
+  EXPECT_TRUE(dir->child("y"));
   // Unlinking a missing key is a no-op, not an error.
   const Sha1 same = apply_transaction(store, root, {Tuple{"zzz", Sha1{}}});
   EXPECT_EQ(same, root);
@@ -267,7 +346,7 @@ TEST(ObjectCache, BucketedExpiryReconsidersUnpinned) {
 TEST(ObjectBundle, SerializeDeserializeRoundTrip) {
   std::vector<ObjPtr> objs{
       make_val_object(1), make_val_object("two"),
-      make_dir_object(JsonObject{{"n", Sha1::of("x").hex()}})};
+      make_dir_object({{"n", Sha1::of("x")}})};
   ObjectBundle bundle(objs);
   EXPECT_EQ(bundle.wire_size(), bundle.serialize().size());
   auto back = ObjectBundle::deserialize(bundle.serialize());
