@@ -136,7 +136,7 @@ Cell run_cell(int commits) {
     obs::StatsRegistry log_stats;
     FileLogBackend backend(path, &log_stats);
     const auto t_rec = HostClock::now();
-    const ContentBackend::Recovered rec = backend.recover(store);
+    const FileLogBackend::Recovered rec = backend.recover(store);
     cell.recover_ms = host_ms(t_rec);
     cell.objects = static_cast<std::int64_t>(rec.objects);
 

@@ -120,10 +120,10 @@ int main() {
           (void)co_await kvs.get("table1.k");
         }(h.get()));
 
-  timed("wexec", "bulk remote processes with stdio captured in the KVS",
+  timed("wexec",
+        "bulk remote processes; stdio returned with the exit reduction",
         "wexec.run(hostname)", [](Handle* hd) -> Task<void> {
           Json payload = Json::object({{"jobid", "t1"},
-                                       {"kvs_dir", "lwj.t1"},
                                        {"cmd", "hostname"},
                                        {"args", Json::object()},
                                        {"ranks", Json()}});

@@ -359,7 +359,7 @@ void audit_durability(const std::map<std::string, AckedKey>& acked,
     stores[s] = std::make_unique<ContentStore>();
     try {
       FileLogBackend backend(file);
-      const ContentBackend::Recovered rec = backend.recover(*stores[s]);
+      const FileLogBackend::Recovered rec = backend.recover(*stores[s]);
       backend.close();
       if (rec.has_root(s)) roots[s] = rec.roots[s];
     } catch (const FluxException& e) {

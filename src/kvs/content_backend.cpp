@@ -105,7 +105,7 @@ FileLogBackend::~FileLogBackend() {
   open_ = false;
 }
 
-ContentBackend::Recovered FileLogBackend::recover(ContentStore& into) {
+FileLogBackend::Recovered FileLogBackend::recover(ContentStore& into) {
   assert(!open_ && pending_.empty());
   Recovered rec;
 

@@ -2,8 +2,8 @@
 //
 // ROADMAP: "Durable content store + KVS checkpoint/restart and GC". The
 // content-addressed store (content_store.hpp) is memory-only; this layer
-// gives a KVS master a pluggable durability backend in the spirit of
-// flux-core's content-sqlite service, implemented here as a single-file
+// gives a KVS master a durability backend in the spirit of flux-core's
+// content-sqlite service, implemented here as a single-file
 // log-structured append store built from the repo's own primitives
 // (canonical JSON serialization + SHA1 record checksums).
 //
@@ -76,12 +76,13 @@ enum class RecordType : std::uint8_t { object = 1, root = 2, checkpoint = 3 };
 
 }  // namespace contentlog
 
-/// Abstract persistence backend a KVS master attaches to its ContentStore.
+/// The single-file log-structured persistence backend described in the
+/// header comment, which a KVS master attaches to its ContentStore.
 ///
 /// Append calls buffer in memory; sync() makes everything appended so far
 /// durable. A crash (Broker::fail) discards the unsynced tail — except for
 /// a fault-injected torn prefix (crash()) that models a partial flush.
-class ContentBackend {
+class FileLogBackend {
  public:
   struct Recovered {
     std::vector<Sha1> roots;             ///< per-shard last intact root ref
@@ -95,41 +96,6 @@ class ContentBackend {
     }
   };
 
-  virtual ~ContentBackend() = default;
-
-  /// Open (or create) the backing file, replay surviving objects into
-  /// `into`, and return the recovered roots. Must be called exactly once,
-  /// before any append; attach the store *after* recovery so replayed
-  /// objects are not re-appended.
-  virtual Recovered recover(ContentStore& into) = 0;
-
-  virtual void append_object(const StoredObject& obj) = 0;
-  virtual void append_root(std::uint32_t shard, std::uint64_t version,
-                           const Sha1& rootref) = 0;
-  virtual void append_checkpoint(const std::vector<Sha1>& rootrefs,
-                                 const std::vector<std::uint64_t>& vv) = 0;
-
-  /// Flush every buffered append to durable storage.
-  virtual void sync() = 0;
-  [[nodiscard]] virtual std::uint64_t unsynced_bytes() const = 0;
-
-  /// Simulate a crash: keep only the first `keep_unsynced_bytes` of the
-  /// unsynced tail (a torn partial flush), drop the rest, close the file.
-  virtual void crash(std::uint64_t keep_unsynced_bytes) = 0;
-  /// Clean shutdown: sync and close.
-  virtual void close() = 0;
-
-  /// Rewrite the log to exactly the live contents of `live` plus one
-  /// checkpoint record (atomic rewrite: temp file + rename). Reclaims the
-  /// space of GC-swept objects and superseded root records.
-  virtual void compact(const ContentStore& live,
-                       const std::vector<Sha1>& rootrefs,
-                       const std::vector<std::uint64_t>& vv) = 0;
-};
-
-/// The single-file log-structured backend described in the header comment.
-class FileLogBackend final : public ContentBackend {
- public:
   /// Durability counters go to `registry` as `<prefix>.{objects_appended,
   /// roots_appended,checkpoints,syncs,synced_bytes,compactions,
   /// compacted_bytes}`; a KVS master passes its broker's registry and
@@ -137,22 +103,37 @@ class FileLogBackend final : public ContentBackend {
   /// recovery audit or timing) passes none: a registry of its own counts.
   explicit FileLogBackend(std::string path, obs::StatsRegistry* registry = nullptr,
                           std::string_view prefix = "log");
-  ~FileLogBackend() override;
+  ~FileLogBackend();
 
-  Recovered recover(ContentStore& into) override;
-  void append_object(const StoredObject& obj) override;
+  /// Open (or create) the backing file, replay surviving objects into
+  /// `into`, and return the recovered roots. Must be called exactly once,
+  /// before any append; attach the store *after* recovery so replayed
+  /// objects are not re-appended.
+  Recovered recover(ContentStore& into);
+
+  void append_object(const StoredObject& obj);
   void append_root(std::uint32_t shard, std::uint64_t version,
-                   const Sha1& rootref) override;
+                   const Sha1& rootref);
   void append_checkpoint(const std::vector<Sha1>& rootrefs,
-                         const std::vector<std::uint64_t>& vv) override;
-  void sync() override;
-  [[nodiscard]] std::uint64_t unsynced_bytes() const override {
+                         const std::vector<std::uint64_t>& vv);
+
+  /// Flush every buffered append to durable storage.
+  void sync();
+  [[nodiscard]] std::uint64_t unsynced_bytes() const noexcept {
     return pending_.size();
   }
-  void crash(std::uint64_t keep_unsynced_bytes) override;
-  void close() override;
+
+  /// Simulate a crash: keep only the first `keep_unsynced_bytes` of the
+  /// unsynced tail (a torn partial flush), drop the rest, close the file.
+  void crash(std::uint64_t keep_unsynced_bytes);
+  /// Clean shutdown: sync and close.
+  void close();
+
+  /// Rewrite the log to exactly the live contents of `live` plus one
+  /// checkpoint record (atomic rewrite: temp file + rename). Reclaims the
+  /// space of GC-swept objects and superseded root records.
   void compact(const ContentStore& live, const std::vector<Sha1>& rootrefs,
-               const std::vector<std::uint64_t>& vv) override;
+               const std::vector<std::uint64_t>& vv);
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
   [[nodiscard]] std::uint64_t durable_bytes() const noexcept {
     return durable_bytes_;

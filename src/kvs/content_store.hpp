@@ -27,7 +27,7 @@
 
 namespace flux {
 
-class ContentBackend;
+class FileLogBackend;
 
 /// Authoritative object store (KVS master). Never expires by disuse; dead
 /// objects are reclaimed only by explicit GC (mark_and_sweep below). Each
@@ -54,7 +54,7 @@ class ContentStore {
   /// Mirror every future insert into `backend` as an append_object. Recovery
   /// replays the log into the store first and attaches afterwards, so
   /// recovered objects are not re-appended.
-  void attach_backend(ContentBackend* backend) noexcept { backend_ = backend; }
+  void attach_backend(FileLogBackend* backend) noexcept { backend_ = backend; }
 
  private:
   struct Entry {
@@ -64,7 +64,7 @@ class ContentStore {
   std::unordered_map<Sha1, Entry> objects_;
   std::size_t bytes_ = 0;
   std::uint64_t birth_version_ = 0;
-  ContentBackend* backend_ = nullptr;
+  FileLogBackend* backend_ = nullptr;
 };
 
 /// Slave object cache with epoch-based disuse expiry.

@@ -216,7 +216,7 @@ bool KvsModule::persist_open(std::uint32_t shard) {
   if (sharded()) path += ".s" + std::to_string(shard);
   backend_ = std::make_unique<FileLogBackend>(path, &broker().stats_registry(),
                                               "kvs.persist");
-  const ContentBackend::Recovered rec = backend_->recover(store_);
+  const FileLogBackend::Recovered rec = backend_->recover(store_);
   recovered_objects_.inc(rec.objects);
   truncated_bytes_.inc(rec.truncated_bytes);
 

@@ -46,9 +46,9 @@ class SimSession {
   }
 
   /// Virtual time one run() may take. A task still pending then has
-  /// stalled, even while leftover timers (a killed simulated task's sleep)
-  /// keep the simulator from going idle. The longest run() of any passing
-  /// test takes 70 ms of virtual time.
+  /// stalled, even while leftover timers keep the simulator from going
+  /// idle. The longest run() of any passing test takes 70 ms of virtual
+  /// time.
   static constexpr Duration kRunDeadline = std::chrono::milliseconds(250);
 
   /// Run a client coroutine until it completes and the simulator is idle;

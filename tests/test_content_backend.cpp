@@ -131,7 +131,7 @@ TEST(GoldenContentLog, GoldenFilesStillRecover) {
   }
   ContentStore store;
   FileLogBackend backend(path);
-  const ContentBackend::Recovered rec = backend.recover(store);
+  const FileLogBackend::Recovered rec = backend.recover(store);
   EXPECT_EQ(rec.objects, 1u);
   EXPECT_TRUE(rec.found_checkpoint);
   ASSERT_EQ(rec.versions.size(), 2u);  // checkpoint supersedes the root
@@ -169,7 +169,7 @@ TEST_F(ContentBackendTest, FreshFileRecoversEmptyAndWritesHeader) {
   const std::string path = temp_log();
   ContentStore store;
   FileLogBackend backend(path);
-  const ContentBackend::Recovered rec = backend.recover(store);
+  const FileLogBackend::Recovered rec = backend.recover(store);
   EXPECT_EQ(rec.objects, 0u);
   EXPECT_FALSE(rec.found_checkpoint);
   EXPECT_FALSE(rec.has_root(0));
@@ -194,7 +194,7 @@ TEST_F(ContentBackendTest, AppendSyncRecoverRoundTrip) {
   }
   ContentStore store;
   FileLogBackend backend(path);
-  const ContentBackend::Recovered rec = backend.recover(store);
+  const FileLogBackend::Recovered rec = backend.recover(store);
   EXPECT_EQ(rec.objects, 2u);
   ASSERT_TRUE(rec.has_root(0));
   EXPECT_EQ(rec.versions[0], 1u);
@@ -221,7 +221,7 @@ TEST_F(ContentBackendTest, UnsyncedTailIsLostOnCrash) {
   }
   ContentStore store;
   FileLogBackend backend(path);
-  const ContentBackend::Recovered rec = backend.recover(store);
+  const FileLogBackend::Recovered rec = backend.recover(store);
   ASSERT_TRUE(rec.has_root(0));
   EXPECT_EQ(rec.versions[0], 1u);
   EXPECT_TRUE(store.contains(a->id));
@@ -248,7 +248,7 @@ TEST_F(ContentBackendTest, TornTailIsTruncatedAtLastIntactRecord) {
   }
   ContentStore store;
   FileLogBackend backend(path);
-  const ContentBackend::Recovered rec = backend.recover(store);
+  const FileLogBackend::Recovered rec = backend.recover(store);
   ASSERT_TRUE(rec.has_root(0));
   EXPECT_EQ(rec.versions[0], 1u);  // the acked root survives the torn tail
   EXPECT_TRUE(store.contains(a->id));
@@ -257,7 +257,7 @@ TEST_F(ContentBackendTest, TornTailIsTruncatedAtLastIntactRecord) {
   // Recovery physically truncated the damage: a second recovery is clean.
   ContentStore store2;
   FileLogBackend backend2(path);
-  const ContentBackend::Recovered rec2 = backend2.recover(store2);
+  const FileLogBackend::Recovered rec2 = backend2.recover(store2);
   EXPECT_EQ(rec2.truncated_bytes, 0u);
   ASSERT_TRUE(rec2.has_root(0));
   EXPECT_EQ(rec2.versions[0], 1u);
@@ -290,7 +290,7 @@ TEST_F(ContentBackendTest, CorruptedRecordStopsTheScan) {
   }
   ContentStore store;
   FileLogBackend backend(path);
-  const ContentBackend::Recovered rec = backend.recover(store);
+  const FileLogBackend::Recovered rec = backend.recover(store);
   ASSERT_TRUE(rec.has_root(0));
   EXPECT_EQ(rec.versions[0], 1u);  // v2's record failed its checksum
   EXPECT_GT(rec.truncated_bytes, 0u);
@@ -330,7 +330,7 @@ TEST_F(ContentBackendTest, SemanticallyBadRecordStopsTheScan) {
     }
     ContentStore store;
     FileLogBackend backend(path);
-    const ContentBackend::Recovered rec = backend.recover(store);
+    const FileLogBackend::Recovered rec = backend.recover(store);
     ASSERT_TRUE(rec.has_root(0));
     EXPECT_EQ(rec.roots.size(), 1u);
     EXPECT_EQ(rec.versions[0], 1u);
@@ -355,7 +355,7 @@ TEST_F(ContentBackendTest, CheckpointSupersedesRootRecords) {
   }
   ContentStore store;
   FileLogBackend backend(path);
-  const ContentBackend::Recovered rec = backend.recover(store);
+  const FileLogBackend::Recovered rec = backend.recover(store);
   EXPECT_TRUE(rec.found_checkpoint);
   ASSERT_EQ(rec.versions.size(), 2u);
   EXPECT_EQ(rec.versions[0], 5u);
@@ -390,7 +390,7 @@ TEST_F(ContentBackendTest, CompactRewritesToLiveContents) {
 
   ContentStore store2;
   FileLogBackend backend2(path);
-  const ContentBackend::Recovered rec = backend2.recover(store2);
+  const FileLogBackend::Recovered rec = backend2.recover(store2);
   EXPECT_EQ(rec.objects, 4u);
   EXPECT_TRUE(rec.found_checkpoint);
   ASSERT_TRUE(rec.has_root(0));

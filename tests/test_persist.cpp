@@ -72,7 +72,7 @@ TEST(PersistTornCrash, RecoveryNeverLosesASyncedRoot) {
     for (int generation = 0; generation < 3; ++generation) {
       ContentStore store;
       FileLogBackend backend(path);
-      const ContentBackend::Recovered rec = backend.recover(store);
+      const FileLogBackend::Recovered rec = backend.recover(store);
 
       // The recovered state honors every past ack.
       const std::uint64_t recovered = rec.has_root(0) ? rec.versions[0] : 0;

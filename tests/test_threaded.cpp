@@ -170,15 +170,57 @@ TEST(Threaded, TargetedLaunchRunsOverTheWire) {
   SyncHandle h(*session, 2);
   Message r = h.call(h.request("wexec.run")
                          .payload(Json::object({{"jobid", "thr-job"},
-                                                {"kvs_dir", "thr.job"},
                                                 {"cmd", "hostname"},
                                                 {"args", Json::object()},
                                                 {"ranks", Json::array({1, 3})}})));
   EXPECT_EQ(r.payload().get_int("ntasks"), 2);
   EXPECT_TRUE(r.payload().at("success").as_bool());
-  // The run answers after its capture fence committed at the root.
-  SyncHandle root(*session, 0);
-  EXPECT_EQ(root.kvs_get("thr.job.3.stdout"), Json::array({"node3"}));
+  // Each rank's capture rode the completion reduction into the answer.
+  const Json& stdio = r.payload().at("stdio");
+  EXPECT_EQ(stdio.size(), 2u);
+  for (const char* rank : {"1", "3"}) {
+    EXPECT_EQ(stdio.at(rank).at("stdout"),
+              Json::array({std::string("node") + rank}));
+    EXPECT_EQ(stdio.at(rank).at("stderr"), Json::array());
+    EXPECT_EQ(stdio.at(rank).at("exitcode"), Json(0));
+  }
+}
+
+TEST(Threaded, KilledSleepOutlivesItsTimer) {
+  // A reactor thread cannot cancel a timer: the timer of a sleep a kill
+  // ended still fires, and must find the task already resumed and gone.
+  auto session = Session::create_threaded(threaded_config(4));
+  ASSERT_TRUE(session->wait_online());
+  Message run;
+  std::thread client([&session, &run] {
+    SyncHandle h(*session, 2);
+    run = h.call(h.request("wexec.run")
+                     .payload(Json::object(
+                         {{"jobid", "thr-sleep"},
+                          {"cmd", "sleep"},
+                          {"args", Json::object({{"us", 200'000}})},
+                          {"ranks", Json::array({1, 3})}}))
+                     .timeout(std::chrono::seconds(5)));
+  });
+  SyncHandle killer(*session, 0);
+  for (NodeId rank : {1u, 3u})
+    while (killer.call(killer.request("wexec.ps").to(rank))
+               .payload()
+               .at("running")
+               .size() == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  (void)killer.call(killer.request("wexec.kill").payload(
+      Json::object({{"jobid", "thr-sleep"}})));
+  client.join();
+  EXPECT_EQ(run.payload().at("exits").get_int("143"), 2);
+  // Let both uncanceled timers fire before the session goes.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  for (NodeId rank : {1u, 3u})
+    EXPECT_EQ(killer.call(killer.request("wexec.ps").to(rank))
+                  .payload()
+                  .at("running")
+                  .size(),
+              0u);
 }
 
 TEST(Threaded, WireCodecCarriesAttachments) {
