@@ -28,6 +28,11 @@ Task<JobResult> JobHandle::wait() {
   r.exits = resp.payload().contains("exits") ? resp.payload().at("exits")
                                              : Json::object();
   r.ntasks = resp.payload().get_int("ntasks", 0);
+  // Return once this broker holds the commit that carried the record.
+  if (const std::int64_t v = resp.payload().get_int("version", 0); v > 0) {
+    KvsClient kvs(*h_);
+    co_await kvs.wait_version(static_cast<std::uint64_t>(v));
+  }
   co_return r;
 }
 

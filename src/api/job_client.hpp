@@ -47,7 +47,8 @@ class JobHandle {
   /// 1024): jobspec, state, eventlog, ranks, result and stdio.<rank>.*.
   [[nodiscard]] std::string kvs_dir() const;
 
-  /// Park until the job reaches a terminal state; returns the result.
+  /// Park until the job's terminal record is readable on this broker's KVS
+  /// (state, result, eventlog, stdio.<rank>.*); returns the result.
   [[nodiscard]] Task<JobResult> wait();
   /// Request cancellation (kills running tasks with SIGTERM).
   Task<void> cancel();
