@@ -6,8 +6,9 @@
 // module runs with {"shards": k}. The namespace is hash-partitioned over k
 // master brokers (rendezvous hashing on the top-level directory); every
 // producer writes a unique value under its own top-level directory and joins
-// one whole-job fence, which every broker completes once each shard's
-// setroot announce has named it. Every k runs the same fence path and the
+// one whole-job fence. A broker with producers waiting completes it once
+// each shard's setroot announce has named it; a relay drops its part on a
+// shard at that shard's announce. Every k runs the same fence path and the
 // same completion rule (k=1 is the paper's single master: shard 0 of a
 // one-shard map), with each shard master's apply/announce window at its
 // auto setting, so the k=1 row is the true baseline.

@@ -21,7 +21,11 @@
 // Time is virtual (discrete-event sim): jobs/sec is jobs over the virtual
 // makespan from first submit to last completion. host_seconds records the
 // real cost of simulating each cell. Store bytes are deterministic, and so
-// is net_messages, the SimNet sends while a cell's jobs run.
+// is net_messages, the SimNet sends while a cell's jobs run. Those include
+// one tree broadcast (kvs.setroot) per root apply, and how many applies a
+// cell takes depends on when its commits coalesce, so net_messages moves
+// with timing alone. net_messages_jobs counts every send but kvs.setroot*,
+// and kvs_applies the root's applies (its kvs.apply.batch_size count).
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -32,6 +36,7 @@
 #include "bench_util.hpp"
 #include "broker/session.hpp"
 #include "exec/sim_executor.hpp"
+#include "fault/injector.hpp"
 
 namespace {
 
@@ -50,12 +55,55 @@ SessionConfig jobs_only_config(std::uint32_t nodes) {
   return cfg;
 }
 
+/// Sends and root applies while it lives: a pass-through injector on the
+/// session that counts the root announces (kvs.setroot*) among the sends.
+class Traffic final : public fault::Injector {
+ public:
+  explicit Traffic(Session& session) : session_(session) {
+    session_.set_fault_injector(this);
+    msgs0_ = session_.simnet()->stats().messages;
+    applies0_ = applies();
+  }
+  ~Traffic() override { session_.set_fault_injector(nullptr); }
+  Traffic(const Traffic&) = delete;
+  Traffic& operator=(const Traffic&) = delete;
+
+  fault::Verdict on_send(NodeId, NodeId, const Message& msg) override {
+    if (msg.topic.starts_with("kvs.setroot")) ++setroot_;
+    return fault::Verdict::deliver_v();
+  }
+  [[nodiscard]] std::int64_t messages() const {
+    return static_cast<std::int64_t>(session_.simnet()->stats().messages -
+                                     msgs0_);
+  }
+  [[nodiscard]] std::int64_t job_messages() const {
+    return messages() - static_cast<std::int64_t>(setroot_);
+  }
+  [[nodiscard]] std::int64_t kvs_applies() const {
+    return static_cast<std::int64_t>(applies() - applies0_);
+  }
+
+ private:
+  [[nodiscard]] std::uint64_t applies() const {
+    return session_.broker(0)
+        .stats_registry()
+        .histogram_value("kvs.apply.batch_size")
+        .count();
+  }
+  Session& session_;
+  std::uint64_t msgs0_ = 0;
+  std::uint64_t applies0_ = 0;
+  std::uint64_t setroot_ = 0;
+};
+
 struct Cell {
   double jobs_per_sec = 0;
   double makespan_ms = 0;
   double alloc_mean_us = 0;
   std::int64_t completed = 0;
-  std::int64_t net_messages = 0;  ///< SimNet sends while the jobs ran
+  std::int64_t net_messages = 0;       ///< SimNet sends while the jobs ran
+  std::int64_t net_messages_jobs = 0;  ///< the same, kvs.setroot* left out
+  std::int64_t kvs_applies = 0;        ///< root applies while the jobs ran
   double host_seconds = 0;
 };
 
@@ -82,7 +130,7 @@ Cell run_cell(std::uint32_t nodes, int depth, int total_jobs) {
   std::vector<std::unique_ptr<Handle>> handles;
   int completed = 0;
   const TimePoint t0 = ex.now();
-  const std::uint64_t msgs0 = session->simnet()->stats().messages;
+  Traffic traffic(*session);
   for (int w = 0; w < window; ++w) {
     handles.push_back(session->attach(
         static_cast<NodeId>(1 + static_cast<std::uint32_t>(w) % (nodes - 1))));
@@ -96,8 +144,9 @@ Cell run_cell(std::uint32_t nodes, int depth, int total_jobs) {
 
   Cell cell;
   cell.completed = completed;
-  cell.net_messages = static_cast<std::int64_t>(
-      session->simnet()->stats().messages - msgs0);
+  cell.net_messages = traffic.messages();
+  cell.net_messages_jobs = traffic.job_messages();
+  cell.kvs_applies = traffic.kvs_applies();
   cell.makespan_ms = ms(makespan);
   cell.jobs_per_sec = makespan.count() > 0
                           ? static_cast<double>(completed) * 1e9 /
@@ -132,6 +181,8 @@ struct LongSession {
   double last_bytes_per_job = 0;   ///< root store bytes/job, last 1k jobs
   std::int64_t completed = 0;
   std::int64_t net_messages = 0;  ///< SimNet sends, jobs and probes
+  std::int64_t net_messages_jobs = 0;  ///< the same, kvs.setroot* left out
+  std::int64_t kvs_applies = 0;        ///< root applies
   double host_seconds = 0;
 };
 
@@ -146,7 +197,7 @@ LongSession run_long_session(std::uint32_t nodes, int window, int total_jobs) {
     handles.push_back(session->attach(
         static_cast<NodeId>(1 + static_cast<std::uint32_t>(w) % (nodes - 1))));
   auto probe = session->attach(0);
-  const std::uint64_t msgs0 = session->simnet()->stats().messages;
+  Traffic traffic(*session);
 
   LongSession out;
   int completed = 0;
@@ -171,8 +222,9 @@ LongSession run_long_session(std::uint32_t nodes, int window, int total_jobs) {
   out.first_bytes_per_job = (b1 - b0) / kEdgeJobs;
   out.last_bytes_per_job = (b3 - b2) / kEdgeJobs;
   out.completed = completed;
-  out.net_messages = static_cast<std::int64_t>(
-      session->simnet()->stats().messages - msgs0);
+  out.net_messages = traffic.messages();
+  out.net_messages_jobs = traffic.job_messages();
+  out.kvs_applies = traffic.kvs_applies();
   out.host_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     host_start)
@@ -221,6 +273,8 @@ int main(int argc, char** argv) {
            {"makespan_ms", c.makespan_ms},
            {"alloc_mean_us", c.alloc_mean_us},
            {"net_messages", c.net_messages},
+           {"net_messages_jobs", c.net_messages_jobs},
+           {"kvs_applies", c.kvs_applies},
            {"host_seconds", c.host_seconds}});
       metrics_add(std::move(row));
     }
@@ -253,6 +307,8 @@ int main(int argc, char** argv) {
        {"store_bytes_per_job_last_1k", ls.last_bytes_per_job},
        {"store_bytes_growth", growth},
        {"net_messages", ls.net_messages},
+       {"net_messages_jobs", ls.net_messages_jobs},
+       {"kvs_applies", ls.kvs_applies},
        {"host_seconds", ls.host_seconds}}));
   return 0;
 }

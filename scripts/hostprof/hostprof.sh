@@ -4,6 +4,15 @@
 #
 #   scripts/hostprof/hostprof.sh WORKLOAD [SEED] [SECONDS] [OUT_DIR]
 #   scripts/hostprof/report.py OUT_DIR/WORKLOAD.raw --under ResourcePool::feasible
+#   scripts/hostprof/report.py OUT_DIR/WORKLOAD.raw --within SimExecutor::run \
+#       --callees KvsModule::on_setroot
+#
+# --under F keeps the samples with F on the stack, shares still of all
+# samples. --within F keeps the same samples and takes shares of them:
+# --within SimExecutor::run leaves out what runs outside the simulator loop,
+# such as hostbench's untimed probe_host calibration. --callees F adds a
+# table splitting F's samples by the next frame inward whose source file
+# lies in this checkout ("(self)" when there is none).
 #
 # Builds hostbench from this checkout with the benchmark's optimization
 # (Release) plus -g into OUT_DIR (default ${TMPDIR:-/tmp}/hostprof, outside

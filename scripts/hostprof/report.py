@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Attribute SIGPROF samples from sampler.c to functions and source files.
 
-    scripts/hostprof/report.py PROFILE.raw [--under SUBSTR]
+    scripts/hostprof/report.py PROFILE.raw [--under SUBSTR] [--within SUBSTR]
+                               [--callees SUBSTR]
 
 Resolves every sampled address with `addr2line -f -C -i` (inlined frames
 count as frames of their own; a library without debug info, such as libc,
@@ -16,6 +17,16 @@ Each table lists its top 25 rows.
 --under keeps only samples with a function matching SUBSTR on the stack;
 shares stay relative to all samples, so `--under ResourcePool::feasible`
 reads as "share of all host time spent below feasible".
+
+--within keeps the same samples but takes every share relative to them:
+`--within SimExecutor::run` reads as "share of the simulated work", leaving
+out what runs outside the simulator loop (hostbench's untimed probes).
+
+--callees adds one table: the samples with a function matching SUBSTR on the
+stack, split by the next frame inward whose source file lies in this
+checkout (inlined library code is skipped over). A sample whose innermost
+project frame is the function itself reads "(self)". With recursion, the
+innermost match counts.
 """
 import argparse
 import bisect
@@ -24,6 +35,9 @@ import functools
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+ROOT = str(Path(__file__).resolve().parents[2]) + os.sep
 
 
 def parse(path):
@@ -138,7 +152,12 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("profile")
     ap.add_argument("--under", default=None)
+    ap.add_argument("--within", default=None)
+    ap.add_argument("--callees", default=None)
     args = ap.parse_args()
+    if args.under and args.within:
+        ap.error("--under and --within both filter; give one")
+    keep = args.under or args.within
 
     maps, samples, dropped = parse(args.profile)
     if not samples:
@@ -153,14 +172,22 @@ def main():
 
     self_fn, incl_fn = collections.Counter(), collections.Counter()
     self_file, incl_file = collections.Counter(), collections.Counter()
+    callees = collections.Counter()
     kept = 0
     for s in samples:
         stack = list(frames_of[s[0]])
         for a in s[1:]:
             stack.extend(frames_of[a - 1])
-        if args.under and not any(args.under in fn for fn, _ in stack):
+        if keep and not any(keep in fn for fn, _ in stack):
             continue
         kept += 1
+        if args.callees:
+            at = next((i for i, (fn, _) in enumerate(stack)
+                       if args.callees in fn), None)
+            if at is not None:
+                inward = (fn for fn, src in reversed(stack[:at])
+                          if src.startswith(ROOT))
+                callees[next(inward, "(self)")] += 1
         self_fn[stack[0][0]] += 1
         self_file[stack[0][1]] += 1
         for fn in {fn for fn, _ in stack}:
@@ -168,9 +195,10 @@ def main():
         for src in {src for _, src in stack}:
             incl_file[src] += 1
 
-    total = len(samples)
-    print("samples %d (dropped %d)%s: %d" % (
-        total, dropped, " under %r" % args.under if args.under else "", kept))
+    total = kept if args.within else len(samples)
+    print("samples %d (dropped %d)%s: %d%s" % (
+        len(samples), dropped, " under %r" % keep if keep else "", kept,
+        "; shares of these" if args.within else ""))
     for title, selfc, inclc in (("function", self_fn, incl_fn),
                                 ("source file", self_file, incl_file)):
         print("\n%-7s %-7s %s  (by inclusive share)" % ("incl%", "self%", title))
@@ -183,6 +211,13 @@ def main():
             print("%6.1f  %6.1f  %s" % (100.0 * n / total,
                                         100.0 * inclc[key] / total,
                                         short(key, 110)))
+    if args.callees:
+        n = sum(callees.values())
+        print("\n%-7s %-7s callees of %r: %d samples, %.1f%% of %s" % (
+            "count", "share%", args.callees, n, 100.0 * n / max(total, 1),
+            "those kept" if args.within else "all samples"))
+        for key, c in callees.most_common(TOP):
+            print("%6d  %6.1f  %s" % (c, 100.0 * c / max(n, 1), short(key, 110)))
     return 0
 
 

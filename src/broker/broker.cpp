@@ -67,6 +67,11 @@ void Broker::start() {
 }
 
 void Broker::shutdown() {
+  // From here the broker takes no new work: a threaded reactor keeps running
+  // until the session stops it, and a message it delivers (an hb event that
+  // starts a mon sample, a kvs.load to serve) would otherwise park a
+  // coroutine on an RPC that nothing settles any more.
+  shut_down_ = true;
   for (auto& m : modules_) m->shutdown();
   // Settle outstanding RPCs: a coroutine parked on a Future owns the Future
   // and the Future's state owns the coroutine handle, so an unsettled promise
@@ -120,7 +125,7 @@ void Broker::unsubscribe(std::uint64_t endpoint, std::string_view topic_prefix) 
 // ---------------------------------------------------------------------------
 
 void Broker::receive(Message msg) {
-  if (failed_) return;
+  if (failed_ || shut_down_) return;
   net_rx_msgs_.inc();
   net_rx_bytes_.inc(static_cast<std::uint64_t>(msg.wire_size()));
   if (msg.traced()) {
@@ -185,6 +190,10 @@ Future<Message> Broker::rpc(RouteHop origin, Message req, Duration timeout) {
     // pending entry no response will ever match (a module timer that
     // outlives fail() would otherwise park its coroutine forever).
     promise.set_error(Error(errc::host_down, "broker failed"));
+    return promise.future();
+  }
+  if (shut_down_) {
+    promise.set_error(Error(errc::canceled, "session shutdown"));
     return promise.future();
   }
   const std::uint32_t tag = next_matchtag_++;
@@ -436,9 +445,10 @@ void Broker::deliver_event(const Message& msg) {
     // it: it gets no more events, hb included, so it sends no hellos, and
     // it never rejoins, because request_rejoin runs only from restart().
     // It stays out of the session, serving an ever staler root, until it
-    // is restarted (ROADMAP, "Two failure gaps"; full split-brain recovery
-    // is future work, matching the paper: "a design for comprehensive
-    // fault tolerance ... is a near-term project activity").
+    // is restarted (ROADMAP, "One membership state machine"; full
+    // split-brain recovery is future work, matching the paper: "a design
+    // for comprehensive fault tolerance ... is a near-term project
+    // activity").
     const auto dead = static_cast<NodeId>(msg.payload().get_int("rank", -1));
     if (dead < size() && dead != rank_) dead_ranks_.insert(dead);
     if (dead < size() && dead != 0 && dead != rank_ && topo_.parent(dead)) {

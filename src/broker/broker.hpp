@@ -64,7 +64,7 @@ class Broker {
   // -- lifecycle --------------------------------------------------------------
   void add_module(std::unique_ptr<Module> m);
   void start();     ///< start modules, then begin hello wire-up reduction
-  void shutdown();  ///< stop modules
+  void shutdown();  ///< stop modules; then refuse RPCs and drop messages
   [[nodiscard]] Module* find_module(std::string_view service) noexcept;
   [[nodiscard]] std::vector<std::string_view> module_names() const;
 
@@ -192,6 +192,7 @@ class Broker {
   /// never share mutable topology state across threads.
   Topology topo_;
   bool failed_ = false;
+  bool shut_down_ = false;  ///< shutdown() ran (session teardown)
   std::uint64_t incarnation_ = 0;  ///< restarts so far
   std::set<NodeId> dead_ranks_;
   // Read by Session::wait_online from a foreign thread in threaded sessions;

@@ -485,6 +485,7 @@ void KvsModule::fence_add(const std::string& name, std::uint32_t shard,
                           const std::vector<ObjPtr>& objects) {
   Fence& fence = fence_state(name, nprocs);
   Part& part = fence.parts[shard];
+  part.held = true;
   if (!tuples.empty()) part.touched = true;
   // Retry detection, uniform for local clients (op_fence) and relayed
   // flushes (op_flush): a contributor this broker already forwarded means
@@ -539,13 +540,19 @@ void KvsModule::fence_add(const std::string& name, std::uint32_t shard,
 }
 
 void KvsModule::flush_fence(const std::string& name, std::uint32_t shard) {
-  auto it = fences_.find(name);
+  const auto it = fences_.find(name);
   if (it == fences_.end()) return;
   Part& part = it->second.parts[shard];
   part.flush_scheduled = false;
   if (part.pending_contributors.empty()) return;
   // A dead master (or an orphaned broker) makes the flush undeliverable;
-  // the live shards' announces or the client's retry settle the fence.
+  // the live shards' announces or the client's retry settle the fence. A
+  // relay's part on a dead shard (relayed here after its live.down) sees
+  // no announce, so it goes now.
+  if (shard_dead_[shard] && it->second.waiters.empty()) {
+    drop_relay_part(it, shard);
+    return;
+  }
   const auto up = shard_dead_[shard] ? std::nullopt : tree_parent(shard);
   if (up) {
     flushes_forwarded_.inc();
@@ -594,18 +601,20 @@ void KvsModule::op_flush(Message& msg) {
 }
 
 void KvsModule::fence_announced(const std::string& name, std::uint32_t shard) {
-  auto it = fences_.find(name);
-  if (it == fences_.end()) {
-    // No local part or waiter. Remember the announce only while another
-    // live shard still owes one (never at k = 1), so that a part relayed
-    // here later still completes.
-    bool owed = false;
-    for (std::uint32_t s = 0; s < shards_; ++s)
-      owed = owed || (s != shard && !shard_dead_[s]);
-    if (!owed) return;
-    it = fences_.try_emplace(name).first;
-  }
+  const auto it = fences_.find(name);
+  if (it == fences_.end()) return;  // no part or waiter here
   Fence& fence = it->second;
+  if (fence.waiters.empty()) {
+    // Relay: the shard applied its part. A part relayed here after another
+    // shard's announce ends with its own shard's announce. Under the
+    // early-fuse mutation the first announce drops the whole fence, parts
+    // not yet flushed included, as completing it did.
+    if (check::mutation("kvs.fence_fuse_early"))
+      fences_.erase(it);
+    else
+      drop_relay_part(it, shard);
+    return;
+  }
   if (fence.owed.empty()) {
     // First announce: the completion set is the shards alive now. A shard
     // revived later never saw the fence and is not added.
@@ -613,7 +622,17 @@ void KvsModule::fence_announced(const std::string& name, std::uint32_t shard) {
     for (std::uint32_t s = 0; s < shards_; ++s) fence.owed[s] = !shard_dead_[s];
   }
   fence.owed[shard] = false;
-  if (fence_ready(fence)) complete_fence(name, fence.tainted);
+  if (fence_ready(fence)) complete_fence(it, fence.tainted);
+}
+
+void KvsModule::drop_relay_part(FenceMap::iterator it, std::uint32_t shard) {
+  std::vector<Part>& parts = it->second.parts;
+  parts[shard].held = false;
+  if (std::none_of(parts.begin(), parts.end(),
+                   [](const Part& p) { return p.held; }))
+    fences_.erase(it);
+  else
+    parts[shard] = Part{};
 }
 
 bool KvsModule::fence_ready(const Fence& fence) {
@@ -625,11 +644,10 @@ bool KvsModule::fence_ready(const Fence& fence) {
          check::mutation("kvs.fence_fuse_early");
 }
 
-void KvsModule::complete_fence(const std::string& name, bool failed) {
-  auto it = fences_.find(name);
-  if (it == fences_.end()) return;
-  Fence fence = std::move(it->second);
-  fences_.erase(it);
+void KvsModule::complete_fence(FenceMap::iterator it, bool failed) {
+  auto node = fences_.extract(it);
+  const std::string& name = node.key();
+  Fence& fence = node.mapped();
   for (const Sha1& id : fence.pins) cache_.unpin(id);
   // Even when the live shards completed the fence, writes this broker
   // routed to a now-dead shard are gone — its waiters must hear that.
@@ -779,8 +797,9 @@ void KvsModule::on_setroot(const Message& msg) {
   // that includes it already adopted here.
   adopt_root(s, version, *ref);
   refresh_scalar_root();
-  for (const std::string& name : strings_of(p.at("fences")))
-    fence_announced(name, s);
+  if (const Json& fences = p.at("fences"); fences.is_array())
+    for (const Json& name : fences.as_array())
+      if (name.is_string()) fence_announced(name.as_string(), s);
 }
 
 void KvsModule::adopt_roots(const Json& payload) {
@@ -894,14 +913,25 @@ void KvsModule::on_live_down(const Message& msg) {
   // Every fence with an announce lost its part on this shard (the dead
   // master held the only copy): drop the shard from its completion set and
   // fail it. Fences without an announce yet complete over the live shards.
+  // A relay drops its part on the shard, which will announce nothing more.
   std::vector<std::string> ready;
-  for (auto& [name, fence] : fences_) {
+  for (auto next = fences_.begin(); next != fences_.end();) {
+    const auto cur = next++;
+    Fence& fence = cur->second;
+    if (fence.waiters.empty()) {
+      drop_relay_part(cur, *s);
+      continue;
+    }
     if (fence.owed.empty()) continue;
     fence.owed[*s] = false;
     fence.tainted = true;
-    if (fence_ready(fence)) ready.push_back(name);
+    if (fence_ready(fence)) ready.push_back(cur->first);
   }
-  for (const std::string& name : ready) complete_fence(name, true);
+  // Answered in name order, whatever the table's order.
+  std::sort(ready.begin(), ready.end());
+  for (const std::string& name : ready)
+    if (const auto f = fences_.find(name); f != fences_.end())
+      complete_fence(f, true);
   // Failover: the designated successor promotes itself two epochs from now
   // (hb-driven, so detection and takeover are both heartbeat-clocked). Every
   // rank schedules the same deadline; only the successor acts on it, and a
@@ -1411,6 +1441,7 @@ Json KvsModule::stats_json() const {
   out["store_bytes"] = store_.bytes();
   out["cache_objects"] = cache_.count();
   out["cache_bytes"] = cache_.bytes();
+  out["fences"] = fences_.size();
   if (backend_ != nullptr) {
     out["persist"] = true;
     out["recovered_version"] = my_shard_ ? recovered_versions_[*my_shard_] : 0;

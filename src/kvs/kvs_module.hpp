@@ -25,11 +25,13 @@
 // (announce_root, DESIGN §4e).
 // The announce is the paper's "kvs.setroot" event ("kvs.setroot.<s>" when
 // k > 1), and its "fences" list names the fences the new root includes.
-// Every broker adopts the root and completes a fence once every shard in
-// the fence's completion set (the shards alive at its first announce) has
-// announced it. Events are root-sequenced, so every broker makes the same
-// decision in the same order, and a completed fence's writes are readable
-// on every shard (collective-commit semantics plus cross-shard visibility).
+// Every broker adopts the root. A broker with waiters for the fence answers
+// them once every shard in the fence's completion set (the shards alive at
+// its first announce) has announced it; a relay, which only passes parts
+// up, drops its part on a shard when that shard announces the fence.
+// Events are root-sequenced, so every broker makes the same decision in the
+// same order, and a completed fence's writes are readable on every shard
+// (collective-commit semantics plus cross-shard visibility).
 //
 // Consistency (Vogels' taxonomy, as claimed by the paper):
 //  - monotonic reads: each shard's roots apply in that shard's version
@@ -162,6 +164,8 @@ class KvsModule final : public Module {
 
   /// One shard's slice of a fence on this broker.
   struct Part {
+    // fence_add reached this part here (a relay holds only such parts).
+    bool held = false;
     // Contributor identities not yet flushed upstream. May repeat across
     // waves — the master's `counted` set dedupes.
     std::vector<std::string> pending_contributors;
@@ -194,18 +198,31 @@ class KvsModule final : public Module {
   struct Fence {
     std::int64_t nprocs = 0;
     std::vector<Part> parts;  // one per shard
-    // Requests from clients of *this* broker awaiting completion.
+    // Requests from clients of *this* broker awaiting completion. With none,
+    // this broker is a relay for the fence: it keeps only its held parts and
+    // drops each when its shard announces the fence (or dies).
     std::vector<Message> waiters;
-    // Local cache pins to release at completion.
+    // Local cache pins to release at completion (waiters only).
     std::vector<Sha1> pins;
-    // Completion, kept in event order on every broker: the shards that still
-    // owe an announce of this fence (those alive at its first announce;
-    // empty before it).
+    // Completion, kept in event order by every broker with waiters: the
+    // shards that still owe an announce of this fence (those alive at its
+    // first announce; empty before it). A waiter's entry exists before any
+    // shard can count, and so announce, the fence.
     std::vector<bool> owed;
     // A shard master died after the first announce: the fence's part on it
     // is lost, so the fence completes failed.
     bool tainted = false;
   };
+  // A hasher of our own, not std::hash<std::string>: with that one,
+  // libstdc++ finds a key in a table of up to 20 entries by comparing it
+  // with every key, and most names an announce lists are fences this
+  // broker does not hold.
+  struct FenceNameHash {
+    std::size_t operator()(const std::string& name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  using FenceMap = std::unordered_map<std::string, Fence, FenceNameHash>;
   Fence& fence_state(const std::string& name, std::int64_t nprocs);
 
   /// Identity of the requesting endpoint, stable across its RPC retries.
@@ -219,13 +236,17 @@ class KvsModule final : public Module {
                  std::vector<Tuple> tuples, const std::vector<ObjPtr>& objects);
   /// Ship the part's pending contributions one hop up the shard's tree.
   void flush_fence(const std::string& name, std::uint32_t shard);
-  /// Shard `shard` announced a root that includes fence `name`: complete
-  /// the fence once every shard in its completion set has announced it.
+  /// Shard `shard` announced a root that includes fence `name`: a relay
+  /// drops its part on the shard; a broker with waiters completes the fence
+  /// once every shard in its completion set has announced it.
   void fence_announced(const std::string& name, std::uint32_t shard);
+  /// Relay: drop the fence's part on `shard`, and the fence once it holds
+  /// no part.
+  void drop_relay_part(FenceMap::iterator it, std::uint32_t shard);
   /// No shard owes an announce of this (already announced) fence.
   [[nodiscard]] static bool fence_ready(const Fence& fence);
-  /// Complete a fence locally: release pins and answer its waiters.
-  void complete_fence(const std::string& name, bool failed);
+  /// Complete a fence with waiters: release pins and answer them.
+  void complete_fence(FenceMap::iterator it, bool failed);
 
   // -- shard masters -----------------------------------------------------------
   /// Master-side state of one shard this broker masters.
@@ -393,7 +414,7 @@ class KvsModule final : public Module {
 
   std::uint64_t commit_seq_ = 0;
   std::uint64_t fence_anon_seq_ = 0;  // fence_origin_key fallback counter
-  std::map<std::string, Fence> fences_;
+  FenceMap fences_;
 
   std::uint32_t shards_ = 1;
   ShardMap shard_map_;

@@ -345,6 +345,88 @@ TEST(Failure, ShardMasterDeathAfterAnnouncesFailsTheFence) {
   EXPECT_EQ(seen[1], errc::host_down);
 }
 
+TEST(Failure, ShardMasterDeathMidFenceLeavesNoFenceOnSurvivors) {
+  // k = 4 on 16 brokers, masters at ranks 0, 4, 8, 12. Three brokers
+  // fence together and rank 12 dies after the first has contributed: the
+  // other shards announce the fence, rank 12's shard never does. Its
+  // live.down fails the waiters, and relays drop their parts on the dead
+  // shard, so no survivor keeps the fence ("fences" in the kvs stats_json).
+  // Rank 12 is a leaf of the session tree, so every survivor hears every
+  // announce.
+  SimSession s(sharded_failure_config(16, 4));
+  s.settle(std::chrono::milliseconds(1));
+  auto* leaf =
+      dynamic_cast<KvsModule*>(s.session().broker(15).find_module("kvs"));
+  const ShardMap& map = leaf->shard_map();
+  const NodeId dead = 12;
+  const std::uint32_t dead_shard = 3;
+  ASSERT_EQ(map.master_rank(dead_shard), dead);
+  const Topology& topo = s.session().broker(0).topology();
+  for (NodeId r = 0; r < 16; ++r) ASSERT_NE(topo.parent(r), dead);
+  std::vector<std::string> keys;  // one top-level directory per shard
+  for (std::uint32_t sh = 0; sh < 4; ++sh)
+    for (int i = 0;; ++i)
+      if (std::string d = std::string("m").append(std::to_string(i));
+          map.shard_of(d) == sh) {
+        keys.push_back(std::move(d));
+        break;
+      }
+
+  // Fencers whose part on the dead shard crosses a relay (which must drop
+  // it at live.down) and whose other parts climb no tree through the dead
+  // rank: a flush lost in a dead relay before its death is declared is the
+  // client's retry to settle, not the announce path's.
+  std::vector<NodeId> fencers;
+  for (NodeId r = 15; r > 0 && fencers.size() < 3; --r) {
+    if (map.shard_of_master(r) || map.parent(dead_shard, r) == dead) continue;
+    bool via_dead = false;
+    for (std::uint32_t sh = 0; sh < 4; ++sh)
+      for (auto up = map.parent(sh, r); up && sh != dead_shard;
+           up = map.parent(sh, *up))
+        via_dead |= *up == dead;
+    if (!via_dead) fencers.push_back(r);
+  }
+  ASSERT_EQ(fencers.size(), 3u);
+  std::vector<std::unique_ptr<Handle>> handles;
+  std::vector<std::optional<errc>> seen(fencers.size());
+  int done = 0;
+  auto fencer = [](Handle* hd, std::vector<std::string> ks, NodeId rank,
+                   std::optional<errc>* out, int* d) -> Task<void> {
+    KvsClient kvs(*hd);
+    for (const std::string& k : ks)
+      co_await kvs.put(k + ".r" + std::to_string(rank), 1);
+    try {
+      co_await kvs.fence("torn", 3);
+    } catch (const FluxException& e) {
+      *out = e.error().code;
+    }
+    ++*d;
+  };
+  for (std::size_t i = 0; i < fencers.size(); ++i)
+    handles.push_back(s.attach(fencers[i]));
+  co_spawn(s.ex(), fencer(handles[0].get(), keys, fencers[0], &seen[0], &done),
+           "fencer-0");
+  s.settle(std::chrono::milliseconds(1));  // first contribution is in
+  s.session().fail(dead);
+  for (std::size_t i = 1; i < fencers.size(); ++i)
+    co_spawn(s.ex(),
+             fencer(handles[i].get(), keys, fencers[i], &seen[i], &done),
+             "fencer");
+  s.settle(std::chrono::microseconds(200));
+  EXPECT_EQ(done, 0) << "fence completed without the dead shard's part";
+
+  s.settle(std::chrono::milliseconds(3));  // detection + live.down
+  ASSERT_EQ(done, 3) << "fence waiter hung after shard master death";
+  for (const auto& code : seen) EXPECT_EQ(code, errc::host_down);
+  for (NodeId r = 0; r < 16; ++r) {
+    if (r == dead) continue;
+    const auto fences =
+        s.session().broker(r).find_module("kvs")->stats_json().get_int(
+            "fences", -1);
+    EXPECT_EQ(fences, 0) << "rank " << r;
+  }
+}
+
 TEST(Failure, DirectRpcToDeadBrokerSettles) {
   // In-flight direct RPCs (the sharded overlay edges) settle with EHOSTDOWN
   // when the target dies instead of hanging the coroutine.

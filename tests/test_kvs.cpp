@@ -757,6 +757,117 @@ TEST(KvsSharded, RelayThatSeesAnAnnounceFirstStillCompletesTheFence) {
       << "rank " << x << " completed the reused fence before shard 1 applied";
 }
 
+// Fences a broker holds ("fences" in the kvs stats_json): waiter entries
+// plus relay parts not yet dropped by their shard's announce.
+std::int64_t live_fences(SimSession& s, NodeId rank) {
+  return s.session().broker(rank).find_module("kvs")->stats_json().get_int(
+      "fences", -1);
+}
+
+TEST(KvsSharded, RelaysHoldNoFenceOnceCommitsReturn) {
+  // k = 4 on 16 brokers: commits from the leaves scatter keys over every
+  // shard, so their parts climb through interior brokers of each shard's
+  // tree. A relay drops each part when its shard announces the fence, and
+  // a waiter's broker completes it, so nothing is left anywhere.
+  SimSession s(sharded_config(16, 4));
+  std::vector<std::unique_ptr<Handle>> handles;
+  int done = 0;
+  for (NodeId r = 8; r < 16; ++r) {
+    handles.push_back(s.attach(r));
+    co_spawn(s.ex(),
+             [](Handle* h, NodeId rank, int* d) -> Task<void> {
+               KvsClient kvs(*h);
+               for (int i = 0; i < 4; ++i) {
+                 for (int k = 0; k < 6; ++k)
+                   co_await kvs.put(std::string("rs")
+                                        .append(std::to_string(k))
+                                        .append(".r")
+                                        .append(std::to_string(rank)),
+                                    i);
+                 co_await kvs.commit();
+               }
+               ++*d;
+             }(handles.back().get(), r, &done),
+             "committer");
+  }
+  s.ex().run();
+  ASSERT_EQ(done, 8);
+  auto* root =
+      dynamic_cast<KvsModule*>(s.session().broker(0).find_module("kvs"));
+  const ShardMap& map = root->shard_map();
+  std::uint64_t relayed = 0;  // flushes forwarded by interior non-masters
+  for (NodeId r = 1; r < 8; ++r)
+    if (!map.shard_of_master(r))
+      relayed += s.stats(r).counter_value("kvs.flushes_forwarded");
+  EXPECT_GT(relayed, 0u) << "no part crossed an interior broker";
+  for (NodeId r = 0; r < 16; ++r)
+    EXPECT_EQ(live_fences(s, r), 0) << "rank " << r;
+}
+
+TEST(KvsSharded, RelayFlushedAfterAnotherShardsAnnounceEndsEmpty) {
+  // Rank `p` commits a key of shard `sh`; its flush into relay `x` (on no
+  // other shard path of p) is held back until the other shards have
+  // announced the commit. `x` keeps nothing for the announces it has no
+  // part of, relays the late part, and drops it at shard sh's announce.
+  SimSession s(sharded_config(16, 4));
+  s.settle(std::chrono::milliseconds(1));
+  auto* root =
+      dynamic_cast<KvsModule*>(s.session().broker(0).find_module("kvs"));
+  const ShardMap& map = root->shard_map();
+  NodeId p = 0;
+  NodeId x = 0;
+  std::uint32_t sh = 0;
+  for (NodeId r = 1; r < 16 && x == 0; ++r) {
+    for (std::uint32_t t = 1; t < 4 && x == 0; ++t) {
+      const auto up = map.parent(t, r);
+      if (!up || *up == map.master_rank(t)) continue;
+      bool shared = false;  // x is r's parent in another shard's tree
+      for (std::uint32_t o = 0; o < 4; ++o)
+        shared |= o != t && map.parent(o, r) == up;
+      if (!shared) {
+        p = r;
+        x = *up;
+        sh = t;
+      }
+    }
+  }
+  ASSERT_NE(x, 0u) << "no relay off p's other shard paths";
+  std::string key;  // a top-level directory of shard sh
+  for (int i = 0; key.empty(); ++i)
+    if (const std::string d = std::string("late").append(std::to_string(i));
+        map.shard_of(d) == sh)
+      key = d;
+
+  fault::FaultPlan plan;
+  plan.delay_nth(p, x, 1, std::chrono::milliseconds(1), "kvs.flush");
+  plan.arm(s.session());
+  auto hx = s.attach(x);
+  int announced = 0;  // announces of other shards that x has seen
+  Subscription sub = hx->subscribe("kvs.setroot", [&](const Message& ev) {
+    if (ev.topic == "kvs.setroot." + std::to_string(sh)) return;
+    for (const Json& name : ev.payload().at("fences").as_array())
+      if (name.as_string().starts_with("#commit.")) ++announced;
+  });
+  auto hp = s.attach(p);
+  bool done = false;
+  co_spawn(s.ex(),
+           [](Handle* h, std::string k, bool* d) -> Task<void> {
+             KvsClient kvs(*h);
+             co_await kvs.put(k + ".v", 1);
+             co_await kvs.commit();
+             *d = true;
+           }(hp.get(), key, &done),
+           "late-committer");
+  s.settle(std::chrono::microseconds(500));
+  EXPECT_FALSE(done);
+  EXPECT_EQ(announced, 3) << "the other shards have not announced yet";
+  EXPECT_EQ(live_fences(s, x), 0) << "relay kept an announce it has no part of";
+  s.settle(std::chrono::milliseconds(2));
+  ASSERT_TRUE(done);
+  for (NodeId r = 0; r < 16; ++r)
+    EXPECT_EQ(live_fences(s, r), 0) << "rank " << r;
+}
+
 TEST(KvsSharded, PerShardMonotonicReads) {
   SimSession s(sharded_config(8, 4));
   auto writer = s.attach(3);

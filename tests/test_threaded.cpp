@@ -2,12 +2,14 @@
 // threads with wire-codec transport, driven through the blocking SyncHandle.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
 #include <thread>
 
 #include "api/sync_handle.hpp"
 #include "broker/session.hpp"
 #include "fault/plan.hpp"
+#include "kvs/kvs_client.hpp"
 
 namespace flux {
 namespace {
@@ -221,6 +223,69 @@ TEST(Threaded, KilledSleepOutlivesItsTimer) {
                   .at("running")
                   .size(),
               0u);
+}
+
+/// Parks every kvs.load rank 1 sends (a delay no test outlives).
+class ParkLoadsFromRank1 final : public fault::Injector {
+ public:
+  fault::Verdict on_send(NodeId from, NodeId, const Message& msg) override {
+    if (from != 1 || msg.topic != "kvs.load") return fault::Verdict::deliver_v();
+    ++parked;
+    return fault::Verdict::delay_v(std::chrono::hours(1));
+  }
+  std::atomic<int> parked{0};
+};
+
+TEST(Threaded, TeardownSettlesAGetParkedInKvsLoad) {
+  // A get on rank 1 faults its objects from rank 0 and parks in kvs.load.
+  // Teardown settles it, and the client retries: a reactor keeps running
+  // after its broker's shutdown until the session stops it, and the retry
+  // must be refused, not parked in a second kvs.load nothing settles (its
+  // frames, and the handle they own, would leak).
+  ParkLoadsFromRank1 park;  // must outlive the session
+  SessionConfig cfg = threaded_config(2);
+  std::erase_if(cfg.modules, [](const std::string& m) { return m == "mon"; });
+  auto session = Session::create_threaded(cfg);
+  ASSERT_TRUE(session->wait_online());
+  {
+    SyncHandle writer(*session, 0);
+    writer.kvs_put("park.k", 1);
+    const CommitResult r = writer.kvs_commit();
+    SyncHandle(*session, 1).kvs_wait_version(r.version);
+  }
+  session->set_fault_injector(&park);
+
+  std::atomic<int> tries{0};
+  std::atomic<bool> finished{false};
+  Session* sp = session.get();
+  sp->executor(1).post([sp, &tries, &finished] {
+    co_spawn(
+        sp->executor(1),
+        [](std::unique_ptr<Handle> h, std::atomic<int>* n,
+           std::atomic<bool>* done) -> Task<void> {
+          KvsClient kvs(*h);
+          for (;;) {
+            ++*n;
+            try {
+              (void)co_await kvs.get("park.k");
+              break;
+            } catch (const FluxException&) {
+              if (*n >= 3) break;
+            }
+          }
+          *done = true;
+        }(sp->attach(1), &tries, &finished),
+        "parked-get");
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (park.parked == 0 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(park.parked, 1) << "the get never faulted through kvs.load";
+  session.reset();
+  EXPECT_TRUE(finished) << "a retried get stayed parked past teardown";
+  EXPECT_EQ(tries, 3);
+  EXPECT_EQ(park.parked, 1) << "a kvs.load went out after shutdown";
 }
 
 TEST(Threaded, WireCodecCarriesAttachments) {
